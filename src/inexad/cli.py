@@ -59,19 +59,22 @@ def cli_parse(argv):
             parser.error(f"cannot parse --lambda-grid {args.lambda_grid!r}")
     else:
         grid = DEFAULT_LAMBDA_GRID
-    return ExperimentConfig(
-        dataset=args.dataset,
-        csv_path=args.csv,
-        label_col=args.label_col,
-        modes=tuple(args.mode) if args.mode else ("proposed",),
-        n_repeats=args.repeats,
-        seed=args.seed,
-        fixed_lambda=args.fixed_lambda,
-        lambda_grid=grid,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        out_dir=args.out,
-    )
+    try:
+        return ExperimentConfig(
+            dataset=args.dataset,
+            csv_path=args.csv,
+            label_col=args.label_col,
+            modes=tuple(args.mode) if args.mode else ("proposed",),
+            n_repeats=args.repeats,
+            seed=args.seed,
+            fixed_lambda=args.fixed_lambda,
+            lambda_grid=grid,
+            max_epochs=args.epochs,
+            patience=args.patience,
+            out_dir=args.out,
+        )
+    except ValueError as exc:  # a config that fails validation is a usage error
+        parser.error(str(exc))
 
 
 def main(argv=None):

@@ -157,9 +157,10 @@ def load_csv(path, label_column="label", anomaly_values=DEFAULT_ANOMALY_VALUES,
         if not 0 <= label_idx < len(first):
             raise DataError(f"label column index {label_idx} out of range")
 
+    first_row_num = 2 if has_header else 1
     X, flags = [], []
     for r, row in enumerate(rows):
-        row_num = r + (2 if has_header else 1)
+        row_num = r + first_row_num
         if len(row) != len(first):
             raise DataError(
                 f"row {row_num}: expected {len(first)} cells, got {len(row)}"
@@ -178,10 +179,18 @@ def load_csv(path, label_column="label", anomaly_values=DEFAULT_ANOMALY_VALUES,
         flags.append(_parse_label(row[label_idx], row_num, anomaly_values,
                                   normal_values))
 
+    X = np.array(X)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, k = (int(v) for v in bad[0])
+        j = k + (k >= label_idx)  # file column: the features skip the label
+        raise DataError(f"row {r + first_row_num}, column {j}: "
+                        f"non-finite cell {rows[r][j]!r}")
+
     feature_names = []
     if header is not None:
         feature_names = [h for j, h in enumerate(header) if j != label_idx]
-    return Dataset(X=np.array(X), is_anomaly=np.array(flags),
+    return Dataset(X=X, is_anomaly=np.array(flags),
                    name=name or str(path), feature_names=feature_names)
 
 

@@ -23,6 +23,7 @@ from .training import (
     DEFAULT_LAMBDA_GRID,
     MODES,
     TrainConfig,
+    best_of_grid,
     grid_search,
     train,
     write_history,
@@ -54,6 +55,19 @@ class ExperimentConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")
+        # TrainConfig owns the rules for epochs, patience and lambda values
+        tc = self.effective_train_config()
+        if self.fixed_lambda is not None:
+            replace(tc, lam=self.fixed_lambda)
+
+    def effective_train_config(self):
+        """train_config with this experiment's epochs, patience and lambda grid."""
+        return replace(
+            self.train_config,
+            max_epochs=self.max_epochs,
+            patience=self.patience,
+            lambda_grid=tuple(self.lambda_grid),
+        )
 
 
 @dataclass
@@ -124,12 +138,7 @@ def run_experiment(config):
     if config.dataset == "csv":
         base_ds = preprocess(load_csv(config.csv_path, config.label_col))
 
-    tc = replace(
-        config.train_config,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        lambda_grid=tuple(config.lambda_grid),
-    )
+    tc = config.effective_train_config()
 
     report = EvaluationReport(
         dataset_name="synthetic" if config.dataset == "synthetic" else base_ds.name,
@@ -153,10 +162,7 @@ def run_experiment(config):
             cfg = replace(tc, mode=mode, rng_seed=seed_r)
             if _uses_grid(mode, config):
                 results = grid_search(train_data, val_data, cfg)
-                best = results[0][1]
-                for _, res in results[1:]:
-                    if res.best_val_metric > best.best_val_metric:
-                        best = res
+                best = best_of_grid(results)
                 for lam, res in results:
                     report.histories[(mode, r, lam)] = res.history
             else:

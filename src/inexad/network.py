@@ -68,19 +68,24 @@ def _as_batch(x):
     raise ShapeError(f"expected a vector or a batch of vectors, got {x.ndim}-d")
 
 
-def affine_forward(params, x):
-    """weight @ x + bias.  Accepts a vector or a (n, in_dim) batch."""
+def affine_forward(params, x, out=None):
+    """weight @ x + bias.  Accepts a vector or a (n, in_dim) batch.
+
+    out, if given, is a caller-owned (n, out_dim) array that receives the
+    result of a batch call.
+    """
     xb, single = _as_batch(x)
     if xb.shape[1] != params.in_dim:
         raise ShapeError(
             f"input has {xb.shape[1]} features but layer expects {params.in_dim}"
         )
-    out = xb @ params.weight.T + params.bias
+    out = np.matmul(xb, params.weight.T, out=out)
+    out += params.bias
     return out[0] if single else out
 
 
-def relu(v):
-    return np.maximum(0.0, np.asarray(v, dtype=np.float64))
+def relu(v, out=None):
+    return np.maximum(0.0, np.asarray(v, dtype=np.float64), out=out)
 
 
 # Smallest positive subnormal / largest double below 1; sigmoid output is
@@ -109,52 +114,81 @@ def sigmoid_stable(z):
 ACTIVATIONS = ("relu", "tanh")
 
 
-def _activate(z, activation):
+def _activate(z, activation, out=None):
     if activation == "relu":
-        return relu(z)
+        return relu(z, out=out)
     if activation == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def mlp_forward(layers, x, activation="relu"):
-    """Run affine+activation layers (linear final layer); returns (output, cache)."""
+def _activation_grad(act, activation, out=None):
+    """Derivative of the hidden activation, computed from its output."""
+    if activation == "relu":
+        return np.greater(act, 0.0, out=out)
+    return np.subtract(1.0, np.square(act, out=out), out=out)
+
+
+def _leading_rows(buffers, n, count):
+    """The leading n rows of each caller-owned buffer, or None per layer to allocate."""
+    return [None] * count if buffers is None else [b[:n] for b in buffers]
+
+
+def mlp_forward(layers, x, activation="relu", out=None):
+    """Run affine+activation layers (linear final layer); returns (output, cache).
+
+    out, if given, holds one caller-owned array per layer with at least
+    as many rows as the batch and the layer's output width.  Each layer
+    then writes into the leading rows of its array and activates them in
+    place, so the cache's pre-activations are its activations, which is
+    all mlp_backward reads.
+    """
     xb, single = _as_batch(x)
+    bufs = _leading_rows(out, xb.shape[0], len(layers))
     pre, act = [], []
     h = xb
     for i, layer in enumerate(layers):
-        z = affine_forward(layer, h)
+        z = affine_forward(layer, h, out=bufs[i])
         pre.append(z)
-        h = z if i == len(layers) - 1 else _activate(z, activation)
+        h = z if i == len(layers) - 1 else _activate(
+            z, activation, out=None if out is None else z)
         act.append(h)
     cache = ForwardCache(x0=xb, pre=pre, act=act)
     return (h[0] if single else h), cache
 
 
-def mlp_backward(layers, cache, output_grad, activation="relu"):
+def mlp_backward(layers, cache, output_grad, activation="relu", grads=None,
+                 out=None):
     """Backpropagate through a cached forward pass.
 
     output_grad is dLoss/dOutput, shaped like the forward output.
     Returns ([(dweight, dbias) per layer], input_grad).
+
+    Optional caller-owned buffers replace every allocation: grads is a
+    [(dweight, dbias)] list shaped like the result to write into, and out
+    holds one array per layer with at least as many rows as the batch and
+    the layer's input width, receiving the gradient at that input.  With
+    out, the activations in the cache are overwritten by their
+    derivatives.
     """
     g, single = _as_batch(output_grad)
-    last = cache.pre[-1]
+    last = cache.act[-1]
     if g.shape != last.shape:
         raise ShapeError(
             f"output_grad shape {g.shape} does not match cached output {last.shape}"
         )
+    bufs = _leading_rows(out, g.shape[0], len(layers))
     param_grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         a_prev = cache.x0 if i == 0 else cache.act[i - 1]
-        dw = g.T @ a_prev
-        db = g.sum(axis=0)
+        dw, db = (None, None) if grads is None else grads[i]
+        dw = np.matmul(g.T, a_prev, out=dw)
+        db = np.sum(g, axis=0, out=db)
         param_grads[i] = (dw, db)
-        g = g @ layers[i].weight
+        g = np.matmul(g, layers[i].weight, out=bufs[i])
         if i > 0:
-            if activation == "relu":
-                g = g * (cache.pre[i - 1] > 0)
-            else:
-                g = g * (1.0 - cache.act[i - 1] ** 2)
+            g *= _activation_grad(a_prev, activation,
+                                  out=None if out is None else a_prev)
     return param_grads, (g[0] if single else g)
 
 
@@ -214,12 +248,3 @@ def vector_to_layers(vec, layer_dims):
         pos += fan_out
         layers.append(LayerParams(weight=w, bias=b))
     return layers
-
-
-def grads_to_vector(param_grads):
-    """Flatten mlp_backward output with the same ordering as layers_to_vector."""
-    parts = []
-    for dw, db in param_grads:
-        parts.append(np.asarray(dw).ravel())
-        parts.append(np.asarray(db).ravel())
-    return np.concatenate(parts)

@@ -12,7 +12,6 @@ import numpy as np
 
 from .network import (
     ShapeError,
-    grads_to_vector,
     init_params,
     layers_to_vector,
     mlp_backward,
@@ -47,6 +46,12 @@ class AutoencoderParams:
     @property
     def input_dim(self):
         return self.encoder[0].in_dim
+
+    @property
+    def size(self):
+        """Number of parameters: the length of ae_to_vector(params)."""
+        return sum(l.weight.size + l.bias.size
+                   for l in self.encoder + self.decoder)
 
     @property
     def dims(self):
@@ -90,10 +95,43 @@ def ae_from_vector(vec, dims, activation="relu"):
     return AutoencoderParams(encoder=enc, decoder=dec, activation=activation)
 
 
-def reconstruct(params, X):
-    """Decoder(encoder(x)) for a vector or a batch, with caches."""
-    code, enc_cache = mlp_forward(params.encoder, X, activation=params.activation)
-    recon, dec_cache = mlp_forward(params.decoder, code, activation=params.activation)
+class Workspace:
+    """Caller-owned arrays for repeated scoring and gradient passes of one model.
+
+    Every row buffer has `rows` rows; a pass over n <= rows instances
+    writes into the leading n rows, so no pass allocates an array of
+    instances by layer width.  Gradients go into the flat vector `grad`
+    through per-layer views, in ae_to_vector order.
+    """
+
+    def __init__(self, params, rows):
+        self.x = np.empty((rows, params.input_dim))  # stacked input rows
+        self.encoder = [np.empty((rows, l.out_dim)) for l in params.encoder]
+        self.decoder = [np.empty((rows, l.out_dim)) for l in params.decoder]
+        self.encoder_in = [np.empty((rows, l.in_dim)) for l in params.encoder]
+        self.decoder_in = [np.empty((rows, l.in_dim)) for l in params.decoder]
+        self.grad = np.empty(params.size)
+        self.encoder_grads, self.decoder_grads = _grad_views(self.grad, params)
+
+
+def _grad_views(vec, params):
+    """Per-layer (dweight, dbias) views into a flat gradient, for each half."""
+    views = ae_from_vector(vec, params.dims)
+    return ([(l.weight, l.bias) for l in views.encoder],
+            [(l.weight, l.bias) for l in views.decoder])
+
+
+def reconstruct(params, X, workspace=None):
+    """Decoder(encoder(x)) for a vector or a batch, with caches.
+
+    With a Workspace the layer outputs go into its buffers.
+    """
+    enc_out, dec_out = ((None, None) if workspace is None
+                        else (workspace.encoder, workspace.decoder))
+    code, enc_cache = mlp_forward(params.encoder, X, activation=params.activation,
+                                  out=enc_out)
+    recon, dec_cache = mlp_forward(params.decoder, code, activation=params.activation,
+                                   out=dec_out)
     return recon, enc_cache, dec_cache
 
 
@@ -107,16 +145,51 @@ def score(params, x):
     return float(diff @ diff)
 
 
-def score_batch(params, X):
+def score_forward(params, X, workspace=None):
+    """Scores of an (n, D) batch plus the tape score_backward consumes.
+
+    With a workspace the tape lives in its buffers, so it is valid only
+    until the workspace's next pass.
+    """
+    recon, enc_cache, dec_cache = reconstruct(params, X, workspace)
+    diff = np.subtract(X, recon, out=recon)
+    scores = np.einsum("ij,ij->i", diff, diff)
+    return scores, (diff, enc_cache, dec_cache)
+
+
+def score_backward(params, tape, upstream, workspace=None):
+    """sum_i upstream_i * d a(x_i)/d theta for a score_forward tape.
+
+    Returns the gradient flattened in ae_to_vector order: a new vector,
+    or workspace.grad.  Consumes the tape.
+    """
+    diff, enc_cache, dec_cache = tape
+    g_recon = np.multiply(-2.0, diff, out=diff)
+    g_recon *= upstream[:, None]
+    if workspace is None:
+        grad = np.empty(params.size)
+        enc_grads, dec_grads = _grad_views(grad, params)
+        enc_in = dec_in = None
+    else:
+        grad = workspace.grad
+        enc_grads, dec_grads = workspace.encoder_grads, workspace.decoder_grads
+        enc_in, dec_in = workspace.encoder_in, workspace.decoder_in
+    _, g_code = mlp_backward(params.decoder, dec_cache, g_recon,
+                             activation=params.activation, grads=dec_grads,
+                             out=dec_in)
+    mlp_backward(params.encoder, enc_cache, g_code, activation=params.activation,
+                 grads=enc_grads, out=enc_in)
+    return grad
+
+
+def score_batch(params, X, workspace=None):
     """Scores for a batch of instances; order preserving."""
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         return np.zeros(0)
     if X.ndim != 2:
         raise ShapeError(f"expected an (n, D) batch, got {X.ndim}-d")
-    recon, _, _ = reconstruct(params, X)
-    diff = X - recon
-    return np.einsum("ij,ij->i", diff, diff)
+    return score_forward(params, X, workspace)[0]
 
 
 def score_batch_grad(params, X, upstream):
@@ -127,18 +200,8 @@ def score_batch_grad(params, X, upstream):
     """
     X = np.asarray(X, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    recon, enc_cache, dec_cache = reconstruct(params, X)
-    diff = X - recon
-    scores = np.einsum("ij,ij->i", diff, diff)
-    g_recon = upstream[:, None] * (-2.0 * diff)
-    dec_grads, g_code = mlp_backward(params.decoder, dec_cache, g_recon,
-                                     activation=params.activation)
-    enc_grads, _ = mlp_backward(params.encoder, enc_cache, g_code,
-                                activation=params.activation)
-    grad = np.concatenate(
-        [grads_to_vector(enc_grads), grads_to_vector(dec_grads)]
-    )
-    return scores, grad
+    scores, tape = score_forward(params, X)
+    return scores, score_backward(params, tape, upstream)
 
 
 def score_grad(params, x, upstream):

@@ -22,14 +22,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import empirical_auc, empirical_inexact_auc
-from .network import grads_to_vector, mlp_backward, sigmoid_stable
+from .network import sigmoid_stable
 from .scorer import (
     AutoencoderParams,
+    Workspace,
     ae_from_vector,
     ae_init,
     ae_to_vector,
-    reconstruct,
+    score_backward,
     score_batch,
+    score_forward,
 )
 
 MODES = ("proposed", "ae", "mil", "sae")
@@ -58,12 +60,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        for lam in (self.lam, *self.lambda_grid):
+            if not (math.isfinite(lam) and lam >= 0):
+                raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_sets < 1 or self.batch_normals < 1:
             raise ValueError("batch sizes must be at least 1")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError(f"patience must be >= 1 or None, got {self.patience}")
 
 
 @dataclass
@@ -86,12 +93,13 @@ class TrainResult:
     chosen_lambda: float = None
 
 
-def _set_scores(params, sets):
+def _set_scores(params, sets, workspace=None):
     """Per-set score arrays via one batched forward pass."""
     if not sets:
         return []
-    flat = np.vstack(sets)
-    scores = score_batch(params, flat)
+    rows = sum(len(s) for s in sets)
+    flat = np.concatenate(sets, out=None if workspace is None else workspace.x[:rows])
+    scores = score_batch(params, flat, workspace)
     out, pos = [], 0
     for s in sets:
         out.append(scores[pos:pos + len(s)])
@@ -104,19 +112,20 @@ def objective_value(params, sets, normals, lam):
     return mode_objective("proposed", params, sets, normals, lam)
 
 
-def mode_objective(mode, params, sets, normals, lam):
+def mode_objective(mode, params, sets, normals, lam, workspace=None):
+    """Exact objective of one mode; a Workspace, if given, holds every row buffer."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     normals = np.asarray(normals, dtype=np.float64)
     if normals.shape[0] == 0:
         raise ValueError("normals must be nonempty")
-    a_n = score_batch(params, normals)
+    a_n = score_batch(params, normals, workspace)
     first = float(a_n.mean())
     if mode == "ae" or (mode == "proposed" and lam == 0):
         return first
     if not sets:
         raise ValueError(f"mode {mode!r} needs at least one weakly labeled set")
-    per_set = _set_scores(params, sets)
+    per_set = _set_scores(params, sets, workspace)
     if mode == "sae":
         ref = np.concatenate(per_set)
     else:
@@ -127,11 +136,13 @@ def mode_objective(mode, params, sets, normals, lam):
     return first - lam * pair_mean
 
 
-def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
+def objective_grad(params, set_batch, normal_batch, lam, mode="proposed",
+                   workspace=None):
     """Exact gradient of the batch objective, flattened in ae_to_vector order.
 
     The gradient of a set's max flows entirely through its first argmax
-    member; the sigmoid contributes s*(1-s) per ranking pair.
+    member; the sigmoid contributes s*(1-s) per ranking pair.  With a
+    Workspace the result is workspace.grad, overwritten by the next call.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -145,10 +156,13 @@ def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
         raise ValueError(f"mode {mode!r} needs a nonempty set batch")
     sets = [np.asarray(s, dtype=np.float64) for s in set_batch] if not plain else []
 
-    all_x = np.vstack([normals] + sets) if sets else normals
-    recon, enc_cache, dec_cache = reconstruct(params, all_x)
-    diff = all_x - recon
-    scores = np.einsum("ij,ij->i", diff, diff)
+    if sets:
+        rows = j + sum(len(s) for s in sets)
+        all_x = np.concatenate([normals] + sets,
+                               out=None if workspace is None else workspace.x[:rows])
+    else:
+        all_x = normals
+    scores, tape = score_forward(params, all_x, workspace)
     a_n = scores[:j]
     upstream = np.zeros(all_x.shape[0])
 
@@ -179,12 +193,7 @@ def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
                 upstream[:j] += 1.0 / j
             upstream[arg_idx] = -coeff * ds.sum(axis=1)
 
-    g_recon = upstream[:, None] * (-2.0 * diff)
-    dec_grads, g_code = mlp_backward(params.decoder, dec_cache, g_recon,
-                                     activation=params.activation)
-    enc_grads, _ = mlp_backward(params.encoder, enc_cache, g_code,
-                                activation=params.activation)
-    return np.concatenate([grads_to_vector(enc_grads), grads_to_vector(dec_grads)])
+    return score_backward(params, tape, upstream, workspace)
 
 
 def _sigmoid_deriv(z):
@@ -192,14 +201,38 @@ def _sigmoid_deriv(z):
     return s * (1.0 - s)
 
 
+def _adam_update(theta, grad, state, config, scratch):
+    """One bias-corrected Adam step, in place on theta and state.
+
+    scratch is a pair of arrays shaped like theta.  Each expression keeps
+    the operation order of the textbook update, so the result is
+    bit-identical to evaluating it with temporaries.
+    """
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    tmp, denom = scratch
+    state.t += 1
+    t = int(state.t)  # a numpy integer exponent would change the bias correction's bits
+    state.m *= b1
+    state.m += np.multiply(1 - b1, grad, out=tmp)
+    state.v *= b2
+    np.multiply(1 - b2, grad, out=tmp)
+    tmp *= grad
+    state.v += tmp
+    np.divide(state.m, 1 - b1 ** t, out=tmp)
+    tmp *= config.learning_rate
+    np.divide(state.v, 1 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += config.adam_eps
+    tmp /= denom
+    theta -= tmp
+
+
 def _adam_vec(theta, grad, state, config):
-    t = state.t + 1
-    m = config.adam_beta1 * state.m + (1 - config.adam_beta1) * grad
-    v = config.adam_beta2 * state.v + (1 - config.adam_beta2) * grad * grad
-    m_hat = m / (1 - config.adam_beta1 ** t)
-    v_hat = v / (1 - config.adam_beta2 ** t)
-    theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    return theta, AdamState(m=m, v=v, t=t)
+    theta = np.array(theta, dtype=np.float64)
+    state = AdamState(m=state.m.copy(), v=state.v.copy(), t=state.t)
+    _adam_update(theta, grad, state, config,
+                 (np.empty_like(theta), np.empty_like(theta)))
+    return theta, state
 
 
 def adam_step(params, grads, state, config):
@@ -249,18 +282,27 @@ def make_batches(sets, normals, config, rng):
     return batches
 
 
-def validation_metric(mode, params, val_sets, val_normals):
+def validation_metric(mode, params, val_sets, val_normals, workspace=None):
     """Model-selection metric on validation data.
 
     Modes that understand weak labels (proposed, mil) use the set-level
     AUC; ae and sae score every set member as an individual anomaly and
     use the plain AUC, matching how those baselines are tuned.
     """
-    n_scores = score_batch(params, np.asarray(val_normals, dtype=np.float64))
-    per_set = _set_scores(params, [np.asarray(s) for s in val_sets])
+    n_scores = score_batch(params, np.asarray(val_normals, dtype=np.float64),
+                           workspace)
+    per_set = _set_scores(params, [np.asarray(s) for s in val_sets], workspace)
     if mode in ("proposed", "mil"):
         return empirical_inexact_auc(per_set, n_scores)
     return empirical_auc(np.concatenate(per_set), n_scores)
+
+
+def _max_rows(train_data, val_data, config):
+    """The most instances any pass of one train() call pushes through the network."""
+    set_rows = sorted(len(s) for s in train_data.sets)
+    batch_rows = config.batch_normals + sum(set_rows[-config.batch_sets:])
+    return max(len(train_data.normals), sum(set_rows), batch_rows,
+               len(val_data.normals), sum(len(s) for s in val_data.sets))
 
 
 def train(train_data, val_data, config):
@@ -272,6 +314,11 @@ def train(train_data, val_data, config):
     stops at max_epochs or after `patience` epochs without improvement.
     The recorded train objective is the exact full-data value, not the
     minibatch estimate.
+
+    Every pass writes into one Workspace sized for the largest, and Adam
+    updates the flat parameter vector in place, with the layer weights
+    as views into it; an epoch allocates no array of instances by layer
+    width.
     """
     normals = np.asarray(train_data.normals, dtype=np.float64)
     if normals.shape[0] == 0:
@@ -284,28 +331,31 @@ def train(train_data, val_data, config):
     if not val_data.sets or np.asarray(val_data.normals).shape[0] == 0:
         raise ValueError("validation data needs at least one set and one normal")
 
-    params = ae_init(normals.shape[1], config.rng_seed,
-                     hidden=config.hidden_dim, code=config.code_dim,
-                     activation=config.activation)
-    dims = params.dims
-    theta = ae_to_vector(params)
-    state = AdamState.zeros(theta.size)
-    rng = np.random.default_rng(config.rng_seed)
-
-    def evaluate(theta):
-        p = ae_from_vector(theta, dims, activation=config.activation)
-        obj = mode_objective(config.mode, p, sets, normals, config.lam)
-        metric = validation_metric(config.mode, p, val_data.sets,
-                                   val_data.normals)
-        return obj, metric
-
+    init = ae_init(normals.shape[1], config.rng_seed,
+                   hidden=config.hidden_dim, code=config.code_dim,
+                   activation=config.activation)
     history = []
     if config.max_epochs == 0:
-        return TrainResult(best_params=params, best_val_metric=math.nan,
+        return TrainResult(best_params=init, best_val_metric=math.nan,
                            history=history, stopped_epoch=0,
                            chosen_lambda=config.lam)
 
-    obj0, metric0 = evaluate(theta)
+    dims = init.dims
+    theta = ae_to_vector(init)
+    params = ae_from_vector(theta, dims, activation=config.activation)
+    workspace = Workspace(params, _max_rows(train_data, val_data, config))
+    state = AdamState.zeros(theta.size)
+    scratch = (np.empty_like(theta), np.empty_like(theta))
+    rng = np.random.default_rng(config.rng_seed)
+
+    def evaluate():
+        obj = mode_objective(config.mode, params, sets, normals, config.lam,
+                             workspace=workspace)
+        metric = validation_metric(config.mode, params, val_data.sets,
+                                   val_data.normals, workspace=workspace)
+        return obj, metric
+
+    obj0, metric0 = evaluate()
     history.append((0, obj0, metric0))
     best_metric, best_theta, best_epoch = metric0, theta.copy(), 0
 
@@ -313,18 +363,18 @@ def train(train_data, val_data, config):
     epoch = 0
     for epoch in range(1, config.max_epochs + 1):
         for set_batch, normal_batch in make_batches(sets, normals, config, rng):
-            p = ae_from_vector(theta, dims, activation=config.activation)
-            grad = objective_grad(p, set_batch, normal_batch, config.lam,
-                                  mode=config.mode)
-            theta, state = _adam_vec(theta, grad, state, config)
-        obj, metric = evaluate(theta)
+            grad = objective_grad(params, set_batch, normal_batch, config.lam,
+                                  mode=config.mode, workspace=workspace)
+            _adam_update(theta, grad, state, config, scratch)
+        obj, metric = evaluate()
         history.append((epoch, obj, metric))
         if metric > best_metric:
-            best_metric, best_theta, best_epoch = metric, theta.copy(), epoch
+            best_metric, best_epoch = metric, epoch
+            np.copyto(best_theta, theta)
         elif metric == best_metric:
             # equally good on validation: keep the most-trained snapshot
             # (patience still counts from the last strict improvement)
-            best_theta = theta.copy()
+            np.copyto(best_theta, theta)
         if epoch - best_epoch >= patience:
             break
 
@@ -348,14 +398,14 @@ def grid_search(train_data, val_data, config):
     return results
 
 
+def best_of_grid(results):
+    """The TrainResult with the highest validation metric; the first in grid order wins ties."""
+    return max(results, key=lambda item: item[1].best_val_metric)[1]
+
+
 def select_lambda(train_data, val_data, config):
-    """Grid-search lambda, keeping the best validation metric (ties: smaller)."""
-    results = grid_search(train_data, val_data, config)
-    best = results[0][1]
-    for _, res in results[1:]:
-        if res.best_val_metric > best.best_val_metric:
-            best = res
-    return best
+    """Grid-search lambda, keeping the best validation metric (ties: first in grid order)."""
+    return best_of_grid(grid_search(train_data, val_data, config))
 
 
 def write_history(path, history):

@@ -61,6 +61,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2, column 1"):
             load_csv(path, label_column="label")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_position(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b,label\n1,2,0\n3,{cell},1\n")
+        with pytest.raises(DataError, match=r"row 3, column 1: non-finite"):
+            load_csv(path, label_column="label")
+
+    def test_non_finite_cell_after_label_column(self, tmp_path):
+        path = write(tmp_path, "0,1,2\n1,3,nan\n")
+        with pytest.raises(DataError, match=r"row 2, column 2: non-finite cell 'nan'"):
+            load_csv(path, label_column=0)
+
     def test_unknown_label_value(self, tmp_path):
         path = write(tmp_path, "1,2,maybe\n")
         with pytest.raises(DataError, match="unknown label"):

@@ -44,6 +44,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="repeats"):
             ExperimentConfig(n_repeats=0)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(fixed_lambda=float("nan")), "finite"),
+        (dict(fixed_lambda=float("inf")), "finite"),
+        (dict(lambda_grid=(0.0, float("inf"))), "finite"),
+        (dict(max_epochs=-1), "max_epochs"),
+        (dict(patience=0), "patience"),
+    ])
+    def test_bad_training_settings(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kw)
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -152,6 +163,20 @@ class TestCliParse:
         with pytest.raises(SystemExit) as exc:
             cli_parse(["--lambda", "1", "--lambda-grid", "0,1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--repeats", "0"], "n_repeats"),
+        (["--lambda", "nan"], "finite"),
+        (["--lambda", "inf"], "finite"),
+        (["--lambda-grid", "0,inf"], "finite"),
+        (["--epochs", "-1"], "max_epochs"),
+        (["--patience", "0"], "patience"),
+    ])
+    def test_invalid_settings_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_parse(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_no_args_shows_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -212,6 +212,43 @@ class TestMlpBackward:
             mlp_backward(layers, cache, np.zeros(3))
 
 
+class TestCallerBuffers:
+    """Buffers larger than the batch: the kernels write into their leading
+    rows and must equal the allocating calls bit for bit."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_forward_and_backward_match_allocating(self, activation):
+        rng = np.random.default_rng(16)
+        dims = [3, 6, 4, 2]
+        layers = init_params(dims, 17)
+        x = rng.uniform(-1, 1, size=(5, 3))
+        g_out = rng.normal(size=(5, 2))
+        capacity = 9
+        fwd = [np.full((capacity, o), np.nan) for o in dims[1:]]
+        bwd = [np.full((capacity, i), np.nan) for i in dims[:-1]]
+        grads = [(np.full((o, i), np.nan), np.full(o, np.nan))
+                 for i, o in zip(dims[:-1], dims[1:])]
+
+        want_out, want_cache = mlp_forward(layers, x, activation=activation)
+        want_grads, want_in = mlp_backward(layers, want_cache, g_out,
+                                           activation=activation)
+        out, cache = mlp_forward(layers, x, activation=activation, out=fwd)
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(cache.act, want_cache.act):
+            np.testing.assert_array_equal(got, want)
+        got_grads, got_in = mlp_backward(layers, cache, g_out, activation=activation,
+                                         grads=grads, out=bwd)
+        np.testing.assert_array_equal(got_in, want_in)
+        for (dw, db), (want_dw, want_db), (buf_dw, buf_db) in zip(
+                got_grads, want_grads, grads):
+            assert dw is buf_dw and db is buf_db
+            np.testing.assert_array_equal(dw, want_dw)
+            np.testing.assert_array_equal(db, want_db)
+        # only the leading rows were written
+        for buf in fwd + bwd:
+            assert np.isnan(buf[5:]).all() and not np.isnan(buf[:5]).any()
+
+
 class TestFiniteDiff:
     def test_square(self):
         g = finite_diff_grad(lambda t: float(t[0] ** 2), np.array([3.0]), step=1e-4)

@@ -12,6 +12,7 @@ from inexad.network import (
 )
 from inexad.scorer import (
     AutoencoderParams,
+    Workspace,
     ae_from_vector,
     ae_init,
     ae_to_vector,
@@ -19,7 +20,9 @@ from inexad.scorer import (
     save_params,
     score,
     score_batch,
+    score_backward,
     score_batch_grad,
+    score_forward,
     score_grad,
 )
 from .conftest import assert_grad_close, draw_kink_free, small_ae
@@ -151,6 +154,28 @@ class TestScoreGrad:
         expected = sum(ae_to_vector(score_grad(params, X[i], w[i]).grad)
                        for i in range(4))
         np.testing.assert_allclose(grad, expected, atol=1e-12)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_passes_match_allocating_bitwise(self, activation):
+        rng = np.random.default_rng(30)
+        params = small_ae(rng, activation=activation)
+        ws = Workspace(params, rows=12)
+        for n in (7, 12, 3):  # row-prefix views of different lengths
+            X = rng.uniform(-1, 1, size=(n, 3))
+            w = rng.normal(size=n)
+            want_scores, want_grad = score_batch_grad(params, X, w)
+            np.testing.assert_array_equal(score_batch(params, X, ws), want_scores)
+            scores, tape = score_forward(params, X, ws)
+            grad = score_backward(params, tape, w, ws)
+            assert grad is ws.grad
+            np.testing.assert_array_equal(scores, want_scores)
+            np.testing.assert_array_equal(grad, want_grad)
+
+    def test_size_counts_parameters(self):
+        params = ae_init(5, 0, hidden=7, code=3)
+        assert params.size == ae_to_vector(params).size
 
 
 class TestStructure:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from inexad.data import TrainData
-from inexad.network import LayerParams, sigmoid_stable
+from inexad.network import LayerParams, finite_diff_grad, sigmoid_stable
 from inexad.scorer import (
     AutoencoderParams,
     ae_from_vector,
@@ -19,7 +19,9 @@ from inexad.scorer import (
 from inexad.training import (
     AdamState,
     TrainConfig,
+    TrainResult,
     adam_step,
+    best_of_grid,
     grid_search,
     make_batches,
     mode_objective,
@@ -30,7 +32,7 @@ from inexad.training import (
     validation_metric,
     write_history,
 )
-from .conftest import small_ae
+from .conftest import KINK_MARGIN, assert_grad_close, min_preactivation, small_ae
 
 
 def zero_ae(dim=2):
@@ -73,6 +75,26 @@ class TestConfig:
     def test_bad_batch(self):
         with pytest.raises(ValueError, match="batch"):
             TrainConfig(batch_sets=0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(lam=lam)
+
+    def test_non_finite_grid_value(self):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(lambda_grid=(0.0, math.nan))
+
+    def test_negative_max_epochs(self):
+        with pytest.raises(ValueError, match="max_epochs"):
+            TrainConfig(max_epochs=-1)
+
+    def test_zero_patience(self):
+        with pytest.raises(ValueError, match="patience"):
+            TrainConfig(patience=0)
+
+    def test_patience_none_allowed(self):
+        assert TrainConfig(patience=None, max_epochs=0).patience is None
 
 
 class TestObjectiveValue:
@@ -170,6 +192,47 @@ class TestObjectiveGrad:
         np.testing.assert_array_equal(g1, g2)
 
 
+def _draw_smooth_point(rng, mode, activation):
+    """Network and batch where the mode's objective is smooth: no hidden
+    pre-activation near a ReLU kink, and for the set-max modes a clear
+    argmax in every multi-instance set."""
+    uses_max = mode in ("proposed", "mil")
+    while True:
+        params = small_ae(rng, dim=3, hidden=5, code=2, activation=activation)
+        sets = [rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), 3))
+                for _ in range(int(rng.integers(1, 4)))]
+        normals = rng.uniform(-1, 1, size=(int(rng.integers(2, 6)), 3))
+        if activation == "relu" and min_preactivation(
+                params, np.vstack(sets + [normals])) < KINK_MARGIN:
+            continue
+        gaps = [np.diff(np.sort(score_batch(params, s))[-2:]) for s in sets]
+        if not uses_max or all(g.size == 0 or g[0] >= 1e-2 for g in gaps):
+            return params, sets, normals
+
+
+class TestObjectiveGradFiniteDifferences:
+    """objective_grad against central differences of mode_objective, for the
+    modes and activations that criterion 1 (proposed, ReLU) leaves out."""
+
+    @pytest.mark.parametrize("mode, activation", [
+        ("mil", "relu"), ("sae", "relu"), ("ae", "relu"),
+        ("proposed", "tanh"), ("mil", "tanh"), ("sae", "tanh"), ("ae", "tanh"),
+    ])
+    def test_matches_finite_differences(self, mode, activation):
+        rng = np.random.default_rng(1101)
+        for _ in range(6):
+            params, sets, normals = _draw_smooth_point(rng, mode, activation)
+            lam = float(rng.choice([1e-1, 1.0, 10.0]))
+            dims = params.dims
+
+            def loss(theta):
+                p = ae_from_vector(theta, dims, activation=activation)
+                return mode_objective(mode, p, sets, normals, lam)
+
+            analytic = objective_grad(params, sets, normals, lam, mode=mode)
+            assert_grad_close(analytic, finite_diff_grad(loss, ae_to_vector(params)))
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = ae_init(2, 0, hidden=3, code=2)
@@ -198,6 +261,27 @@ class TestAdam:
             theta, state = adam_step(theta, np.array([2.0]), state, config)
         assert abs(theta[0] - prev[0]) == pytest.approx(config.learning_rate,
                                                         rel=1e-3)
+
+    def test_equals_textbook_update_bitwise(self):
+        # the in-place update must keep the textbook expression's operation order
+        rng = np.random.default_rng(62)
+        config = TrainConfig()
+        b1, b2, lr, eps = (config.adam_beta1, config.adam_beta2,
+                           config.learning_rate, config.adam_eps)
+        theta = rng.normal(size=50)
+        state = AdamState.zeros(50)
+        m, v, ref = np.zeros(50), np.zeros(50), theta.copy()
+        for t in range(1, 30):
+            grad = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=50)
+            theta, state = adam_step(theta, grad, state, config)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_array_equal(theta, ref)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -312,6 +396,86 @@ class TestTrain:
             train(empty, val_data, quick_config(mode="sae"))
 
 
+def ragged_problem(rng, dim=3):
+    """Training/validation data with sets of 1-5 instances, so passes differ in row count."""
+    def make(n_sets, n_normals):
+        sets = []
+        for _ in range(n_sets):
+            members = rng.normal(0.0, 0.3, size=(int(rng.integers(1, 6)), dim))
+            members[0] += 2.5
+            sets.append(members)
+        return TrainData(sets=sets, normals=rng.normal(0.0, 0.3, size=(n_normals, dim)))
+
+    return make(7, 30), make(3, 12)
+
+
+def reference_train(train_data, val_data, config):
+    """train() restated with the allocating public functions.
+
+    Every pass gets fresh arrays and a fresh parameter object, and Adam
+    returns a new flat vector.  Returns (history, best_theta, stopped_epoch).
+    """
+    normals = np.asarray(train_data.normals, dtype=np.float64)
+    sets = [np.asarray(s, dtype=np.float64) for s in train_data.sets]
+    init = ae_init(normals.shape[1], config.rng_seed, hidden=config.hidden_dim,
+                   code=config.code_dim, activation=config.activation)
+    dims = init.dims
+    theta = ae_to_vector(init)
+    state = AdamState.zeros(theta.size)
+    rng = np.random.default_rng(config.rng_seed)
+
+    def params_of(theta):
+        return ae_from_vector(theta, dims, activation=config.activation)
+
+    def evaluate(epoch, theta):
+        p = params_of(theta)
+        return (epoch,
+                mode_objective(config.mode, p, sets, normals, config.lam),
+                validation_metric(config.mode, p, val_data.sets, val_data.normals))
+
+    history = [evaluate(0, theta)]
+    best_metric, best_theta, best_epoch = history[0][2], theta.copy(), 0
+    for epoch in range(1, config.max_epochs + 1):
+        for set_batch, normal_batch in make_batches(sets, normals, config, rng):
+            grad = objective_grad(params_of(theta), set_batch, normal_batch,
+                                  config.lam, mode=config.mode)
+            theta, state = adam_step(theta, grad, state, config)
+        history.append(evaluate(epoch, theta))
+        metric = history[-1][2]
+        if metric >= best_metric:
+            if metric > best_metric:
+                best_metric, best_epoch = metric, epoch
+            best_theta = theta.copy()
+        if epoch - best_epoch >= config.patience:
+            break
+    return history, best_theta, epoch
+
+
+class TestTrainMatchesAllocatingReference:
+    """train() reuses one workspace; its results must equal the allocating
+    functions' bit for bit."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("mode", ["proposed", "ae", "mil", "sae"])
+    def test_history_and_best_params_identical(self, mode, activation):
+        rng = np.random.default_rng(61)
+        train_data, val_data = ragged_problem(rng)
+        # the default layer widths: at tiny widths BLAS results do not
+        # depend on a row's position, so a change of row sets would not show
+        config = quick_config(mode=mode, activation=activation, lam=0.5,
+                              max_epochs=60, patience=3, batch_sets=3,
+                              batch_normals=11, hidden_dim=128, code_dim=16)
+        res = train(train_data, val_data, config)
+        history, best_theta, stopped = reference_train(train_data, val_data, config)
+        assert res.stopped_epoch < config.max_epochs  # early stopping fired
+        assert res.stopped_epoch == stopped
+        assert len(res.history) == len(history)
+        for got, want in zip(res.history, history):
+            assert got == want
+        assert res.best_val_metric == max(m for _, _, m in history)
+        np.testing.assert_array_equal(ae_to_vector(res.best_params), best_theta)
+
+
 class TestValidationMetric:
     def test_weak_label_modes_use_set_maxima(self):
         rng = np.random.default_rng(57)
@@ -351,6 +515,15 @@ class TestLambdaSelection:
         first_best = next(lam for lam, res in results
                           if res.best_val_metric == best_metric)
         assert picked.chosen_lambda == first_best
+
+    def test_best_of_grid_first_maximum_wins(self):
+        def result(metric):
+            return TrainResult(best_params=None, best_val_metric=metric,
+                               history=[], stopped_epoch=0)
+
+        results = [(10.0, result(0.5)), (0.0, result(0.75)),
+                   (1.0, result(0.75)), (2.0, result(0.25))]
+        assert best_of_grid(results) is results[1][1]
 
     def test_empty_grid_raises(self):
         rng = np.random.default_rng(60)

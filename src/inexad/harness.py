@@ -59,6 +59,14 @@ class ExperimentConfig:
         tc = self.effective_train_config()
         if self.fixed_lambda is not None:
             replace(tc, lam=self.fixed_lambda)
+        grid = tuple(self.lambda_grid)
+        first = {}
+        for i, lam in enumerate(grid):
+            j = first.setdefault(_history_label(lam), i)
+            if j != i:
+                raise ValueError(
+                    f"lambda grid values {grid[j]!r} and {lam!r} would share the "
+                    f"history file label {_history_label(lam)!r}")
 
     def effective_train_config(self):
         """train_config with this experiment's epochs, patience and lambda grid."""
@@ -116,6 +124,11 @@ class EvaluationReport:
                 entry["seconds"] = [float(s) for s in res.seconds]
             out["modes"][mode] = entry
         return out
+
+
+def _history_label(lam):
+    """How lam appears in a history file name."""
+    return f"{lam:g}"
 
 
 def _uses_grid(mode, config):
@@ -212,7 +225,7 @@ def emit_report(report, out_dir):
 
     for (mode, r, lam), history in sorted(
             report.histories.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
-        path = os.path.join(out_dir, f"history_{mode}_{r}_{lam:g}.csv")
+        path = os.path.join(out_dir, f"history_{mode}_{r}_{_history_label(lam)}.csv")
         write_history(path, history)
         written.append(path)
 

@@ -42,15 +42,32 @@ def empirical_auc(anomaly_scores, normal_scores):
     return float(wins) / (a.size * n.size)
 
 
+def segment_starts(lengths):
+    """Start offsets of consecutive segments with the given lengths.
+
+    Raises EmptyScoresError naming the first empty segment, which
+    segment_max would otherwise give another segment's entry.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        raise EmptyScoresError(f"set {empty[0]} is empty")
+    return np.cumsum(lengths) - lengths
+
+
+def segment_max(scores, starts):
+    """Maximum of each segment along the last axis; segment k runs from starts[k]
+    to the next start."""
+    return np.maximum.reduceat(scores, starts, axis=-1)
+
+
 def set_max_scores(sets):
     """Maximum score per weakly labeled set, order preserving."""
-    out = np.empty(len(sets))
-    for k, s in enumerate(sets):
-        arr = np.asarray(s, dtype=np.float64)
-        if arr.size == 0:
-            raise EmptyScoresError(f"set {k} is empty")
-        out[k] = arr.max()
-    return out
+    starts = segment_starts([np.size(s) for s in sets])
+    if not len(sets):
+        return np.empty(0)
+    flat = np.concatenate(sets, axis=None).astype(np.float64, copy=False)
+    return segment_max(flat, starts)
 
 
 def empirical_inexact_auc(sets, normal_scores):

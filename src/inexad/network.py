@@ -68,24 +68,20 @@ def _as_batch(x):
     raise ShapeError(f"expected a vector or a batch of vectors, got {x.ndim}-d")
 
 
-def affine_forward(params, x, out=None):
-    """weight @ x + bias.  Accepts a vector or a (n, in_dim) batch.
-
-    out, if given, is a caller-owned (n, out_dim) array that receives the
-    result of a batch call.
-    """
+def affine_forward(params, x):
+    """weight @ x + bias.  Accepts a vector or a (n, in_dim) batch."""
     xb, single = _as_batch(x)
     if xb.shape[1] != params.in_dim:
         raise ShapeError(
             f"input has {xb.shape[1]} features but layer expects {params.in_dim}"
         )
-    out = np.matmul(xb, params.weight.T, out=out)
+    out = np.matmul(xb, params.weight.T)
     out += params.bias
     return out[0] if single else out
 
 
-def relu(v, out=None):
-    return np.maximum(0.0, np.asarray(v, dtype=np.float64), out=out)
+def relu(v):
+    return np.maximum(0.0, np.asarray(v, dtype=np.float64))
 
 
 # Smallest positive subnormal / largest double below 1; sigmoid output is
@@ -94,21 +90,37 @@ _SIGMOID_LO = 5e-324
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def sigmoid_stable(z):
+def sigmoid_stable(z, out=None):
     """Numerically stable logistic function, elementwise.
 
     Never overflows; output is clamped into the open interval (0, 1).
+    out, if given, receives the result and may be z itself.
     """
     z = np.asarray(z, dtype=np.float64)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    out = np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
-    return float(out[0]) if scalar else out
+    if z.ndim == 0:
+        return float(_sigmoid_into(z[None], np.empty(1), np.empty(1))[0])
+    return _sigmoid_into(z, np.empty(z.shape) if out is None else out,
+                         np.empty(z.shape))
+
+
+def _sigmoid_into(z, out, scratch):
+    """sigmoid_stable of z into out (which may be z), with scratch shaped like z.
+
+    Both branches share e = exp(-|z|): the result is 1 / (1 + e) where
+    z >= 0 and e / (1 + e) elsewhere.  exp runs over the whole array, so
+    no element's bits depend on which others share its sign.
+    """
+    e = np.abs(z, out=scratch)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # the numerator where(z >= 0, 1, e) without a mask: heaviside gives 1
+    # for z >= 0 (-0.0 included) and 0 below, and 0 <= e <= 1, so the
+    # maximum of the two is 1 or e
+    np.heaviside(z, 1.0, out=out)
+    np.maximum(out, e, out=out)
+    e += 1.0
+    out /= e
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
 
 
 ACTIVATIONS = ("relu", "tanh")
@@ -116,7 +128,7 @@ ACTIVATIONS = ("relu", "tanh")
 
 def _activate(z, activation, out=None):
     if activation == "relu":
-        return relu(z, out=out)
+        return np.maximum(0.0, z, out=out)
     if activation == "tanh":
         return np.tanh(z, out=out)
     raise ValueError(f"unknown activation {activation!r}")
@@ -129,47 +141,25 @@ def _activation_grad(act, activation, out=None):
     return np.subtract(1.0, np.square(act, out=out), out=out)
 
 
-def _leading_rows(buffers, n, count):
-    """The leading n rows of each caller-owned buffer, or None per layer to allocate."""
-    return [None] * count if buffers is None else [b[:n] for b in buffers]
-
-
-def mlp_forward(layers, x, activation="relu", out=None):
-    """Run affine+activation layers (linear final layer); returns (output, cache).
-
-    out, if given, holds one caller-owned array per layer with at least
-    as many rows as the batch and the layer's output width.  Each layer
-    then writes into the leading rows of its array and activates them in
-    place, so the cache's pre-activations are its activations, which is
-    all mlp_backward reads.
-    """
+def mlp_forward(layers, x, activation="relu"):
+    """Run affine+activation layers (linear final layer); returns (output, cache)."""
     xb, single = _as_batch(x)
-    bufs = _leading_rows(out, xb.shape[0], len(layers))
     pre, act = [], []
     h = xb
     for i, layer in enumerate(layers):
-        z = affine_forward(layer, h, out=bufs[i])
+        z = affine_forward(layer, h)
         pre.append(z)
-        h = z if i == len(layers) - 1 else _activate(
-            z, activation, out=None if out is None else z)
+        h = z if i == len(layers) - 1 else _activate(z, activation)
         act.append(h)
     cache = ForwardCache(x0=xb, pre=pre, act=act)
     return (h[0] if single else h), cache
 
 
-def mlp_backward(layers, cache, output_grad, activation="relu", grads=None,
-                 out=None):
+def mlp_backward(layers, cache, output_grad, activation="relu"):
     """Backpropagate through a cached forward pass.
 
     output_grad is dLoss/dOutput, shaped like the forward output.
     Returns ([(dweight, dbias) per layer], input_grad).
-
-    Optional caller-owned buffers replace every allocation: grads is a
-    [(dweight, dbias)] list shaped like the result to write into, and out
-    holds one array per layer with at least as many rows as the batch and
-    the layer's input width, receiving the gradient at that input.  With
-    out, the activations in the cache are overwritten by their
-    derivatives.
     """
     g, single = _as_batch(output_grad)
     last = cache.act[-1]
@@ -177,18 +167,13 @@ def mlp_backward(layers, cache, output_grad, activation="relu", grads=None,
         raise ShapeError(
             f"output_grad shape {g.shape} does not match cached output {last.shape}"
         )
-    bufs = _leading_rows(out, g.shape[0], len(layers))
     param_grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         a_prev = cache.x0 if i == 0 else cache.act[i - 1]
-        dw, db = (None, None) if grads is None else grads[i]
-        dw = np.matmul(g.T, a_prev, out=dw)
-        db = np.sum(g, axis=0, out=db)
-        param_grads[i] = (dw, db)
-        g = np.matmul(g, layers[i].weight, out=bufs[i])
+        param_grads[i] = (np.matmul(g.T, a_prev), np.sum(g, axis=0))
+        g = np.matmul(g, layers[i].weight)
         if i > 0:
-            g *= _activation_grad(a_prev, activation,
-                                  out=None if out is None else a_prev)
+            g *= _activation_grad(a_prev, activation)
     return param_grads, (g[0] if single else g)
 
 

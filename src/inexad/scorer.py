@@ -4,14 +4,21 @@ The encoder maps D -> hidden -> code (ReLU on the hidden layer by
 default, linear code layer) and the decoder mirrors it back to D.  The anomaly score of
 an instance is the squared euclidean distance between the instance and
 its reconstruction; higher means more anomalous.
+
+AutoencoderStack holds several models of one architecture and runs them
+together on shared input rows, which is how training advances the
+members of a lambda grid in lockstep.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import (
     ShapeError,
+    _activate,
+    _activation_grad,
     init_params,
     layers_to_vector,
     mlp_backward,
@@ -95,43 +102,10 @@ def ae_from_vector(vec, dims, activation="relu"):
     return AutoencoderParams(encoder=enc, decoder=dec, activation=activation)
 
 
-class Workspace:
-    """Caller-owned arrays for repeated scoring and gradient passes of one model.
-
-    Every row buffer has `rows` rows; a pass over n <= rows instances
-    writes into the leading n rows, so no pass allocates an array of
-    instances by layer width.  Gradients go into the flat vector `grad`
-    through per-layer views, in ae_to_vector order.
-    """
-
-    def __init__(self, params, rows):
-        self.x = np.empty((rows, params.input_dim))  # stacked input rows
-        self.encoder = [np.empty((rows, l.out_dim)) for l in params.encoder]
-        self.decoder = [np.empty((rows, l.out_dim)) for l in params.decoder]
-        self.encoder_in = [np.empty((rows, l.in_dim)) for l in params.encoder]
-        self.decoder_in = [np.empty((rows, l.in_dim)) for l in params.decoder]
-        self.grad = np.empty(params.size)
-        self.encoder_grads, self.decoder_grads = _grad_views(self.grad, params)
-
-
-def _grad_views(vec, params):
-    """Per-layer (dweight, dbias) views into a flat gradient, for each half."""
-    views = ae_from_vector(vec, params.dims)
-    return ([(l.weight, l.bias) for l in views.encoder],
-            [(l.weight, l.bias) for l in views.decoder])
-
-
-def reconstruct(params, X, workspace=None):
-    """Decoder(encoder(x)) for a vector or a batch, with caches.
-
-    With a Workspace the layer outputs go into its buffers.
-    """
-    enc_out, dec_out = ((None, None) if workspace is None
-                        else (workspace.encoder, workspace.decoder))
-    code, enc_cache = mlp_forward(params.encoder, X, activation=params.activation,
-                                  out=enc_out)
-    recon, dec_cache = mlp_forward(params.decoder, code, activation=params.activation,
-                                   out=dec_out)
+def reconstruct(params, X):
+    """Decoder(encoder(x)) for a vector or a batch, with caches."""
+    code, enc_cache = mlp_forward(params.encoder, X, activation=params.activation)
+    recon, dec_cache = mlp_forward(params.decoder, code, activation=params.activation)
     return recon, enc_cache, dec_cache
 
 
@@ -145,51 +119,39 @@ def score(params, x):
     return float(diff @ diff)
 
 
-def score_forward(params, X, workspace=None):
-    """Scores of an (n, D) batch plus the tape score_backward consumes.
-
-    With a workspace the tape lives in its buffers, so it is valid only
-    until the workspace's next pass.
-    """
-    recon, enc_cache, dec_cache = reconstruct(params, X, workspace)
+def score_forward(params, X):
+    """Scores of an (n, D) batch plus the tape score_backward consumes."""
+    recon, enc_cache, dec_cache = reconstruct(params, X)
     diff = np.subtract(X, recon, out=recon)
     scores = np.einsum("ij,ij->i", diff, diff)
     return scores, (diff, enc_cache, dec_cache)
 
 
-def score_backward(params, tape, upstream, workspace=None):
+def score_backward(params, tape, upstream):
     """sum_i upstream_i * d a(x_i)/d theta for a score_forward tape.
 
-    Returns the gradient flattened in ae_to_vector order: a new vector,
-    or workspace.grad.  Consumes the tape.
+    Returns the gradient as a new vector in ae_to_vector order.  Consumes
+    the tape.
     """
     diff, enc_cache, dec_cache = tape
     g_recon = np.multiply(-2.0, diff, out=diff)
     g_recon *= upstream[:, None]
-    if workspace is None:
-        grad = np.empty(params.size)
-        enc_grads, dec_grads = _grad_views(grad, params)
-        enc_in = dec_in = None
-    else:
-        grad = workspace.grad
-        enc_grads, dec_grads = workspace.encoder_grads, workspace.decoder_grads
-        enc_in, dec_in = workspace.encoder_in, workspace.decoder_in
-    _, g_code = mlp_backward(params.decoder, dec_cache, g_recon,
-                             activation=params.activation, grads=dec_grads,
-                             out=dec_in)
-    mlp_backward(params.encoder, enc_cache, g_code, activation=params.activation,
-                 grads=enc_grads, out=enc_in)
-    return grad
+    dec_grads, g_code = mlp_backward(params.decoder, dec_cache, g_recon,
+                                     activation=params.activation)
+    enc_grads, _ = mlp_backward(params.encoder, enc_cache, g_code,
+                                activation=params.activation)
+    return np.concatenate([p.ravel() for dw, db in enc_grads + dec_grads
+                           for p in (dw, db)])
 
 
-def score_batch(params, X, workspace=None):
+def score_batch(params, X):
     """Scores for a batch of instances; order preserving."""
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         return np.zeros(0)
     if X.ndim != 2:
         raise ShapeError(f"expected an (n, D) batch, got {X.ndim}-d")
-    return score_forward(params, X, workspace)[0]
+    return score_forward(params, X)[0]
 
 
 def score_batch_grad(params, X, upstream):
@@ -213,6 +175,126 @@ def score_grad(params, x, upstream):
     scores, grad_vec = score_batch_grad(params, x[None, :], np.array([upstream]))
     grad = ae_from_vector(grad_vec, params.dims, activation=params.activation)
     return ScoreWithGrad(score=float(scores[0]), grad=grad)
+
+
+def carve(pool, *shapes):
+    """Consecutive C-contiguous arrays of the given shapes, cut from the front of a flat pool."""
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(pool[pos:pos + size].reshape(shape))
+        pos += size
+    return views
+
+
+def _layer_views(stack, dims):
+    """(weight (L, out, in), bias (L, out)) views into the rows of an (L, P)
+    array laid out like ae_to_vector."""
+    views, pos = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weight = stack[:, pos:pos + fan_out * fan_in].reshape(
+            len(stack), fan_out, fan_in)
+        pos += fan_out * fan_in
+        views.append((weight, stack[:, pos:pos + fan_out]))
+        pos += fan_out
+    return views
+
+
+class AutoencoderStack:
+    """L autoencoders of one architecture, stacked as the rows of (L, P) arrays.
+
+    theta holds one model's parameters per row, in ae_to_vector order,
+    and grad their gradients; each layer's weights are (L, out, in) views
+    into them.  A pass runs the leading `a` models on one shared (n, D)
+    batch with batched matmuls, which give each model the bits of the
+    2-d call.  Layer outputs are carved from one flat pool for each pass,
+    so a pass allocates nothing of the batch's size.  The stacked weights
+    never go through network.mlp_forward/mlp_backward, whose callers
+    expect 2-d weights.
+    """
+
+    def __init__(self, params, count, pool_size):
+        self.dims = params.dims
+        self.activation = params.activation
+        self.theta = np.tile(ae_to_vector(params), (count, 1))
+        self.grad = np.empty_like(self.theta)
+        self.layers = _layer_views(self.theta, self.dims)
+        self.grads = _layer_views(self.grad, self.dims)
+        half = len(self.layers) // 2
+        self.hidden = [i % half != half - 1 for i in range(len(self.layers))]
+        self.pool = np.empty(pool_size)
+        self.tape = []
+
+    @staticmethod
+    def pool_size(dims, count, score_rows, step_rows, step_spare=0):
+        """Pool entries for scores() over score_rows rows, and for forward()
+        and backward() over step_rows rows with step_spare entries of
+        spare() in use between them."""
+        widths = dims[1:]
+        return max(count * score_rows * (max(widths[0::2]) + max(widths[1::2])),
+                   count * step_rows * sum(widths)
+                   + max(count * step_rows * max(widths), step_spare))
+
+    def _layer(self, i, h, a, out):
+        weight, bias = self.layers[i]
+        np.matmul(h, weight[:a].transpose(0, 2, 1), out=out)
+        out += bias[:a, None, :]
+        if self.hidden[i]:
+            _activate(out, self.activation, out=out)
+        return out
+
+    @staticmethod
+    def _squared_error(X, recon, out):
+        diff = np.subtract(X, recon, out=recon)
+        return np.einsum("lij,lij->li", diff, diff, out=out)
+
+    def scores(self, a, X, out):
+        """Scores of the leading a models on the rows X, into out (a, n).
+
+        Forward only: layer outputs alternate between two pool buffers.
+        """
+        n = len(X)
+        widths = self.dims[1:]
+        second = a * n * max(widths[0::2])
+        h = X
+        for i, width in enumerate(widths):
+            start = 0 if i % 2 == 0 else second
+            h = self._layer(i, h, a,
+                            self.pool[start:start + a * n * width].reshape(a, n, width))
+        return self._squared_error(X, h, out)
+
+    def forward(self, a, X, out):
+        """Scores like scores(), keeping every layer output for backward()."""
+        self.tape = carve(self.pool, *[(a, len(X), w) for w in self.dims[1:]])
+        h = X
+        for i, buf in enumerate(self.tape):
+            h = self._layer(i, h, a, buf)
+        return self._squared_error(X, h, out)
+
+    def spare(self):
+        """The pool beyond the tape, free until backward() runs."""
+        return self.pool[sum(buf.size for buf in self.tape):]
+
+    def backward(self, a, X, upstream):
+        """grad[:a] = sum_i upstream[:, i] * d score(x_i) / d theta; consumes the tape."""
+        tape, spare = self.tape, self.spare()
+        g = np.multiply(-2.0, tape[-1], out=tape[-1])
+        g *= upstream[:, :, None]
+        for i in range(len(tape) - 1, -1, -1):
+            a_prev = X if i == 0 else tape[i - 1]
+            dweight, dbias = self.grads[i]
+            np.matmul(g.transpose(0, 2, 1), a_prev, out=dweight[:a])
+            np.sum(g, axis=1, out=dbias[:a])
+            if i == 0:
+                break  # the gradient at the input rows is never used
+            weight = self.layers[i][0][:a]
+            if self.hidden[i - 1]:
+                g = np.matmul(g, weight, out=spare[:a_prev.size].reshape(a_prev.shape))
+                g *= _activation_grad(a_prev, self.activation, out=a_prev)
+            else:
+                # a linear layer's output is not read again: reuse its buffer
+                g = np.matmul(g, weight, out=a_prev)
+        self.tape = []
 
 
 def save_params(path, params, rng_seed=-1):

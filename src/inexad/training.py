@@ -13,22 +13,32 @@ Four mode variants share the machinery:
     mil       ranking term only, lambda plays no role
     sae       both terms, but every set member is treated as an
               individual anomaly instead of taking the set max
+
+train() and grid_search() share one training kernel that advances
+several models ("members") together.  Members share the initialisation
+and the minibatch stream, since both are seeded from rng_seed, and
+differ only in lambda, so every pass runs all of them on the same rows
+with batched matmuls.  A batched matmul gives each member the bits of
+the 2-d call, so each member's results equal those of training it alone
+with the public allocating functions (mode_objective, objective_grad,
+validation_metric, adam_step) bit for bit.
 """
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import empirical_auc, empirical_inexact_auc
-from .network import sigmoid_stable
+from .metrics import empirical_auc, segment_max, segment_starts
+from .network import _sigmoid_into
 from .scorer import (
     AutoencoderParams,
-    Workspace,
+    AutoencoderStack,
     ae_from_vector,
     ae_init,
     ae_to_vector,
+    carve,
     score_backward,
     score_batch,
     score_forward,
@@ -37,6 +47,10 @@ from .scorer import (
 MODES = ("proposed", "ae", "mil", "sae")
 
 DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
+
+# The most members one kernel call trains; longer grids run in groups of
+# at most this many, so memory does not grow with the grid's length.
+_MAX_MEMBERS = 8
 
 
 @dataclass
@@ -93,18 +107,35 @@ class TrainResult:
     chosen_lambda: float = None
 
 
-def _set_scores(params, sets, workspace=None):
-    """Per-set score arrays via one batched forward pass."""
-    if not sets:
-        return []
-    rows = sum(len(s) for s in sets)
-    flat = np.concatenate(sets, out=None if workspace is None else workspace.x[:rows])
-    scores = score_batch(params, flat, workspace)
-    out, pos = [], 0
-    for s in sets:
-        out.append(scores[pos:pos + len(s)])
-        pos += len(s)
-    return out
+def _is_plain(mode, lam):
+    """True when the objective is the mean normal score alone, so no set row is scored."""
+    return mode == "ae" or (mode == "proposed" and lam == 0)
+
+
+def _set_starts(mode, sets):
+    """Where each set starts in the stacked set rows, for the modes that take set maxima."""
+    return segment_starts([len(s) for s in sets]) if mode in ("proposed", "mil") else None
+
+
+def _objective(mode, lam, a_n, set_scores, starts, pair=None):
+    """Exact objective of one model from its scores.
+
+    a_n scores the normals; set_scores scores the stacked set rows, or is
+    None when the objective is plain.  pair, if given, is a flat scratch
+    of at least 2 * ranked * normals entries.
+    """
+    first = float(a_n.mean())
+    if set_scores is None:
+        return first
+    ref = set_scores if mode == "sae" else segment_max(set_scores, starts)
+    shape = (ref.size, a_n.size)
+    z, scratch = carve(np.empty(2 * math.prod(shape)) if pair is None else pair,
+                        shape, shape)
+    np.subtract(ref[:, None], a_n[None, :], out=z)
+    pair_mean = float(_sigmoid_into(z, z, scratch).mean())
+    if mode == "mil":
+        return -pair_mean
+    return first - lam * pair_mean
 
 
 def objective_value(params, sets, normals, lam):
@@ -112,115 +143,112 @@ def objective_value(params, sets, normals, lam):
     return mode_objective("proposed", params, sets, normals, lam)
 
 
-def mode_objective(mode, params, sets, normals, lam, workspace=None):
-    """Exact objective of one mode; a Workspace, if given, holds every row buffer."""
+def mode_objective(mode, params, sets, normals, lam):
+    """Exact objective of one mode over the given sets and normals."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     normals = np.asarray(normals, dtype=np.float64)
     if normals.shape[0] == 0:
         raise ValueError("normals must be nonempty")
-    a_n = score_batch(params, normals, workspace)
-    first = float(a_n.mean())
-    if mode == "ae" or (mode == "proposed" and lam == 0):
-        return first
+    a_n = score_batch(params, normals)
+    if _is_plain(mode, lam):
+        return _objective(mode, lam, a_n, None, None)
     if not sets:
         raise ValueError(f"mode {mode!r} needs at least one weakly labeled set")
-    per_set = _set_scores(params, sets, workspace)
-    if mode == "sae":
-        ref = np.concatenate(per_set)
-    else:
-        ref = np.array([s.max() for s in per_set])
-    pair_mean = float(sigmoid_stable(ref[:, None] - a_n[None, :]).mean())
-    if mode == "mil":
-        return -pair_mean
-    return first - lam * pair_mean
+    set_scores = score_batch(params, np.concatenate(sets))
+    return _objective(mode, lam, a_n, set_scores, _set_starts(mode, sets))
 
 
-def objective_grad(params, set_batch, normal_batch, lam, mode="proposed",
-                   workspace=None):
-    """Exact gradient of the batch objective, flattened in ae_to_vector order.
+def _first_argmax(scores, maxima, starts, lengths):
+    """Index of each segment's first maximal entry, as np.argmax gives it.
 
-    The gradient of a set's max flows entirely through its first argmax
-    member; the sigmoid contributes s*(1-s) per ranking pair.  With a
-    Workspace the result is workspace.grad, overwritten by the next call.
+    A segment holding a NaN has NaN as its maximum and its first NaN as
+    the argmax.
     """
+    hit = scores == np.repeat(maxima, lengths, axis=-1)
+    hit |= np.isnan(scores)
+    index = np.where(hit, np.arange(scores.shape[-1]), scores.shape[-1])
+    return np.minimum.reduceat(index, starts, axis=-1)
+
+
+def _upstream(mode, lams, scores, j, lengths, out=None, pair=None):
+    """d objective / d score of each batch row, for each member.
+
+    scores is (members, rows): the first j columns score the normal
+    batch and the rest the set rows, set k having lengths[k] rows
+    (lengths is None when the objective is plain).  lams holds each
+    member's lambda.  pair, if given, is a flat scratch of at least
+    2 * members * ranked * j entries.  The gradient of a set's max flows
+    entirely through its first argmax member; the sigmoid contributes
+    s*(1-s) per ranking pair.
+    """
+    out = np.empty_like(scores) if out is None else out
+    if lengths is None:
+        out[:] = 1.0 / j
+        return out
+    a_n, set_scores = scores[:, :j], scores[:, j:]
+    if mode == "sae":
+        ref = set_scores
+    else:
+        starts = segment_starts(lengths)
+        ref = segment_max(set_scores, starts)
+    a, k = ref.shape
+    shape = (a, k, j)
+    ds, scratch = carve(np.empty(2 * math.prod(shape)) if pair is None else pair,
+                         shape, shape)
+    np.subtract(ref[:, :, None], a_n[:, None, :], out=ds)
+    _sigmoid_into(ds, ds, scratch)
+    ds *= np.subtract(1.0, ds, out=scratch)
+    coeff = ((np.ones(a) if mode == "mil" else lams) / (k * j))[:, None]
+    np.multiply(coeff, ds.sum(axis=1), out=out[:, :j])
+    if mode != "mil":
+        out[:, :j] += 1.0 / j
+    per_ref = ds.sum(axis=2)
+    per_ref *= -coeff
+    if mode == "sae":
+        out[:, j:] = per_ref
+    else:
+        out[:, j:] = 0.0
+        out[np.arange(a)[:, None], j + _first_argmax(set_scores, ref, starts, lengths)] = per_ref
+    return out
+
+
+def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
+    """Exact gradient of the batch objective, flattened in ae_to_vector order."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     normals = np.asarray(normal_batch, dtype=np.float64)
     if normals.shape[0] == 0:
         raise ValueError("normal batch must be nonempty")
-    j = normals.shape[0]
-
-    plain = mode == "ae" or (mode == "proposed" and lam == 0)
+    plain = _is_plain(mode, lam)
     if not plain and not set_batch:
         raise ValueError(f"mode {mode!r} needs a nonempty set batch")
-    sets = [np.asarray(s, dtype=np.float64) for s in set_batch] if not plain else []
-
-    if sets:
-        rows = j + sum(len(s) for s in sets)
-        all_x = np.concatenate([normals] + sets,
-                               out=None if workspace is None else workspace.x[:rows])
-    else:
-        all_x = normals
-    scores, tape = score_forward(params, all_x, workspace)
-    a_n = scores[:j]
-    upstream = np.zeros(all_x.shape[0])
-
-    if plain:
-        upstream[:j] = 1.0 / j
-    else:
-        offsets = np.cumsum([j] + [len(s) for s in sets])
-        if mode == "sae":
-            a_b = scores[j:]
-            t = a_b.size
-            ds = _sigmoid_deriv(a_b[:, None] - a_n[None, :])
-            coeff = lam / (t * j)
-            upstream[:j] = 1.0 / j + coeff * ds.sum(axis=0)
-            upstream[j:] = -coeff * ds.sum(axis=1)
-        else:
-            k = len(sets)
-            arg_idx = np.empty(k, dtype=int)
-            m = np.empty(k)
-            for i in range(k):
-                seg = scores[offsets[i]:offsets[i + 1]]
-                a = int(np.argmax(seg))
-                arg_idx[i] = offsets[i] + a
-                m[i] = seg[a]
-            ds = _sigmoid_deriv(m[:, None] - a_n[None, :])
-            coeff = (1.0 if mode == "mil" else lam) / (k * j)
-            upstream[:j] = coeff * ds.sum(axis=0)
-            if mode == "proposed":
-                upstream[:j] += 1.0 / j
-            upstream[arg_idx] = -coeff * ds.sum(axis=1)
-
-    return score_backward(params, tape, upstream, workspace)
+    sets = [] if plain else [np.asarray(s, dtype=np.float64) for s in set_batch]
+    all_x = np.concatenate([normals] + sets) if sets else normals
+    scores, tape = score_forward(params, all_x)
+    upstream = _upstream(mode, np.array([lam], dtype=np.float64), scores[None],
+                         normals.shape[0], None if plain else [len(s) for s in sets])
+    return score_backward(params, tape, upstream[0])
 
 
-def _sigmoid_deriv(z):
-    s = sigmoid_stable(z)
-    return s * (1.0 - s)
+def _adam_update(theta, grad, m, v, t, config, tmp, denom):
+    """One bias-corrected Adam step at step count t, in place on theta, m and v.
 
-
-def _adam_update(theta, grad, state, config, scratch):
-    """One bias-corrected Adam step, in place on theta and state.
-
-    scratch is a pair of arrays shaped like theta.  Each expression keeps
-    the operation order of the textbook update, so the result is
-    bit-identical to evaluating it with temporaries.
+    tmp and denom are scratch arrays shaped like theta.  Each expression
+    keeps the operation order of the textbook update, so the result is
+    bit-identical to evaluating it with temporaries.  t must be a Python
+    int: a numpy integer exponent would change the bias correction's bits.
     """
     b1, b2 = config.adam_beta1, config.adam_beta2
-    tmp, denom = scratch
-    state.t += 1
-    t = int(state.t)  # a numpy integer exponent would change the bias correction's bits
-    state.m *= b1
-    state.m += np.multiply(1 - b1, grad, out=tmp)
-    state.v *= b2
+    m *= b1
+    m += np.multiply(1 - b1, grad, out=tmp)
+    v *= b2
     np.multiply(1 - b2, grad, out=tmp)
     tmp *= grad
-    state.v += tmp
-    np.divide(state.m, 1 - b1 ** t, out=tmp)
+    v += tmp
+    np.divide(m, 1 - b1 ** t, out=tmp)
     tmp *= config.learning_rate
-    np.divide(state.v, 1 - b2 ** t, out=denom)
+    np.divide(v, 1 - b2 ** t, out=denom)
     np.sqrt(denom, out=denom)
     denom += config.adam_eps
     tmp /= denom
@@ -229,9 +257,9 @@ def _adam_update(theta, grad, state, config, scratch):
 
 def _adam_vec(theta, grad, state, config):
     theta = np.array(theta, dtype=np.float64)
-    state = AdamState(m=state.m.copy(), v=state.v.copy(), t=state.t)
-    _adam_update(theta, grad, state, config,
-                 (np.empty_like(theta), np.empty_like(theta)))
+    state = AdamState(m=state.m.copy(), v=state.v.copy(), t=int(state.t) + 1)
+    _adam_update(theta, grad, state.m, state.v, state.t, config,
+                 np.empty_like(theta), np.empty_like(theta))
     return theta, state
 
 
@@ -282,27 +310,171 @@ def make_batches(sets, normals, config, rng):
     return batches
 
 
-def validation_metric(mode, params, val_sets, val_normals, workspace=None):
+def _metric(mode, normal_scores, set_scores, starts):
+    """The validation metric from one model's scores on the normals and the stacked set rows."""
+    if mode in ("proposed", "mil"):
+        return empirical_auc(segment_max(set_scores, starts), normal_scores)
+    return empirical_auc(set_scores, normal_scores)
+
+
+def validation_metric(mode, params, val_sets, val_normals):
     """Model-selection metric on validation data.
 
     Modes that understand weak labels (proposed, mil) use the set-level
     AUC; ae and sae score every set member as an individual anomaly and
     use the plain AUC, matching how those baselines are tuned.
     """
-    n_scores = score_batch(params, np.asarray(val_normals, dtype=np.float64),
-                           workspace)
-    per_set = _set_scores(params, [np.asarray(s) for s in val_sets], workspace)
-    if mode in ("proposed", "mil"):
-        return empirical_inexact_auc(per_set, n_scores)
-    return empirical_auc(np.concatenate(per_set), n_scores)
+    val_sets = [np.asarray(s, dtype=np.float64) for s in val_sets]
+    if not val_sets:
+        raise ValueError("validation needs at least one weakly labeled set")
+    n_scores = score_batch(params, np.asarray(val_normals, dtype=np.float64))
+    set_scores = score_batch(params, np.concatenate(val_sets))
+    return _metric(mode, n_scores, set_scores, _set_starts(mode, val_sets))
 
 
-def _max_rows(train_data, val_data, config):
-    """The most instances any pass of one train() call pushes through the network."""
-    set_rows = sorted(len(s) for s in train_data.sets)
-    batch_rows = config.batch_normals + sum(set_rows[-config.batch_sets:])
-    return max(len(train_data.normals), sum(set_rows), batch_rows,
-               len(val_data.normals), sum(len(s) for s in val_data.sets))
+def _train_members(train_data, val_data, config, lams):
+    """Train one model per value in lams, in lockstep; returns their TrainResults in order.
+
+    Every setting but lam comes from config.  All members score the same
+    rows, so either every lam makes the objective plain or none does.
+    Each member keeps its own history, best snapshot and early stopping;
+    a member that stops is swapped behind the active ones, and passes
+    run on the leading rows only.
+    """
+    mode = config.mode
+    plain = _is_plain(mode, lams[0])
+    normals = np.asarray(train_data.normals, dtype=np.float64)
+    if normals.shape[0] == 0:
+        raise ValueError("training data must contain at least one normal instance")
+    sets = [np.asarray(s, dtype=np.float64) for s in train_data.sets]
+    if not plain and not sets:
+        raise ValueError(f"mode {mode!r} requires training sets")
+    if not val_data.sets or np.asarray(val_data.normals).shape[0] == 0:
+        raise ValueError("validation data needs at least one set and one normal")
+
+    init = ae_init(normals.shape[1], config.rng_seed,
+                   hidden=config.hidden_dim, code=config.code_dim,
+                   activation=config.activation)
+    if config.max_epochs == 0:
+        return [TrainResult(best_params=ae_from_vector(ae_to_vector(init), init.dims,
+                                                       activation=config.activation),
+                            best_val_metric=math.nan, history=[], stopped_epoch=0,
+                            chosen_lambda=lam)
+                for lam in lams]
+
+    count = len(lams)
+    val_normals = np.asarray(val_data.normals, dtype=np.float64)
+    val_sets = [np.asarray(s, dtype=np.float64) for s in val_data.sets]
+    val_rows = np.concatenate(val_sets)
+    val_starts = _set_starts(mode, val_sets)
+    set_rows = None if plain else np.concatenate(sets)
+    set_starts = None if plain else _set_starts(mode, sets)
+
+    sizes = sorted(len(s) for s in sets)
+    batch_set_rows = 0 if plain else sum(sizes[-config.batch_sets:])
+    step_rows = config.batch_normals + batch_set_rows
+    score_rows = max(len(normals), len(val_normals), len(val_rows),
+                     0 if plain else len(set_rows))
+    # reference scores per ranking term: set maxima, or every set row for sae
+    if plain:
+        ranked = ranked_all = 0
+    elif mode == "sae":
+        ranked, ranked_all = batch_set_rows, len(set_rows)
+    else:
+        ranked, ranked_all = min(config.batch_sets, len(sets)), len(sets)
+    pool_size = max(
+        AutoencoderStack.pool_size(init.dims, count, score_rows, step_rows,
+                                   2 * count * ranked * config.batch_normals),
+        2 * ranked_all * len(normals),  # one member's objective
+        2 * count * init.size,  # Adam's scratch
+    )
+    stack = AutoencoderStack(init, count, pool_size)
+    theta, grad = stack.theta, stack.grad
+    adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
+    normal_scores = np.empty((count, len(normals)))
+    set_scores = None if plain else np.empty((count, len(set_rows)))
+    val_normal_scores = np.empty((count, len(val_normals)))
+    val_set_scores = np.empty((count, len(val_rows)))
+    step_x = np.empty((step_rows, normals.shape[1]))
+    step_scores, step_upstream = np.empty(count * step_rows), np.empty(count * step_rows)
+
+    slots = list(range(count))  # the member in each row of the stacked arrays
+    slot_lams = np.array(lams, dtype=np.float64)
+    histories = [[] for _ in lams]
+    best = np.empty_like(theta)  # one row per member, not per slot
+    best_metric = [None] * count
+    best_epoch = [0] * count
+    stopped = [config.max_epochs] * count
+
+    def evaluate(a):
+        """Objective and validation metric of the leading a slots."""
+        stack.scores(a, normals, normal_scores[:a])
+        if not plain:
+            stack.scores(a, set_rows, set_scores[:a])
+        objs = [_objective(mode, float(slot_lams[s]), normal_scores[s],
+                           None if plain else set_scores[s], set_starts, stack.pool)
+                for s in range(a)]
+        stack.scores(a, val_normals, val_normal_scores[:a])
+        stack.scores(a, val_rows, val_set_scores[:a])
+        return objs, [_metric(mode, val_normal_scores[s], val_set_scores[s], val_starts)
+                      for s in range(a)]
+
+    objs, metrics = evaluate(count)
+    for s in range(count):
+        histories[s].append((0, objs[s], metrics[s]))
+        best_metric[s] = metrics[s]
+        best[s] = theta[s]
+
+    rng = np.random.default_rng(config.rng_seed)
+    patience = config.patience if config.patience is not None else config.max_epochs
+    active, t = count, 0
+    for epoch in range(1, config.max_epochs + 1):
+        for set_batch, normal_batch in make_batches(sets, normals, config, rng):
+            j = len(normal_batch)
+            if plain:
+                X, lengths = normal_batch, None
+            else:
+                lengths = [len(s) for s in set_batch]
+                X = np.concatenate([normal_batch] + set_batch,
+                                   out=step_x[:j + sum(lengths)])
+            shape = (active, len(X))
+            scores = stack.forward(active, X, carve(step_scores, shape)[0])
+            upstream = _upstream(mode, slot_lams[:active], scores, j, lengths,
+                                 out=carve(step_upstream, shape)[0], pair=stack.spare())
+            stack.backward(active, X, upstream)
+            t += 1
+            _adam_update(theta[:active], grad[:active], adam_m[:active],
+                         adam_v[:active], t, config,
+                         *carve(stack.pool, *[theta[:active].shape] * 2))
+        objs, metrics = evaluate(active)
+        # descending, so a member swapped in from behind was already seen
+        for s in range(active - 1, -1, -1):
+            m, metric = slots[s], metrics[s]
+            histories[m].append((epoch, objs[s], metric))
+            if metric > best_metric[m]:
+                best_metric[m], best_epoch[m] = metric, epoch
+                best[m] = theta[s]
+            elif metric == best_metric[m]:
+                # equally good on validation: keep the most-trained snapshot
+                # (patience still counts from the last strict improvement)
+                best[m] = theta[s]
+            if epoch - best_epoch[m] >= patience:
+                # leave the stack: swap behind the members still training
+                stopped[m] = epoch
+                active -= 1
+                for arr in (theta, adam_m, adam_v, slot_lams):
+                    arr[[s, active]] = arr[[active, s]]
+                slots[s], slots[active] = slots[active], slots[s]
+        if active == 0:
+            break
+
+    return [TrainResult(
+        best_params=ae_from_vector(best[m].copy(), init.dims, activation=config.activation),
+        best_val_metric=best_metric[m],
+        history=histories[m],
+        stopped_epoch=stopped[m],
+        chosen_lambda=lams[m],
+    ) for m in range(count)]
 
 
 def train(train_data, val_data, config):
@@ -313,89 +485,31 @@ def train(train_data, val_data, config):
     is evaluated and the best parameter snapshot is tracked; training
     stops at max_epochs or after `patience` epochs without improvement.
     The recorded train objective is the exact full-data value, not the
-    minibatch estimate.
-
-    Every pass writes into one Workspace sized for the largest, and Adam
-    updates the flat parameter vector in place, with the layer weights
-    as views into it; an epoch allocates no array of instances by layer
-    width.
+    minibatch estimate.  This is the training kernel with one member.
     """
-    normals = np.asarray(train_data.normals, dtype=np.float64)
-    if normals.shape[0] == 0:
-        raise ValueError("training data must contain at least one normal instance")
-    sets = [np.asarray(s, dtype=np.float64) for s in train_data.sets]
-    needs_sets = not (config.mode == "ae"
-                      or (config.mode == "proposed" and config.lam == 0))
-    if needs_sets and not sets:
-        raise ValueError(f"mode {config.mode!r} requires training sets")
-    if not val_data.sets or np.asarray(val_data.normals).shape[0] == 0:
-        raise ValueError("validation data needs at least one set and one normal")
-
-    init = ae_init(normals.shape[1], config.rng_seed,
-                   hidden=config.hidden_dim, code=config.code_dim,
-                   activation=config.activation)
-    history = []
-    if config.max_epochs == 0:
-        return TrainResult(best_params=init, best_val_metric=math.nan,
-                           history=history, stopped_epoch=0,
-                           chosen_lambda=config.lam)
-
-    dims = init.dims
-    theta = ae_to_vector(init)
-    params = ae_from_vector(theta, dims, activation=config.activation)
-    workspace = Workspace(params, _max_rows(train_data, val_data, config))
-    state = AdamState.zeros(theta.size)
-    scratch = (np.empty_like(theta), np.empty_like(theta))
-    rng = np.random.default_rng(config.rng_seed)
-
-    def evaluate():
-        obj = mode_objective(config.mode, params, sets, normals, config.lam,
-                             workspace=workspace)
-        metric = validation_metric(config.mode, params, val_data.sets,
-                                   val_data.normals, workspace=workspace)
-        return obj, metric
-
-    obj0, metric0 = evaluate()
-    history.append((0, obj0, metric0))
-    best_metric, best_theta, best_epoch = metric0, theta.copy(), 0
-
-    patience = config.patience if config.patience is not None else config.max_epochs
-    epoch = 0
-    for epoch in range(1, config.max_epochs + 1):
-        for set_batch, normal_batch in make_batches(sets, normals, config, rng):
-            grad = objective_grad(params, set_batch, normal_batch, config.lam,
-                                  mode=config.mode, workspace=workspace)
-            _adam_update(theta, grad, state, config, scratch)
-        obj, metric = evaluate()
-        history.append((epoch, obj, metric))
-        if metric > best_metric:
-            best_metric, best_epoch = metric, epoch
-            np.copyto(best_theta, theta)
-        elif metric == best_metric:
-            # equally good on validation: keep the most-trained snapshot
-            # (patience still counts from the last strict improvement)
-            np.copyto(best_theta, theta)
-        if epoch - best_epoch >= patience:
-            break
-
-    return TrainResult(
-        best_params=ae_from_vector(best_theta, dims, activation=config.activation),
-        best_val_metric=best_metric,
-        history=history,
-        stopped_epoch=epoch,
-        chosen_lambda=config.lam,
-    )
+    return _train_members(train_data, val_data, config, [config.lam])[0]
 
 
 def grid_search(train_data, val_data, config):
-    """Train once per lambda_grid value; returns [(lam, TrainResult), ...]."""
+    """Train once per lambda_grid value; returns [(lam, TrainResult), ...] in grid order.
+
+    The values run through the training kernel in groups that score the
+    same rows, the plain values and the others, each split into groups
+    of at most _MAX_MEMBERS.
+    """
     if not config.lambda_grid:
         raise ValueError("lambda_grid must be nonempty")
-    results = []
-    for lam in config.lambda_grid:
-        results.append((lam, train(train_data, val_data,
-                                   replace(config, lam=float(lam)))))
-    return results
+    grid = list(config.lambda_grid)
+    results = [None] * len(grid)
+    for plain in (True, False):
+        group = [i for i, lam in enumerate(grid) if _is_plain(config.mode, lam) == plain]
+        for start in range(0, len(group), _MAX_MEMBERS):
+            chunk = group[start:start + _MAX_MEMBERS]
+            trained = _train_members(train_data, val_data, config,
+                                     [float(grid[i]) for i in chunk])
+            for i, result in zip(chunk, trained):
+                results[i] = result
+    return list(zip(grid, results))
 
 
 def best_of_grid(results):

@@ -55,6 +55,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kw)
 
+    @pytest.mark.parametrize("grid, values", [
+        ((1234567.0, 1234568.0), "1234567.0 and 1234568.0"),  # both print as 1.23457e+06
+        ((0.0, 1.0, 1.0), "1.0 and 1.0"),
+    ])
+    def test_grid_values_sharing_a_history_file_rejected(self, grid, values):
+        with pytest.raises(ValueError, match=values):
+            ExperimentConfig(lambda_grid=grid)
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -193,6 +201,12 @@ class TestCliParse:
         with pytest.raises(SystemExit) as exc:
             cli_parse(["--dataset", "csv"])
         assert exc.value.code == 2
+
+    def test_grid_values_sharing_a_history_file_are_usage_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_parse(["--lambda-grid", "1234567,1234568"])
+        assert exc.value.code == 2
+        assert "1234567.0 and 1234568.0" in capsys.readouterr().err
 
     def test_bad_grid_value(self):
         with pytest.raises(SystemExit) as exc:

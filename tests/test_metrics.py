@@ -69,6 +69,14 @@ class TestSetMax:
         with pytest.raises(EmptyScoresError, match="set 1"):
             set_max_scores([[0.3], []])
 
+    def test_first_empty_set_is_named(self):
+        with pytest.raises(EmptyScoresError, match="set 2 "):
+            set_max_scores([[0.3], [0.1, 0.2], [], [0.5], []])
+
+    @given(sets=st.lists(scores, min_size=1, max_size=6))
+    def test_equals_per_set_max(self, sets):
+        np.testing.assert_array_equal(set_max_scores(sets), [max(s) for s in sets])
+
 
 class TestInexactAuc:
     def test_hand_case(self):

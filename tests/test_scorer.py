@@ -12,7 +12,7 @@ from inexad.network import (
 )
 from inexad.scorer import (
     AutoencoderParams,
-    Workspace,
+    AutoencoderStack,
     ae_from_vector,
     ae_init,
     ae_to_vector,
@@ -20,9 +20,7 @@ from inexad.scorer import (
     save_params,
     score,
     score_batch,
-    score_backward,
     score_batch_grad,
-    score_forward,
     score_grad,
 )
 from .conftest import assert_grad_close, draw_kink_free, small_ae
@@ -156,29 +154,36 @@ class TestScoreGrad:
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
-class TestWorkspace:
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_passes_match_allocating_bitwise(self, activation):
-        rng = np.random.default_rng(30)
-        params = small_ae(rng, activation=activation)
-        ws = Workspace(params, rows=12)
-        for n in (7, 12, 3):  # row-prefix views of different lengths
-            X = rng.uniform(-1, 1, size=(n, 3))
-            w = rng.normal(size=n)
-            want_scores, want_grad = score_batch_grad(params, X, w)
-            np.testing.assert_array_equal(score_batch(params, X, ws), want_scores)
-            scores, tape = score_forward(params, X, ws)
-            grad = score_backward(params, tape, w, ws)
-            assert grad is ws.grad
-            np.testing.assert_array_equal(scores, want_scores)
-            np.testing.assert_array_equal(grad, want_grad)
+class TestAutoencoderStack:
+    """The stacked passes against the allocating 2-d functions, per model."""
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_passes_smaller_than_the_pool_match_allocating(self, activation):
+        rng = np.random.default_rng(65)
+        init = ae_init(3, 5, hidden=128, code=16, activation=activation)
+        members = AutoencoderStack(init, 4, 100_000)
+        members.theta += rng.normal(scale=0.1, size=members.theta.shape)
+        params = [ae_from_vector(row.copy(), init.dims, activation=activation)
+                  for row in members.theta]
+        for a, n in ((4, 37), (2, 9), (3, 1)):  # fewer members and rows than room for
+            members.pool[:] = np.nan
+            X = rng.uniform(-1, 1, size=(n, 3))
+            upstream = rng.normal(size=(a, n))
+            scores = members.scores(a, X, np.empty((a, n)))
+            stepped = members.forward(a, X, np.empty((a, n)))
+            members.backward(a, X, upstream)
+            for m in range(a):
+                want_scores, want_grad = score_batch_grad(params[m], X, upstream[m])
+                np.testing.assert_array_equal(scores[m], want_scores)
+                np.testing.assert_array_equal(stepped[m], want_scores)
+                np.testing.assert_array_equal(members.grad[m], want_grad)
+
+
+class TestStructure:
     def test_size_counts_parameters(self):
         params = ae_init(5, 0, hidden=7, code=3)
         assert params.size == ae_to_vector(params).size
 
-
-class TestStructure:
     def test_dims_chain(self):
         params = ae_init(5, 0, hidden=7, code=3)
         assert params.dims == [5, 7, 3, 7, 5]

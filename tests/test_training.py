@@ -16,6 +16,7 @@ from inexad.scorer import (
     score_batch,
     score_batch_grad,
 )
+from inexad import training
 from inexad.training import (
     AdamState,
     TrainConfig,
@@ -181,6 +182,18 @@ class TestObjectiveGrad:
     def test_modes_need_sets(self):
         with pytest.raises(ValueError, match="set"):
             objective_grad(zero_ae(), [], np.ones((2, 2)), 1.0, mode="mil")
+
+    def test_tied_set_max_flows_through_first_member(self):
+        # zero parameters score ||x||^2, so both set members score 1.0;
+        # only the output bias then has a gradient, sum_i upstream_i * -2 x_i
+        normal = np.array([[np.sqrt(0.2), 0.0]])
+        first, second = np.array([0.6, 0.8]), np.array([0.8, 0.6])
+        g = objective_grad(zero_ae(), [np.array([first, second])], normal, 1.0)
+        s = sigmoid_stable(0.8)
+        ds = s * (1.0 - s)
+        expected = (1.0 + ds) * -2.0 * normal[0] + (-ds) * -2.0 * first
+        np.testing.assert_allclose(g[-2:], expected, rtol=1e-12)
+        assert not g[:-2].any()
 
     def test_deterministic(self):
         rng = np.random.default_rng(46)
@@ -396,13 +409,17 @@ class TestTrain:
             train(empty, val_data, quick_config(mode="sae"))
 
 
-def ragged_problem(rng, dim=3):
-    """Training/validation data with sets of 1-5 instances, so passes differ in row count."""
+def ragged_problem(rng, dim=3, shift=2.5):
+    """Training/validation data with sets of 1-5 instances, so passes differ in row count.
+
+    Each set's first member is shifted by `shift`; a small shift keeps the
+    validation metric from saturating at once.
+    """
     def make(n_sets, n_normals):
         sets = []
         for _ in range(n_sets):
             members = rng.normal(0.0, 0.3, size=(int(rng.integers(1, 6)), dim))
-            members[0] += 2.5
+            members[0] += shift
             sets.append(members)
         return TrainData(sets=sets, normals=rng.normal(0.0, 0.3, size=(n_normals, dim)))
 
@@ -452,8 +469,8 @@ def reference_train(train_data, val_data, config):
 
 
 class TestTrainMatchesAllocatingReference:
-    """train() reuses one workspace; its results must equal the allocating
-    functions' bit for bit."""
+    """train() runs the member-stacked kernel with one member; its results
+    must equal the allocating functions' bit for bit."""
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("mode", ["proposed", "ae", "mil", "sae"])
@@ -474,6 +491,62 @@ class TestTrainMatchesAllocatingReference:
             assert got == want
         assert res.best_val_metric == max(m for _, _, m in history)
         np.testing.assert_array_equal(ae_to_vector(res.best_params), best_theta)
+
+
+class TestGridMatchesAllocatingReference:
+    """grid_search trains its values in lockstep; each must still equal the
+    allocating reference loop for its lambda bit for bit."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("mode", ["proposed", "ae", "mil", "sae"])
+    def test_every_member_identical(self, mode, activation):
+        rng = np.random.default_rng(64)
+        train_data, val_data = ragged_problem(rng, shift=0.6)
+        grid = (1e-2, 3.0, 0.0, 0.5, 30.0)  # lambda 0 in the middle
+        config = quick_config(mode=mode, activation=activation, lambda_grid=grid,
+                              max_epochs=60, patience=3, batch_sets=3,
+                              batch_normals=11, hidden_dim=128, code_dim=16)
+        results = grid_search(train_data, val_data, config)
+        assert [lam for lam, _ in results] == list(grid)
+        stops = set()
+        for lam, res in results:
+            history, best_theta, stopped = reference_train(
+                train_data, val_data, replace(config, lam=lam))
+            assert res.chosen_lambda == lam
+            assert res.stopped_epoch == stopped
+            assert res.history == history
+            assert res.best_val_metric == max(m for _, _, m in history)
+            np.testing.assert_array_equal(ae_to_vector(res.best_params), best_theta)
+            stops.add(stopped)
+        if mode in ("proposed", "sae"):
+            # members left the stack at different epochs
+            assert len(stops) > 1
+        assert max(stops) < config.max_epochs
+
+    def test_long_grid_runs_in_bounded_groups(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        train_data, val_data = ragged_problem(rng)
+        grid = tuple(0.25 * i for i in range(training._MAX_MEMBERS + 4))
+        config = quick_config(lambda_grid=grid, max_epochs=6, patience=2,
+                              batch_sets=3, batch_normals=11)
+        groups = []
+        kernel = training._train_members
+
+        def spy(train_data, val_data, config, lams):
+            groups.append(list(lams))
+            return kernel(train_data, val_data, config, lams)
+
+        monkeypatch.setattr(training, "_train_members", spy)
+        results = grid_search(train_data, val_data, config)
+        assert [len(g) for g in groups] == [1, training._MAX_MEMBERS, 3]
+        assert groups[0] == [0.0]
+        assert [lam for lam, _ in results] == list(grid)
+        for lam, res in results:
+            direct = train(train_data, val_data, replace(config, lam=lam))
+            assert res.history == direct.history
+            assert res.stopped_epoch == direct.stopped_epoch
+            np.testing.assert_array_equal(ae_to_vector(res.best_params),
+                                          ae_to_vector(direct.best_params))
 
 
 class TestValidationMetric:

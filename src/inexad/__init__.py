@@ -52,7 +52,6 @@ from .training import (
     make_batches,
     mode_objective,
     objective_grad,
-    objective_value,
     select_lambda,
     train,
 )

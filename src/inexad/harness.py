@@ -8,6 +8,7 @@ coincides with the plain pairwise AUC.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -131,11 +132,8 @@ def _history_label(lam):
     return f"{lam:g}"
 
 
-def _uses_grid(mode, config):
-    return mode in ("proposed", "sae") and config.fixed_lambda is None
-
-
 def _lambda_for(mode, config):
+    """The fixed lambda of one mode's rounds, or None when the grid chooses it."""
     if mode == "ae":
         return 0.0
     if mode == "mil":
@@ -145,8 +143,62 @@ def _lambda_for(mode, config):
     return None
 
 
+def _train_round(train_data, val_data, cfg, lam):
+    """Train one (repeat, mode) round, at lam or, when lam is None, over cfg.lambda_grid.
+
+    Returns (best_params, chosen lambda, training seconds, {lambda: history}).
+    Runs in a worker process, so everything it takes and returns is pickled.
+    """
+    t0 = time.perf_counter()
+    if lam is None:
+        results = grid_search(train_data, val_data, cfg)
+        best = best_of_grid(results)
+        histories = {value: res.history for value, res in results}
+    else:
+        best = train(train_data, val_data, replace(cfg, lam=lam))
+        histories = {lam: best.history}
+    return best.best_params, best.chosen_lambda, time.perf_counter() - t0, histories
+
+
+def _worker_count(n_rounds):
+    """One worker per usable CPU, at most one per round; 1 where fork is unavailable."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_rounds, cpus)
+
+
+def _map_rounds(tasks):
+    """_train_round over tuples of its arguments, results in task order.
+
+    Rounds are seeded on their own, so the results do not depend on how
+    many workers run them.  Workers are forked, so they inherit the
+    imported package instead of importing it again.
+    """
+    workers = _worker_count(len(tasks))
+    if workers <= 1:
+        return list(itertools.starmap(_train_round, tasks))
+    # imported here: at module level they add about 20 ms to `import inexad`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_train_round, *zip(*tasks)))
+    finally:
+        # after a failed round, do not start the rounds still queued
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(config):
-    """Run every (repeat, mode) round and aggregate test AUCs."""
+    """Run every (repeat, mode) round and aggregate test AUCs.
+
+    The parent draws the splits and scores the test data; the training of
+    each round runs in a pool of worker processes (see _map_rounds).
+    """
     base_ds = None
     if config.dataset == "csv":
         base_ds = preprocess(load_csv(config.csv_path, config.label_col))
@@ -161,6 +213,8 @@ def run_experiment(config):
                for m in config.modes},
     )
 
+    rounds = []  # (repeat, mode, test data)
+    tasks = []  # _train_round arguments, in the same order
     for r in range(config.n_repeats):
         seed_r = config.seed + r
         rng = np.random.default_rng(seed_r)
@@ -169,30 +223,23 @@ def run_experiment(config):
         else:
             ds, split = base_ds, make_splits(base_ds, rng)
         train_data, val_data, test_data = materialize(ds, split)
-
         for mode in config.modes:
-            t0 = time.perf_counter()
-            cfg = replace(tc, mode=mode, rng_seed=seed_r)
-            if _uses_grid(mode, config):
-                results = grid_search(train_data, val_data, cfg)
-                best = best_of_grid(results)
-                for lam, res in results:
-                    report.histories[(mode, r, lam)] = res.history
-            else:
-                lam = _lambda_for(mode, config)
-                best = train(train_data, val_data, replace(cfg, lam=lam))
-                report.histories[(mode, r, lam)] = best.history
-            elapsed = time.perf_counter() - t0
+            rounds.append((r, mode, test_data))
+            tasks.append((train_data, val_data, replace(tc, mode=mode, rng_seed=seed_r),
+                          _lambda_for(mode, config)))
 
-            a_scores = score_batch(best.best_params, test_data.anomalies)
-            n_scores = score_batch(best.best_params, test_data.normals)
-            auc = empirical_auc(a_scores, n_scores)
-            report.modes[mode].aucs.append(auc)
-            # mil ignores lambda entirely; don't report a fake choice
-            report.modes[mode].chosen_lambdas.append(
-                None if mode == "mil" else best.chosen_lambda)
-            report.modes[mode].seconds.append(elapsed)
-            report.roc_curves[(mode, r)] = roc_curve(a_scores, n_scores)
+    for (r, mode, test_data), (params, chosen, elapsed, histories) in zip(
+            rounds, _map_rounds(tasks)):
+        for lam, history in histories.items():
+            report.histories[(mode, r, lam)] = history
+        a_scores = score_batch(params, test_data.anomalies)
+        n_scores = score_batch(params, test_data.normals)
+        auc = empirical_auc(a_scores, n_scores)
+        report.modes[mode].aucs.append(auc)
+        # mil ignores lambda entirely; don't report a fake choice
+        report.modes[mode].chosen_lambdas.append(None if mode == "mil" else chosen)
+        report.modes[mode].seconds.append(elapsed)
+        report.roc_curves[(mode, r)] = roc_curve(a_scores, n_scores)
 
     return report
 
@@ -226,7 +273,7 @@ def emit_report(report, out_dir):
     for (mode, r, lam), history in sorted(
             report.histories.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
         path = os.path.join(out_dir, f"history_{mode}_{r}_{_history_label(lam)}.csv")
-        write_history(path, history)
+        write_history(path, history, mode)
         written.append(path)
 
     return written

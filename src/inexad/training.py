@@ -138,11 +138,6 @@ def _objective(mode, lam, a_n, set_scores, starts, pair=None):
     return first - lam * pair_mean
 
 
-def objective_value(params, sets, normals, lam):
-    """Exact objective over the given sets and normals (the 'proposed' form)."""
-    return mode_objective("proposed", params, sets, normals, lam)
-
-
 def mode_objective(mode, params, sets, normals, lam):
     """Exact objective of one mode over the given sets and normals."""
     if mode not in MODES:
@@ -522,10 +517,18 @@ def select_lambda(train_data, val_data, config):
     return best_of_grid(grid_search(train_data, val_data, config))
 
 
-def write_history(path, history):
-    """CSV dump of a training history: epoch, train objective, val metric."""
+def write_history(path, history, mode):
+    """CSV dump of a training history: epoch, train objective, validation metric.
+
+    The metric column is named after mode's validation metric (see
+    validation_metric): val_set_auc for proposed and mil, val_auc for ae
+    and sae.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    column = "val_set_auc" if mode in ("proposed", "mil") else "val_auc"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_objective", "val_inexact_auc"])
+        writer.writerow(["epoch", "train_objective", column])
         for epoch, obj, metric in history:
             writer.writerow([epoch, repr(float(obj)), repr(float(metric))])

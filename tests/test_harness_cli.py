@@ -1,10 +1,13 @@
 """Tests for the experiment harness, report emission, and the CLI front end."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from inexad import harness
 from inexad.cli import cli_parse, main
 from inexad.harness import (
     EvaluationReport,
@@ -114,6 +117,54 @@ class TestRunExperiment:
     def test_stderr_single_repeat(self):
         res = ModeResult(aucs=[0.9], chosen_lambdas=[1.0], seconds=[0.1])
         assert res.stderr == 0.0
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="rounds run in forked worker processes")
+
+
+class TestParallelRounds:
+    @needs_fork
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        config = tiny_config(modes=("proposed", "ae", "mil", "sae"),
+                             fixed_lambda=None, lambda_grid=(0.0, 1.0, 10.0))
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "_worker_count", lambda n, w=workers: w)
+            reports.append(run_experiment(config))
+        serial, pooled = reports
+        assert json.dumps(serial.to_dict(include_timing=False), sort_keys=True) \
+            == json.dumps(pooled.to_dict(include_timing=False), sort_keys=True)
+        assert len(serial.histories) == 2 * (3 + 1 + 1 + 3)
+        assert list(serial.histories.items()) == list(pooled.histories.items())
+        assert list(serial.roc_curves) == list(pooled.roc_curves)
+        for key, curve in serial.roc_curves.items():
+            other = pooled.roc_curves[key]
+            for name in ("thresholds", "fpr", "tpr"):
+                assert np.array_equal(getattr(curve, name), getattr(other, name))
+            assert curve.auc == other.auc
+
+    @needs_fork
+    def test_failed_round_reaches_the_cli(self, monkeypatch, tmp_path, capsys):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "train", boom)  # forked workers inherit it
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
+        code = main(["--mode", "ae", "--mode", "mil", "--repeats", "2",
+                     "--epochs", "2", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "error: boom" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_no_modes_trains_nothing(self):
+        assert run_experiment(tiny_config(modes=())).modes == {}
+
+    def test_worker_count_bounded_by_rounds_and_cpus(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count()
+        assert harness._worker_count(1) == 1
+        assert 1 <= harness._worker_count(10_000) <= cpus
 
 
 class TestEmitReport:

@@ -27,7 +27,6 @@ from inexad.training import (
     make_batches,
     mode_objective,
     objective_grad,
-    objective_value,
     select_lambda,
     train,
     validation_metric,
@@ -105,7 +104,7 @@ class TestObjectiveValue:
         normals = rng.uniform(-1, 1, size=(7, 2))
         sets = [rng.uniform(-1, 1, size=(3, 2))]
         expected = float(score_batch(params, normals).mean())
-        assert objective_value(params, sets, normals, 0.0) == expected
+        assert mode_objective("proposed", params, sets, normals, 0.0) == expected
 
     def test_hand_value(self):
         # zero-parameter scorer: a(x) = ||x||^2.  One normal scoring 0.2,
@@ -114,7 +113,7 @@ class TestObjectiveValue:
         params = zero_ae()
         normals = np.array([[np.sqrt(0.2), 0.0]])
         sets = [np.array([[np.sqrt(0.6), 0.0], [0.1, 0.0]])]
-        val = objective_value(params, sets, normals, 1.0)
+        val = mode_objective("proposed", params, sets, normals, 1.0)
         assert val == pytest.approx(0.2 - 0.598687660112, abs=1e-9)
         assert val == pytest.approx(0.2 - sigmoid_stable(0.4), abs=1e-12)
 
@@ -128,12 +127,12 @@ class TestObjectiveValue:
         maxima = [max(float(x @ x) for x in s) for s in sets]
         pairs = [sigmoid_stable(m - a) for m in maxima for a in a_n]
         expected = a_n.mean() - 0.5 * np.mean(pairs)
-        assert objective_value(params, sets, normals, 0.5) == pytest.approx(
+        assert mode_objective("proposed", params, sets, normals, 0.5) == pytest.approx(
             expected, rel=1e-12)
 
     def test_empty_normals_raises(self):
         with pytest.raises(ValueError, match="normals"):
-            objective_value(zero_ae(), [], np.zeros((0, 2)), 1.0)
+            mode_objective("proposed", zero_ae(), [], np.zeros((0, 2)), 1.0)
 
 
 class TestModeObjective:
@@ -606,12 +605,16 @@ class TestLambdaSelection:
 
 
 class TestHistoryCsv:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("mode, metric", [
+        ("proposed", "val_set_auc"), ("mil", "val_set_auc"),
+        ("ae", "val_auc"), ("sae", "val_auc"),
+    ])
+    def test_round_trip(self, tmp_path, mode, metric):
         history = [(0, -0.5, 0.25), (1, -0.75, 0.5)]
         path = tmp_path / "history.csv"
-        write_history(path, history)
+        write_history(path, history, mode)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_objective,val_inexact_auc"
+        assert lines[0] == f"epoch,train_objective,{metric}"
         parsed = [tuple(float(c) for c in line.split(","))
                   for line in lines[1:]]
         assert parsed == [(0.0, -0.5, 0.25), (1.0, -0.75, 0.5)]

@@ -141,9 +141,21 @@ def _activation_grad(act, activation, out=None):
     return np.subtract(1.0, np.square(act, out=out), out=out)
 
 
-def mlp_forward(layers, x, activation="relu"):
-    """Run affine+activation layers (linear final layer); returns (output, cache)."""
+def mlp_forward(layers, x, activation="relu", cache=True):
+    """Run affine+activation layers (linear final layer); returns (output, cache).
+
+    With cache=False no tape is kept and the cache is None: each layer's
+    output takes its activation in place and is dropped once the next
+    layer has read it, so at most two layer outputs are alive at a time.
+    """
     xb, single = _as_batch(x)
+    if not cache:
+        h = xb
+        for i, layer in enumerate(layers):
+            h = affine_forward(layer, h)
+            if i < len(layers) - 1:
+                _activate(h, activation, out=h)
+        return (h[0] if single else h), None
     pre, act = [], []
     h = xb
     for i, layer in enumerate(layers):

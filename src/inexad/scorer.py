@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
+    ACTIVATIONS,
     ShapeError,
     _activate,
     _activation_grad,
@@ -39,6 +40,11 @@ class AutoencoderParams:
     activation: str = "relu"  # hidden-layer activation of both halves
 
     def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {self.activation!r}, expected one of "
+                f"{ACTIVATIONS}"
+            )
         if self.encoder[-1].out_dim != self.decoder[0].in_dim:
             raise ShapeError(
                 f"encoder emits {self.encoder[-1].out_dim} features but the "
@@ -145,13 +151,25 @@ def score_backward(params, tape, upstream):
 
 
 def score_batch(params, X):
-    """Scores for a batch of instances; order preserving."""
+    """Scores for a batch of instances; order preserving.
+
+    Forward only: no layer output outlives the layer that reads it, and
+    the reconstruction is overwritten by the error.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.size == 0:
-        return np.zeros(0)
     if X.ndim != 2:
         raise ShapeError(f"expected an (n, D) batch, got {X.ndim}-d")
-    return score_forward(params, X)[0]
+    if X.shape[1] != params.input_dim:
+        raise ShapeError(
+            f"batch has {X.shape[1]} features but the model expects "
+            f"{params.input_dim}"
+        )
+    code, _ = mlp_forward(params.encoder, X, activation=params.activation,
+                          cache=False)
+    recon, _ = mlp_forward(params.decoder, code, activation=params.activation,
+                           cache=False)
+    diff = np.subtract(X, recon, out=recon)
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def score_batch_grad(params, X, upstream):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import empirical_auc, segment_max, segment_starts
-from .network import _sigmoid_into
+from .network import ACTIVATIONS, _sigmoid_into
 from .scorer import (
     AutoencoderParams,
     AutoencoderStack,
@@ -74,6 +74,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}, "
+                             f"expected one of {ACTIVATIONS}")
         for lam in (self.lam, *self.lambda_grid):
             if not (math.isfinite(lam) and lam >= 0):
                 raise ValueError(f"lambda must be finite and nonnegative, got {lam}")

@@ -203,6 +203,20 @@ class TestMlpForward:
         assert cache.pre[0].shape == (5, 4)
         assert cache.act[1].shape == (5, 2)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (7, 3)])
+    def test_tape_free_equals_taped_bitwise(self, activation, shape):
+        layers = init_params([3, 6, 2, 6, 3], 17)
+        x = np.random.default_rng(17).normal(size=shape)
+        before = x.copy()
+        out, cache = mlp_forward(layers, x, activation, cache=False)
+        assert cache is None
+        taped = mlp_forward(layers, x, activation)[0]
+        assert out.shape == taped.shape == x.shape[:-1] + (3,)
+        assert out.tobytes() == taped.tobytes()
+        # the in-place activations write only into the layer outputs
+        np.testing.assert_array_equal(x, before)
+
 
 class TestMlpBackward:
     def test_zero_output_grad(self):

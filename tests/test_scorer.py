@@ -21,6 +21,7 @@ from inexad.scorer import (
     score,
     score_batch,
     score_batch_grad,
+    score_forward,
     score_grad,
 )
 from .conftest import assert_grad_close, draw_kink_free, small_ae
@@ -94,8 +95,24 @@ class TestScoreBatch:
                                       score_batch(params, X[perm]))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            score_batch(zero_ae(), np.zeros((2, 5)))
+        for shape in ((2, 5), (5, 0), (0, 5)):
+            with pytest.raises(ShapeError):
+                score_batch(zero_ae(), np.zeros(shape))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_tape_free_equals_score_forward_bitwise(self, activation):
+        for dim in (1, 2, 7, 32):
+            for hidden, code in ((128, 16), (8, 3), (64, 64)):
+                params = ae_init(dim, dim + hidden, hidden=hidden, code=code,
+                                 activation=activation)
+                for n in (1, 2, 3, 5, 17, 128, 129, 333, 1674, 4001):
+                    X = np.random.default_rng(n + dim).normal(size=(n, dim))
+                    for view in (X, X[::-1], np.asfortranarray(X)[::2]):
+                        before = view.copy()
+                        scores = score_batch(params, view)
+                        assert scores.tobytes() == score_forward(
+                            params, view)[0].tobytes()
+                        np.testing.assert_array_equal(view, before)
 
 
 class TestScoreGrad:
@@ -205,6 +222,13 @@ class TestStructure:
         with pytest.raises(ShapeError):
             AutoencoderParams(encoder=enc, decoder=dec)
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="'sigmoid'"):
+            ae_init(3, 0, activation="sigmoid")
+        vec = ae_to_vector(ae_init(3, 0, hidden=4, code=2))
+        with pytest.raises(ValueError, match="'gelu'"):
+            ae_from_vector(vec, [3, 4, 2, 4, 3], activation="gelu")
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -216,6 +240,15 @@ class TestSerialization:
         assert loaded.dims == params.dims
         assert loaded.activation == params.activation
         np.testing.assert_array_equal(ae_to_vector(loaded), ae_to_vector(params))
+
+    def test_unknown_activation_rejected_on_load(self, tmp_path):
+        params = ae_init(3, 0, hidden=4, code=2)
+        path = tmp_path / "model.npz"
+        np.savez(path, dims=np.asarray(params.dims, dtype=np.int64),
+                 seed=np.int64(0), activation=np.str_("gelu"),
+                 theta=ae_to_vector(params))
+        with pytest.raises(ValueError, match="'gelu'"):
+            load_params(path)
 
     def test_scores_survive_round_trip(self, tmp_path):
         rng = np.random.default_rng(29)

@@ -72,6 +72,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="lambda"):
             TrainConfig(lam=-1.0)
 
+    def test_unknown_activation(self):
+        with pytest.raises(ValueError, match="'gelu'"):
+            TrainConfig(activation="gelu")
+
     def test_bad_batch(self):
         with pytest.raises(ValueError, match="batch"):
             TrainConfig(batch_sets=0)

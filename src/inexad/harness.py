@@ -7,6 +7,7 @@ the reported test AUC is the set-level AUC over singleton sets, which
 coincides with the plain pairwise AUC.
 """
 
+import collections
 import csv
 import itertools
 import json
@@ -23,10 +24,12 @@ from .scorer import score_batch
 from .training import (
     DEFAULT_LAMBDA_GRID,
     MODES,
+    VAL_METRIC,
     TrainConfig,
+    _is_plain,
+    _lambda_groups,
+    _train_members,
     best_of_grid,
-    grid_search,
-    train,
     write_history,
 )
 
@@ -53,9 +56,11 @@ class ExperimentConfig:
             raise ValueError("dataset 'csv' requires a csv_path")
         if self.n_repeats < 1:
             raise ValueError(f"n_repeats must be >= 1, got {self.n_repeats}")
-        for m in self.modes:
+        for i, m in enumerate(self.modes):
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")
+            if m in self.modes[:i]:
+                raise ValueError(f"mode {m!r} is given more than once")
         # TrainConfig owns the rules for epochs, patience and lambda values
         tc = self.effective_train_config()
         if self.fixed_lambda is not None:
@@ -143,61 +148,65 @@ def _lambda_for(mode, config):
     return None
 
 
-def _train_round(train_data, val_data, cfg, lam):
-    """Train one (repeat, mode) round, at lam or, when lam is None, over cfg.lambda_grid.
+def _train_task(train_data, val_data, cfg, lams, tracks):
+    """Train one objective group of one repeat in a worker process.
 
-    Returns (best_params, chosen lambda, training seconds, {lambda: history}).
-    Runs in a worker process, so everything it takes and returns is pickled.
+    Returns ({track: {lam: TrainResult}}, seconds).  Per track, only the
+    group's best_of_grid winner keeps its parameters: a mode's winner over
+    its whole grid is always one of these.
     """
     t0 = time.perf_counter()
-    if lam is None:
-        results = grid_search(train_data, val_data, cfg)
-        best = best_of_grid(results)
-        histories = {value: res.history for value, res in results}
-    else:
-        best = train(train_data, val_data, replace(cfg, lam=lam))
-        histories = {lam: best.history}
-    return best.best_params, best.chosen_lambda, time.perf_counter() - t0, histories
+    out = {}
+    for track, results in zip(tracks, _train_members(train_data, val_data, cfg, lams, tracks)):
+        best = best_of_grid(list(zip(lams, results)))
+        for res in results:
+            if res is not best:
+                res.best_params = None
+        out[track] = dict(zip(lams, results))
+    return out, time.perf_counter() - t0
 
 
-def _worker_count(n_rounds):
-    """One worker per usable CPU, at most one per round; 1 where fork is unavailable."""
+def _worker_count(n_tasks):
+    """One worker per usable CPU, at most one per task; 1 where fork is unavailable."""
     if not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(n_rounds, cpus)
+    return min(n_tasks, cpus)
 
 
-def _map_rounds(tasks):
-    """_train_round over tuples of its arguments, results in task order.
+def _map_tasks(tasks):
+    """_train_task over tuples of its arguments, results in task order.
 
-    Rounds are seeded on their own, so the results do not depend on how
+    Tasks are seeded on their own, so the results do not depend on how
     many workers run them.  Workers are forked, so they inherit the
     imported package instead of importing it again.
     """
     workers = _worker_count(len(tasks))
     if workers <= 1:
-        return list(itertools.starmap(_train_round, tasks))
+        return list(itertools.starmap(_train_task, tasks))
     # imported here: at module level they add about 20 ms to `import inexad`
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_train_round, *zip(*tasks)))
+        return list(pool.map(_train_task, *zip(*tasks)))
     finally:
-        # after a failed round, do not start the rounds still queued
+        # after a failed task, do not start the tasks still queued
         pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(config):
     """Run every (repeat, mode) round and aggregate test AUCs.
 
-    The parent draws the splits and scores the test data; the training of
-    each round runs in a pool of worker processes (see _map_rounds).
+    The parent draws the splits and scores the test data; the training
+    runs in a pool of worker processes (see _map_tasks), one task per
+    objective group.  Per repeat, the plain objective (ae, and proposed
+    and sae at lambda 0) is trained once, with one validation track per
+    metric; each other group of lambda values, and mil, is its own task.
     """
     base_ds = None
     if config.dataset == "csv":
@@ -213,8 +222,8 @@ def run_experiment(config):
                for m in config.modes},
     )
 
-    rounds = []  # (repeat, mode, test data)
-    tasks = []  # _train_round arguments, in the same order
+    rounds = []  # (repeat, mode, test data, lams, indices of the tasks it uses)
+    tasks = []  # _train_task arguments
     for r in range(config.n_repeats):
         seed_r = config.seed + r
         rng = np.random.default_rng(seed_r)
@@ -223,22 +232,48 @@ def run_experiment(config):
         else:
             ds, split = base_ds, make_splits(base_ds, rng)
         train_data, val_data, test_data = materialize(ds, split)
+        shared = None  # this repeat's plain task
         for mode in config.modes:
-            rounds.append((r, mode, test_data))
-            tasks.append((train_data, val_data, replace(tc, mode=mode, rng_seed=seed_r),
-                          _lambda_for(mode, config)))
+            fixed = _lambda_for(mode, config)
+            lams = tc.lambda_grid if fixed is None else (fixed,)
+            if not lams:
+                raise ValueError("lambda_grid must be nonempty")
+            cfg, metric, used = replace(tc, mode=mode, rng_seed=seed_r), VAL_METRIC[mode], []
+            for group in _lambda_groups(mode, lams):
+                if not _is_plain(mode, lams[group[0]]):
+                    used.append(len(tasks))
+                    tasks.append((train_data, val_data, cfg,
+                                  [float(lams[i]) for i in group], [metric]))
+                    continue
+                if shared is None:
+                    shared = len(tasks)
+                    tasks.append((train_data, val_data, cfg, [0.0], []))
+                if metric not in tasks[shared][4]:
+                    tasks[shared][4].append(metric)
+                used.append(shared)
+            rounds.append((r, mode, test_data, lams, used))
 
-    for (r, mode, test_data), (params, chosen, elapsed, histories) in zip(
-            rounds, _map_rounds(tasks)):
-        for lam, history in histories.items():
-            report.histories[(mode, r, lam)] = history
-        a_scores = score_batch(params, test_data.anomalies)
-        n_scores = score_batch(params, test_data.normals)
+    # the costliest tasks first, so that none of them starts last; ties in plan order
+    order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][3]))
+    done = dict(zip(order, _map_tasks([tasks[i] for i in order])))
+    # a task's seconds are split equally between the rounds it serves
+    users = collections.Counter(t for *_, used in rounds for t in used)
+    for r, mode, test_data, lams, used in rounds:
+        found = {}
+        for t in used:
+            found.update(done[t][0][VAL_METRIC[mode]])
+        results = [(lam, found[lam]) for lam in lams]
+        best = best_of_grid(results)
+        for lam, res in results:
+            report.histories[(mode, r, lam)] = res.history
+        a_scores = score_batch(best.best_params, test_data.anomalies)
+        n_scores = score_batch(best.best_params, test_data.normals)
         auc = empirical_auc(a_scores, n_scores)
         report.modes[mode].aucs.append(auc)
         # mil ignores lambda entirely; don't report a fake choice
-        report.modes[mode].chosen_lambdas.append(None if mode == "mil" else chosen)
-        report.modes[mode].seconds.append(elapsed)
+        report.modes[mode].chosen_lambdas.append(
+            None if mode == "mil" else next(float(lam) for lam, res in results if res is best))
+        report.modes[mode].seconds.append(sum(done[t][1] / users[t] for t in used))
         report.roc_curves[(mode, r)] = roc_curve(a_scores, n_scores)
 
     return report

@@ -108,16 +108,23 @@ class TrainResult:
     history: list  # of (epoch, train_objective, val_metric)
     stopped_epoch: int
     chosen_lambda: float = None
+    best_epoch: int = 0
+
+
+# each mode's validation metric, named as its history file's column
+VAL_METRIC = {"proposed": "val_set_auc", "mil": "val_set_auc",
+              "ae": "val_auc", "sae": "val_auc"}
 
 
 def _is_plain(mode, lam):
     """True when the objective is the mean normal score alone, so no set row is scored."""
-    return mode == "ae" or (mode == "proposed" and lam == 0)
+    return mode == "ae" or (mode in ("proposed", "sae") and lam == 0)
 
 
-def _set_starts(mode, sets):
-    """Where each set starts in the stacked set rows, for the modes that take set maxima."""
-    return segment_starts([len(s) for s in sets]) if mode in ("proposed", "mil") else None
+def _set_starts(kind, sets):
+    """Where each set starts in the stacked set rows, if the mode or metric takes set maxima."""
+    return (segment_starts([len(s) for s in sets])
+            if kind in ("proposed", "mil", "val_set_auc") else None)
 
 
 def _objective(mode, lam, a_n, set_scores, starts, pair=None):
@@ -308,10 +315,11 @@ def make_batches(sets, normals, config, rng):
     return batches
 
 
-def _metric(mode, normal_scores, set_scores, starts):
-    """The validation metric from one model's scores on the normals and the stacked set rows."""
-    if mode in ("proposed", "mil"):
-        return empirical_auc(segment_max(set_scores, starts), normal_scores)
+def _metric(normal_scores, set_scores, starts):
+    """The validation metric from one model's scores on the normals and the stacked
+    set rows: the set-level AUC given the sets' starts, else the plain AUC."""
+    if starts is not None:
+        set_scores = segment_max(set_scores, starts)
     return empirical_auc(set_scores, normal_scores)
 
 
@@ -327,19 +335,23 @@ def validation_metric(mode, params, val_sets, val_normals):
         raise ValueError("validation needs at least one weakly labeled set")
     n_scores = score_batch(params, np.asarray(val_normals, dtype=np.float64))
     set_scores = score_batch(params, np.concatenate(val_sets))
-    return _metric(mode, n_scores, set_scores, _set_starts(mode, val_sets))
+    return _metric(n_scores, set_scores, _set_starts(mode, val_sets))
 
 
-def _train_members(train_data, val_data, config, lams):
-    """Train one model per value in lams, in lockstep; returns their TrainResults in order.
+def _train_members(train_data, val_data, config, lams, tracks=None):
+    """Train one model per value in lams, in lockstep.
 
     Every setting but lam comes from config.  All members score the same
     rows, so either every lam makes the objective plain or none does.
-    Each member keeps its own history, best snapshot and early stopping;
-    a member that stops is swapped behind the active ones, and passes
-    run on the leading rows only.
+    tracks names the validation metrics (VAL_METRIC values) to stop on,
+    by default config.mode's.  Each member keeps, per track, its own
+    history, best snapshot and early stopping; a member whose tracks
+    have all stopped is swapped behind the active ones, and passes run
+    on the leading rows only.  Returns one list of TrainResults per
+    track, in lams order.
     """
     mode = config.mode
+    tracks = tracks or (VAL_METRIC[mode],)
     plain = _is_plain(mode, lams[0])
     normals = np.asarray(train_data.normals, dtype=np.float64)
     if normals.shape[0] == 0:
@@ -354,17 +366,17 @@ def _train_members(train_data, val_data, config, lams):
                    hidden=config.hidden_dim, code=config.code_dim,
                    activation=config.activation)
     if config.max_epochs == 0:
-        return [TrainResult(best_params=ae_from_vector(ae_to_vector(init), init.dims,
-                                                       activation=config.activation),
-                            best_val_metric=math.nan, history=[], stopped_epoch=0,
-                            chosen_lambda=lam)
-                for lam in lams]
+        return [[TrainResult(best_params=ae_from_vector(ae_to_vector(init), init.dims,
+                                                        activation=config.activation),
+                             best_val_metric=math.nan, history=[], stopped_epoch=0,
+                             chosen_lambda=lam)
+                 for lam in lams] for _ in tracks]
 
     count = len(lams)
     val_normals = np.asarray(val_data.normals, dtype=np.float64)
     val_sets = [np.asarray(s, dtype=np.float64) for s in val_data.sets]
     val_rows = np.concatenate(val_sets)
-    val_starts = _set_starts(mode, val_sets)
+    val_starts = [_set_starts(track, val_sets) for track in tracks]
     set_rows = None if plain else np.concatenate(sets)
     set_starts = None if plain else _set_starts(mode, sets)
 
@@ -398,36 +410,18 @@ def _train_members(train_data, val_data, config, lams):
 
     slots = list(range(count))  # the member in each row of the stacked arrays
     slot_lams = np.array(lams, dtype=np.float64)
-    histories = [[] for _ in lams]
-    best = np.empty_like(theta)  # one row per member, not per slot
-    best_metric = [None] * count
-    best_epoch = [0] * count
-    stopped = [config.max_epochs] * count
-
-    def evaluate(a):
-        """Objective and validation metric of the leading a slots."""
-        stack.scores(a, normals, normal_scores[:a])
-        if not plain:
-            stack.scores(a, set_rows, set_scores[:a])
-        objs = [_objective(mode, float(slot_lams[s]), normal_scores[s],
-                           None if plain else set_scores[s], set_starts, stack.pool)
-                for s in range(a)]
-        stack.scores(a, val_normals, val_normal_scores[:a])
-        stack.scores(a, val_rows, val_set_scores[:a])
-        return objs, [_metric(mode, val_normal_scores[s], val_set_scores[s], val_starts)
-                      for s in range(a)]
-
-    objs, metrics = evaluate(count)
-    for s in range(count):
-        histories[s].append((0, objs[s], metrics[s]))
-        best_metric[s] = metrics[s]
-        best[s] = theta[s]
+    # per track, one entry per member (not per slot)
+    histories = [[[] for _ in lams] for _ in tracks]
+    best = np.empty((len(tracks),) + theta.shape)
+    best_metric = [[-math.inf] * count for _ in tracks]
+    best_epoch = [[0] * count for _ in tracks]
+    stopped = [[None] * count for _ in tracks]  # None while the track runs
 
     rng = np.random.default_rng(config.rng_seed)
     patience = config.patience if config.patience is not None else config.max_epochs
     active, t = count, 0
-    for epoch in range(1, config.max_epochs + 1):
-        for set_batch, normal_batch in make_batches(sets, normals, config, rng):
+    for epoch in range(config.max_epochs + 1):  # epoch 0 evaluates the initialisation
+        for set_batch, normal_batch in make_batches(sets, normals, config, rng) if epoch else ():
             j = len(normal_batch)
             if plain:
                 X, lengths = normal_batch, None
@@ -444,21 +438,31 @@ def _train_members(train_data, val_data, config, lams):
             _adam_update(theta[:active], grad[:active], adam_m[:active],
                          adam_v[:active], t, config,
                          *carve(stack.pool, *[theta[:active].shape] * 2))
-        objs, metrics = evaluate(active)
+        stack.scores(active, normals, normal_scores[:active])
+        if not plain:
+            stack.scores(active, set_rows, set_scores[:active])
+        stack.scores(active, val_normals, val_normal_scores[:active])
+        stack.scores(active, val_rows, val_set_scores[:active])
         # descending, so a member swapped in from behind was already seen
         for s in range(active - 1, -1, -1):
-            m, metric = slots[s], metrics[s]
-            histories[m].append((epoch, objs[s], metric))
-            if metric > best_metric[m]:
-                best_metric[m], best_epoch[m] = metric, epoch
-                best[m] = theta[s]
-            elif metric == best_metric[m]:
-                # equally good on validation: keep the most-trained snapshot
-                # (patience still counts from the last strict improvement)
-                best[m] = theta[s]
-            if epoch - best_epoch[m] >= patience:
+            m = slots[s]
+            obj = _objective(mode, float(slot_lams[s]), normal_scores[s],
+                             None if plain else set_scores[s], set_starts, stack.pool)
+            for k, starts in enumerate(val_starts):
+                if stopped[k][m] is not None:
+                    continue
+                metric = _metric(val_normal_scores[s], val_set_scores[s], starts)
+                histories[k][m].append((epoch, obj, metric))
+                if metric >= best_metric[k][m]:
+                    if metric > best_metric[k][m]:
+                        best_metric[k][m], best_epoch[k][m] = metric, epoch
+                    # equally good on validation: keep the most-trained snapshot
+                    # (patience still counts from the last strict improvement)
+                    best[k, m] = theta[s]
+                if epoch - best_epoch[k][m] >= patience:
+                    stopped[k][m] = epoch
+            if all(done[m] is not None for done in stopped):
                 # leave the stack: swap behind the members still training
-                stopped[m] = epoch
                 active -= 1
                 for arr in (theta, adam_m, adam_v, slot_lams):
                     arr[[s, active]] = arr[[active, s]]
@@ -466,13 +470,14 @@ def _train_members(train_data, val_data, config, lams):
         if active == 0:
             break
 
-    return [TrainResult(
-        best_params=ae_from_vector(best[m].copy(), init.dims, activation=config.activation),
-        best_val_metric=best_metric[m],
-        history=histories[m],
-        stopped_epoch=stopped[m],
+    return [[TrainResult(
+        best_params=ae_from_vector(best[k, m].copy(), init.dims, activation=config.activation),
+        best_val_metric=best_metric[k][m],
+        history=histories[k][m],
+        stopped_epoch=config.max_epochs if stopped[k][m] is None else stopped[k][m],
         chosen_lambda=lams[m],
-    ) for m in range(count)]
+        best_epoch=best_epoch[k][m],
+    ) for m in range(count)] for k in range(len(tracks))]
 
 
 def train(train_data, val_data, config):
@@ -485,28 +490,33 @@ def train(train_data, val_data, config):
     The recorded train objective is the exact full-data value, not the
     minibatch estimate.  This is the training kernel with one member.
     """
-    return _train_members(train_data, val_data, config, [config.lam])[0]
+    return _train_members(train_data, val_data, config, [config.lam])[0][0]
+
+
+def _lambda_groups(mode, lams):
+    """Indices into lams, in the groups the training kernel trains together.
+
+    Members must score the same rows, so the plain values and the others
+    form separate groups, each split into chunks of at most _MAX_MEMBERS.
+    """
+    groups = []
+    for plain in (True, False):
+        group = [i for i, lam in enumerate(lams) if _is_plain(mode, lam) == plain]
+        groups += [group[s:s + _MAX_MEMBERS] for s in range(0, len(group), _MAX_MEMBERS)]
+    return groups
 
 
 def grid_search(train_data, val_data, config):
-    """Train once per lambda_grid value; returns [(lam, TrainResult), ...] in grid order.
-
-    The values run through the training kernel in groups that score the
-    same rows, the plain values and the others, each split into groups
-    of at most _MAX_MEMBERS.
-    """
+    """Train once per lambda_grid value; returns [(lam, TrainResult), ...] in grid order."""
     if not config.lambda_grid:
         raise ValueError("lambda_grid must be nonempty")
     grid = list(config.lambda_grid)
     results = [None] * len(grid)
-    for plain in (True, False):
-        group = [i for i, lam in enumerate(grid) if _is_plain(config.mode, lam) == plain]
-        for start in range(0, len(group), _MAX_MEMBERS):
-            chunk = group[start:start + _MAX_MEMBERS]
-            trained = _train_members(train_data, val_data, config,
-                                     [float(grid[i]) for i in chunk])
-            for i, result in zip(chunk, trained):
-                results[i] = result
+    for group in _lambda_groups(config.mode, grid):
+        trained = _train_members(train_data, val_data, config,
+                                 [float(grid[i]) for i in group])[0]
+        for i, result in zip(group, trained):
+            results[i] = result
     return list(zip(grid, results))
 
 
@@ -523,15 +533,13 @@ def select_lambda(train_data, val_data, config):
 def write_history(path, history, mode):
     """CSV dump of a training history: epoch, train objective, validation metric.
 
-    The metric column is named after mode's validation metric (see
-    validation_metric): val_set_auc for proposed and mil, val_auc for ae
-    and sae.
+    The metric column is VAL_METRIC[mode]: val_set_auc for proposed and
+    mil, val_auc for ae and sae.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    column = "val_set_auc" if mode in ("proposed", "mil") else "val_auc"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_objective", column])
+        writer.writerow(["epoch", "train_objective", VAL_METRIC[mode]])
         for epoch, obj, metric in history:
             writer.writerow([epoch, repr(float(obj)), repr(float(metric))])

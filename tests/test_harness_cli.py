@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from inexad.harness import (
     emit_report,
     run_experiment,
 )
-from inexad.training import DEFAULT_LAMBDA_GRID
+from inexad.data import gen_synthetic, materialize
+from inexad.scorer import ae_to_vector
+from inexad.training import DEFAULT_LAMBDA_GRID, VAL_METRIC, grid_search, train
 
 
 def tiny_config(**kw):
@@ -42,6 +45,10 @@ class TestExperimentConfig:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             ExperimentConfig(modes=("proposed", "gan"))
+
+    def test_repeated_mode(self):
+        with pytest.raises(ValueError, match="'ae' is given more than once"):
+            ExperimentConfig(modes=("ae", "mil", "ae"))
 
     def test_bad_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
@@ -149,13 +156,34 @@ class TestParallelRounds:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(harness, "train", boom)  # forked workers inherit it
+        # the training kernel every task calls; forked workers inherit the patch
+        monkeypatch.setattr(harness, "_train_members", boom)
         monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
         code = main(["--mode", "ae", "--mode", "mil", "--repeats", "2",
                      "--epochs", "2", "--out", str(tmp_path / "run")])
         assert code == 1
         assert "error: boom" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    def test_costliest_tasks_start_first(self, monkeypatch):
+        config = tiny_config(modes=("proposed", "ae", "mil", "sae"),
+                             fixed_lambda=None, lambda_grid=(0.0, 1.0, 10.0))
+        started = []
+        task = harness._train_task
+
+        def spy(*args):
+            started.append((args[2].rng_seed, args[2].mode, list(args[3])))
+            return task(*args)
+
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(harness, "_train_task", spy)
+        run_experiment(config)
+        # per repeat: the non-plain proposed and sae groups, then the
+        # shared plain run and mil
+        assert started[:4] == [(seed, mode, [1.0, 10.0]) for seed in (0, 1)
+                               for mode in ("proposed", "sae")]
+        assert [lams for *_, lams in started[4:]] == [[0.0], [1.0]] * 2
+        assert [seed for seed, *_ in started[4:]] == [0, 0, 1, 1]
 
     def test_no_modes_trains_nothing(self):
         assert run_experiment(tiny_config(modes=())).modes == {}
@@ -213,6 +241,12 @@ class TestCliParse:
     def test_repeatable_mode(self):
         config = cli_parse(["--mode", "ae", "--mode", "mil"])
         assert config.modes == ("ae", "mil")
+
+    def test_repeated_mode_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_parse(["--mode", "ae", "--mode", "ae", "--repeats", "2", "--epochs", "2"])
+        assert exc.value.code == 2
+        assert "'ae' is given more than once" in capsys.readouterr().err
 
     def test_lambda_grid(self):
         config = cli_parse(["--lambda-grid", "0,0.5,2"])
@@ -279,3 +313,41 @@ class TestMain:
                      "--repeats", "1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestSharedPlainRun:
+    """ae, and proposed and sae at lambda 0, share one training run per repeat."""
+
+    def test_equals_standalone_training(self, monkeypatch):
+        # synthetic seed 5: the plain and set-level validation tracks stop
+        # at different epochs
+        config = ExperimentConfig(modes=("proposed", "ae", "sae"), n_repeats=1, seed=5,
+                                  lambda_grid=(0.0, 1.0), max_epochs=300, patience=20)
+        shared = {}
+        task = harness._train_task
+
+        def spy(*args):
+            out = task(*args)
+            if args[3] == [0.0]:
+                shared.update(out[0])
+            return out
+
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(harness, "_train_task", spy)
+        report = run_experiment(config)
+        ds, split = gen_synthetic(np.random.default_rng(5))
+        train_data, val_data, _ = materialize(ds, split)
+        tc = replace(config.effective_train_config(), rng_seed=5)
+        expected = {
+            "ae": train(train_data, val_data, replace(tc, mode="ae", lam=0.0)),
+            "proposed": grid_search(train_data, val_data, replace(tc, mode="proposed"))[0][1],
+            "sae": grid_search(train_data, val_data, replace(tc, mode="sae"))[0][1],
+        }
+        assert expected["ae"].stopped_epoch != expected["proposed"].stopped_epoch
+        for mode, want in expected.items():
+            (got,) = shared[VAL_METRIC[mode]].values()
+            assert report.histories[(mode, 0, 0.0)] == want.history
+            assert got.history == want.history
+            assert (got.stopped_epoch, got.best_epoch) == (want.stopped_epoch, want.best_epoch)
+            np.testing.assert_array_equal(ae_to_vector(got.best_params),
+                                          ae_to_vector(want.best_params))

@@ -138,6 +138,42 @@ class TestInexactAuc:
             assert empirical_auc(a, norms) == empirical_auc(f(a), f(norms))
 
 
+ragged = st.lists(scores, min_size=1, max_size=6)
+
+
+class TestInexactAucBruteForce:
+    """empirical_inexact_auc against a double loop over ragged sets."""
+
+    @given(sets=ragged, n=scores)
+    def test_matches_double_loop(self, sets, n):
+        wins = sum(1 for s in sets for v in n if max(s) > v)
+        assert empirical_inexact_auc(sets, n) == wins / (len(sets) * len(n))
+
+    @given(sets=ragged, n=scores, data=st.data())
+    def test_empty_set_named_by_index(self, sets, n, data):
+        k = data.draw(st.integers(0, len(sets)))
+        sets.insert(k, [])
+        with pytest.raises(EmptyScoresError, match=f"set {k} is empty"):
+            empirical_inexact_auc(sets, n)
+
+    @given(sets=ragged)
+    def test_empty_normals(self, sets):
+        with pytest.raises(EmptyScoresError, match="normal_scores"):
+            empirical_inexact_auc(sets, [])
+
+    @given(sets=ragged, n=scores, bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           data=st.data())
+    def test_non_finite_score_raises(self, sets, n, bad, data):
+        # a set enters the pair count through its maximum, so -inf goes in
+        # as a set of its own; NaN and +inf may also join an existing set
+        places = [n, sets] if bad == -np.inf else [n, sets] + sets
+        target = data.draw(st.sampled_from(places))
+        target.insert(data.draw(st.integers(0, len(target))),
+                      [bad] if target is sets else bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            empirical_inexact_auc(sets, n)
+
+
 def midrank_auc(anoms, norms):
     """Pairwise AUC with ties worth one half (trapezoid-equivalent oracle)."""
     total = 0.0

@@ -493,6 +493,9 @@ class TestTrainMatchesAllocatingReference:
         for got, want in zip(res.history, history):
             assert got == want
         assert res.best_val_metric == max(m for _, _, m in history)
+        assert res.history[res.best_epoch][2] == res.best_val_metric
+        # patience counts from the first epoch that reached the best metric
+        assert res.best_epoch == next(e for e, _, m in history if m == res.best_val_metric)
         np.testing.assert_array_equal(ae_to_vector(res.best_params), best_theta)
 
 
@@ -519,6 +522,7 @@ class TestGridMatchesAllocatingReference:
             assert res.stopped_epoch == stopped
             assert res.history == history
             assert res.best_val_metric == max(m for _, _, m in history)
+            assert res.history[res.best_epoch][2] == res.best_val_metric
             np.testing.assert_array_equal(ae_to_vector(res.best_params), best_theta)
             stops.add(stopped)
         if mode in ("proposed", "sae"):

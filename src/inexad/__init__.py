@@ -27,12 +27,10 @@ from .metrics import (
 )
 from .network import (
     LayerParams,
-    affine_forward,
     finite_diff_grad,
     init_params,
     mlp_backward,
     mlp_forward,
-    relu,
     sigmoid_stable,
 )
 from .scorer import (
@@ -40,9 +38,7 @@ from .scorer import (
     ae_init,
     load_params,
     save_params,
-    score,
     score_batch,
-    score_grad,
 )
 from .training import (
     AdamState,
@@ -52,7 +48,6 @@ from .training import (
     make_batches,
     mode_objective,
     objective_grad,
-    select_lambda,
     train,
 )
 

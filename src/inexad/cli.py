@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from .harness import ExperimentConfig, emit_report, run_experiment
-from .training import DEFAULT_LAMBDA_GRID, MODES
+from .training import DEFAULT_LAMBDA_GRID, MODES, TrainConfig
 
 
 def _build_parser():
@@ -68,10 +68,9 @@ def cli_parse(argv):
             n_repeats=args.repeats,
             seed=args.seed,
             fixed_lambda=args.fixed_lambda,
-            lambda_grid=grid,
-            max_epochs=args.epochs,
-            patience=args.patience,
             out_dir=args.out,
+            train_config=TrainConfig(max_epochs=args.epochs, patience=args.patience,
+                                     lambda_grid=grid),
         )
     except ValueError as exc:  # a config that fails validation is a usage error
         parser.error(str(exc))

@@ -317,10 +317,26 @@ def gen_synthetic(rng, n_train_sets=10, n_val_sets=5, set_size=5):
 
 @dataclass
 class TrainData:
-    """Materialized training or validation half of a split."""
+    """Materialized training or validation half of a split.
 
-    sets: list  # of (set_size, D) arrays
+    The weakly labeled sets are stored once: set_rows stacks every set's
+    members in set order, and set k is the next lengths[k] of its rows.
+    """
+
+    set_rows: np.ndarray  # (sum of lengths, D)
+    lengths: np.ndarray  # (n_sets,) int, each at least 1
     normals: np.ndarray  # (n, D)
+
+    def __post_init__(self):
+        self.set_rows = np.asarray(self.set_rows, dtype=np.float64)
+        self.lengths = np.asarray(self.lengths, dtype=np.intp)
+        self.normals = np.asarray(self.normals, dtype=np.float64)
+        empty = np.flatnonzero(self.lengths < 1)
+        if empty.size:
+            raise DataError(f"set {empty[0]} is empty")
+        if self.lengths.sum() != len(self.set_rows):
+            raise DataError(f"set lengths sum to {self.lengths.sum()} but there are "
+                            f"{len(self.set_rows)} set rows")
 
 
 @dataclass
@@ -331,16 +347,14 @@ class TestData:
 
 def materialize(ds, split):
     """Resolve a SplitSpec into instance arrays: (train, val, test)."""
-    train = TrainData(
-        sets=[ds.X[s.member_indices] for s in split.train_sets],
-        normals=ds.X[split.train_normals],
-    )
-    val = TrainData(
-        sets=[ds.X[s.member_indices] for s in split.val_sets],
-        normals=ds.X[split.val_normals],
-    )
+    def weak(sets, normals):
+        return TrainData(set_rows=ds.X[[i for s in sets for i in s.member_indices]],
+                         lengths=[len(s.member_indices) for s in sets],
+                         normals=ds.X[normals])
+
     test = TestData(
         anomalies=ds.X[split.test_anomalies],
         normals=ds.X[split.test_normals],
     )
-    return train, val, test
+    return (weak(split.train_sets, split.train_normals),
+            weak(split.val_sets, split.val_normals), test)

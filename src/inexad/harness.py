@@ -22,7 +22,6 @@ from .data import gen_synthetic, load_csv, make_splits, materialize, preprocess
 from .metrics import empirical_auc, roc_curve
 from .scorer import score_batch
 from .training import (
-    DEFAULT_LAMBDA_GRID,
     MODES,
     VAL_METRIC,
     TrainConfig,
@@ -43,10 +42,8 @@ class ExperimentConfig:
     n_repeats: int = 10
     seed: int = 0
     fixed_lambda: float = None  # None -> grid search where lambda matters
-    lambda_grid: tuple = DEFAULT_LAMBDA_GRID
-    max_epochs: int = 1000
-    patience: int = 100
     out_dir: str = "results"
+    # every training setting: epochs, patience, the lambda grid, ...
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -61,11 +58,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown mode {m!r}")
             if m in self.modes[:i]:
                 raise ValueError(f"mode {m!r} is given more than once")
-        # TrainConfig owns the rules for epochs, patience and lambda values
-        tc = self.effective_train_config()
+        # TrainConfig owns the rules for lambda values
         if self.fixed_lambda is not None:
-            replace(tc, lam=self.fixed_lambda)
-        grid = tuple(self.lambda_grid)
+            replace(self.train_config, lam=self.fixed_lambda)
+        grid = tuple(self.train_config.lambda_grid)
         first = {}
         for i, lam in enumerate(grid):
             j = first.setdefault(_history_label(lam), i)
@@ -73,15 +69,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"lambda grid values {grid[j]!r} and {lam!r} would share the "
                     f"history file label {_history_label(lam)!r}")
-
-    def effective_train_config(self):
-        """train_config with this experiment's epochs, patience and lambda grid."""
-        return replace(
-            self.train_config,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            lambda_grid=tuple(self.lambda_grid),
-        )
 
 
 @dataclass
@@ -212,7 +199,7 @@ def run_experiment(config):
     if config.dataset == "csv":
         base_ds = preprocess(load_csv(config.csv_path, config.label_col))
 
-    tc = config.effective_train_config()
+    tc = config.train_config
 
     report = EvaluationReport(
         dataset_name="synthetic" if config.dataset == "synthetic" else base_ds.name,
@@ -236,8 +223,6 @@ def run_experiment(config):
         for mode in config.modes:
             fixed = _lambda_for(mode, config)
             lams = tc.lambda_grid if fixed is None else (fixed,)
-            if not lams:
-                raise ValueError("lambda_grid must be nonempty")
             cfg, metric, used = replace(tc, mode=mode, rng_seed=seed_r), VAL_METRIC[mode], []
             for group in _lambda_groups(mode, lams):
                 if not _is_plain(mode, lams[group[0]]):

@@ -62,11 +62,16 @@ def segment_max(scores, starts):
 
 
 def set_max_scores(sets):
-    """Maximum score per weakly labeled set, order preserving."""
+    """Maximum score per weakly labeled set, order preserving.
+
+    Every member score must be finite, not only each set's maximum.
+    """
     starts = segment_starts([np.size(s) for s in sets])
     if not len(sets):
         return np.empty(0)
     flat = np.concatenate(sets, axis=None).astype(np.float64, copy=False)
+    if not np.isfinite(flat).all():
+        raise ValueError("set scores contain non-finite values")
     return segment_max(flat, starts)
 
 

@@ -80,10 +80,6 @@ def affine_forward(params, x):
     return out[0] if single else out
 
 
-def relu(v):
-    return np.maximum(0.0, np.asarray(v, dtype=np.float64))
-
-
 # Smallest positive subnormal / largest double below 1; sigmoid output is
 # clamped into this open interval so extreme inputs never return 0 or 1.
 _SIGMOID_LO = 5e-324

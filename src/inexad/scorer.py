@@ -74,12 +74,6 @@ class AutoencoderParams:
         return enc + dec
 
 
-@dataclass
-class ScoreWithGrad:
-    score: float
-    grad: AutoencoderParams  # gradient arrays arranged like the parameters
-
-
 def ae_init(input_dim, rng_seed, hidden=DEFAULT_HIDDEN, code=DEFAULT_CODE,
             activation="relu"):
     """Fresh autoencoder D -> hidden -> code -> hidden -> D."""
@@ -113,16 +107,6 @@ def reconstruct(params, X):
     code, enc_cache = mlp_forward(params.encoder, X, activation=params.activation)
     recon, dec_cache = mlp_forward(params.decoder, code, activation=params.activation)
     return recon, enc_cache, dec_cache
-
-
-def score(params, x):
-    """Squared reconstruction error of a single instance."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a single instance vector, got {x.ndim}-d")
-    recon, _, _ = reconstruct(params, x)
-    diff = x - recon
-    return float(diff @ diff)
 
 
 def score_forward(params, X):
@@ -182,17 +166,6 @@ def score_batch_grad(params, X, upstream):
     upstream = np.asarray(upstream, dtype=np.float64)
     scores, tape = score_forward(params, X)
     return scores, score_backward(params, tape, upstream)
-
-
-def score_grad(params, x, upstream):
-    """Score of one instance plus upstream * d a(x)/d theta, parameter shaped."""
-    upstream = float(upstream)
-    if not np.isfinite(upstream):
-        raise ValueError(f"upstream must be finite, got {upstream}")
-    x = np.asarray(x, dtype=np.float64)
-    scores, grad_vec = score_batch_grad(params, x[None, :], np.array([upstream]))
-    grad = ae_from_vector(grad_vec, params.dims, activation=params.activation)
-    return ScoreWithGrad(score=float(scores[0]), grad=grad)
 
 
 def carve(pool, *shapes):

@@ -14,6 +14,14 @@ Four mode variants share the machinery:
     sae       both terms, but every set member is treated as an
               individual anomaly instead of taking the set max
 
+Training and validation data are data.TrainData: each weakly labeled
+set's members are rows of one stacked matrix, and a set is a run of
+rows given by its length.  make_batches draws each epoch's minibatches
+as indices, set ids and normal row ids, and the kernel copies the rows
+they name into one step buffer.  The allocating functions
+mode_objective, objective_grad and validation_metric take the sets as a
+list of arrays instead.
+
 train() and grid_search() share one training kernel that advances
 several models ("members") together.  Members share the initialisation
 and the minibatch stream, since both are seeded from rng_seed, and
@@ -77,6 +85,8 @@ class TrainConfig:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}, "
                              f"expected one of {ACTIVATIONS}")
+        if not self.lambda_grid:
+            raise ValueError("lambda_grid must be nonempty")
         for lam in (self.lam, *self.lambda_grid):
             if not (math.isfinite(lam) and lam >= 0):
                 raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
@@ -121,10 +131,9 @@ def _is_plain(mode, lam):
     return mode == "ae" or (mode in ("proposed", "sae") and lam == 0)
 
 
-def _set_starts(kind, sets):
+def _set_starts(kind, lengths):
     """Where each set starts in the stacked set rows, if the mode or metric takes set maxima."""
-    return (segment_starts([len(s) for s in sets])
-            if kind in ("proposed", "mil", "val_set_auc") else None)
+    return segment_starts(lengths) if kind in ("proposed", "mil", "val_set_auc") else None
 
 
 def _objective(mode, lam, a_n, set_scores, starts, pair=None):
@@ -161,7 +170,7 @@ def mode_objective(mode, params, sets, normals, lam):
     if not sets:
         raise ValueError(f"mode {mode!r} needs at least one weakly labeled set")
     set_scores = score_batch(params, np.concatenate(sets))
-    return _objective(mode, lam, a_n, set_scores, _set_starts(mode, sets))
+    return _objective(mode, lam, a_n, set_scores, _set_starts(mode, [len(s) for s in sets]))
 
 
 def _first_argmax(scores, maxima, starts, lengths):
@@ -260,59 +269,52 @@ def _adam_update(theta, grad, m, v, t, config, tmp, denom):
     theta -= tmp
 
 
-def _adam_vec(theta, grad, state, config):
+def adam_step(theta, grad, state, config):
+    """One bias-corrected Adam update of a flat parameter vector.
+
+    Returns the new vector and the new AdamState; the inputs are not changed.
+    """
     theta = np.array(theta, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if theta.shape != grad.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
     state = AdamState(m=state.m.copy(), v=state.v.copy(), t=int(state.t) + 1)
     _adam_update(theta, grad, state.m, state.v, state.t, config,
                  np.empty_like(theta), np.empty_like(theta))
     return theta, state
 
 
-def adam_step(params, grads, state, config):
-    """One bias-corrected Adam update.
+def make_batches(n_sets, n_normals, config, rng):
+    """One epoch of batches as (set ids, normal row ids): sets partitioned by
+    shuffling, normals resampled.
 
-    params may be an AutoencoderParams (grads given as a flat vector in
-    ae_to_vector order) or a plain flat vector.
+    Sets are split into ceil(n_sets/batch_sets) chunks without replacement
+    (last chunk may be short); each batch independently draws
+    batch_normals normal rows uniformly with replacement.
     """
-    grads = np.asarray(grads, dtype=np.float64)
-    if isinstance(params, AutoencoderParams):
-        theta = ae_to_vector(params)
-        if theta.shape != grads.shape:
-            raise ValueError(
-                f"gradient has {grads.size} entries, parameters have {theta.size}"
-            )
-        new_theta, new_state = _adam_vec(theta, grads, state, config)
-        return (ae_from_vector(new_theta, params.dims,
-                               activation=params.activation), new_state)
-    theta = np.asarray(params, dtype=np.float64)
-    if theta.shape != grads.shape:
-        raise ValueError(
-            f"gradient shape {grads.shape} != parameter shape {theta.shape}"
-        )
-    return _adam_vec(theta, grads, state, config)
-
-
-def make_batches(sets, normals, config, rng):
-    """One epoch of batches: sets partitioned by shuffling, normals resampled.
-
-    Sets are split into ceil(len(sets)/batch_sets) chunks without
-    replacement (last chunk may be short); each batch independently
-    draws batch_normals normals uniformly with replacement.
-    """
-    normals = np.asarray(normals, dtype=np.float64)
-    n_sets = len(sets)
     if n_sets == 0:
         order = [np.array([], dtype=int)]
     else:
         perm = rng.permutation(n_sets)
         order = [perm[i:i + config.batch_sets]
                  for i in range(0, n_sets, config.batch_sets)]
-    batches = []
-    for chunk in order:
-        set_batch = [sets[i] for i in chunk]
-        norm_idx = rng.integers(0, normals.shape[0], size=config.batch_normals)
-        batches.append((set_batch, normals[norm_idx]))
-    return batches
+    return [(chunk, rng.integers(0, n_normals, size=config.batch_normals))
+            for chunk in order]
+
+
+def _epoch_rows(lengths, starts, batches):
+    """The stacked set rows in the order an epoch's batches take them.
+
+    Returns (rows, lens, cuts): set ids in batch order have lengths lens,
+    and the sets at positions p..q of that order take rows[cuts[p]:cuts[q]].
+    """
+    order = np.concatenate([ids for ids, _ in batches])
+    lens = lengths[order]
+    cuts = np.zeros(len(order) + 1, dtype=np.intp)
+    np.cumsum(lens, out=cuts[1:])
+    rows = np.repeat(starts[order] - cuts[:-1], lens)
+    rows += np.arange(cuts[-1])
+    return rows, lens, cuts
 
 
 def _metric(normal_scores, set_scores, starts):
@@ -330,12 +332,11 @@ def validation_metric(mode, params, val_sets, val_normals):
     AUC; ae and sae score every set member as an individual anomaly and
     use the plain AUC, matching how those baselines are tuned.
     """
-    val_sets = [np.asarray(s, dtype=np.float64) for s in val_sets]
     if not val_sets:
         raise ValueError("validation needs at least one weakly labeled set")
     n_scores = score_batch(params, np.asarray(val_normals, dtype=np.float64))
     set_scores = score_batch(params, np.concatenate(val_sets))
-    return _metric(n_scores, set_scores, _set_starts(mode, val_sets))
+    return _metric(n_scores, set_scores, _set_starts(mode, [len(s) for s in val_sets]))
 
 
 def _train_members(train_data, val_data, config, lams, tracks=None):
@@ -353,13 +354,12 @@ def _train_members(train_data, val_data, config, lams, tracks=None):
     mode = config.mode
     tracks = tracks or (VAL_METRIC[mode],)
     plain = _is_plain(mode, lams[0])
-    normals = np.asarray(train_data.normals, dtype=np.float64)
+    normals, lengths = train_data.normals, train_data.lengths
     if normals.shape[0] == 0:
         raise ValueError("training data must contain at least one normal instance")
-    sets = [np.asarray(s, dtype=np.float64) for s in train_data.sets]
-    if not plain and not sets:
+    if not plain and not len(lengths):
         raise ValueError(f"mode {mode!r} requires training sets")
-    if not val_data.sets or np.asarray(val_data.normals).shape[0] == 0:
+    if not len(val_data.lengths) or val_data.normals.shape[0] == 0:
         raise ValueError("validation data needs at least one set and one normal")
 
     init = ae_init(normals.shape[1], config.rng_seed,
@@ -373,15 +373,13 @@ def _train_members(train_data, val_data, config, lams, tracks=None):
                  for lam in lams] for _ in tracks]
 
     count = len(lams)
-    val_normals = np.asarray(val_data.normals, dtype=np.float64)
-    val_sets = [np.asarray(s, dtype=np.float64) for s in val_data.sets]
-    val_rows = np.concatenate(val_sets)
-    val_starts = [_set_starts(track, val_sets) for track in tracks]
-    set_rows = None if plain else np.concatenate(sets)
-    set_starts = None if plain else _set_starts(mode, sets)
+    val_normals, val_rows = val_data.normals, val_data.set_rows
+    val_starts = [_set_starts(track, val_data.lengths) for track in tracks]
+    set_rows = train_data.set_rows
+    row_starts = segment_starts(lengths)  # where each set's rows begin
+    set_starts = None if plain else _set_starts(mode, lengths)
 
-    sizes = sorted(len(s) for s in sets)
-    batch_set_rows = 0 if plain else sum(sizes[-config.batch_sets:])
+    batch_set_rows = 0 if plain else int(np.sort(lengths)[-config.batch_sets:].sum())
     step_rows = config.batch_normals + batch_set_rows
     score_rows = max(len(normals), len(val_normals), len(val_rows),
                      0 if plain else len(set_rows))
@@ -391,7 +389,7 @@ def _train_members(train_data, val_data, config, lams, tracks=None):
     elif mode == "sae":
         ranked, ranked_all = batch_set_rows, len(set_rows)
     else:
-        ranked, ranked_all = min(config.batch_sets, len(sets)), len(sets)
+        ranked, ranked_all = min(config.batch_sets, len(lengths)), len(lengths)
     pool_size = max(
         AutoencoderStack.pool_size(init.dims, count, score_rows, step_rows,
                                    2 * count * ranked * config.batch_normals),
@@ -421,17 +419,24 @@ def _train_members(train_data, val_data, config, lams, tracks=None):
     patience = config.patience if config.patience is not None else config.max_epochs
     active, t = count, 0
     for epoch in range(config.max_epochs + 1):  # epoch 0 evaluates the initialisation
-        for set_batch, normal_batch in make_batches(sets, normals, config, rng) if epoch else ():
-            j = len(normal_batch)
+        batches = make_batches(len(lengths), len(normals), config, rng) if epoch else ()
+        if batches and not plain:
+            rows, lens, cuts = _epoch_rows(lengths, row_starts, batches)
+        p = 0  # position of the batch's first set in the epoch's set order
+        for set_ids, normal_ids in batches:
+            j = len(normal_ids)
+            # the indices are in range, and "clip" copies straight into out
+            np.take(normals, normal_ids, axis=0, out=step_x[:j], mode="clip")
             if plain:
-                X, lengths = normal_batch, None
+                X, batch_lens = step_x[:j], None
             else:
-                lengths = [len(s) for s in set_batch]
-                X = np.concatenate([normal_batch] + set_batch,
-                                   out=step_x[:j + sum(lengths)])
+                q = p + len(set_ids)
+                X = step_x[:j + cuts[q] - cuts[p]]
+                np.take(set_rows, rows[cuts[p]:cuts[q]], axis=0, out=X[j:], mode="clip")
+                batch_lens, p = lens[p:q], q
             shape = (active, len(X))
             scores = stack.forward(active, X, carve(step_scores, shape)[0])
-            upstream = _upstream(mode, slot_lams[:active], scores, j, lengths,
+            upstream = _upstream(mode, slot_lams[:active], scores, j, batch_lens,
                                  out=carve(step_upstream, shape)[0], pair=stack.spare())
             stack.backward(active, X, upstream)
             t += 1
@@ -483,10 +488,11 @@ def _train_members(train_data, val_data, config, lams, tracks=None):
 def train(train_data, val_data, config):
     """Minibatch-train an autoencoder scorer with early stopping.
 
-    train_data/val_data carry .sets (list of instance arrays) and
-    .normals (instance matrix).  After every epoch the validation metric
-    is evaluated and the best parameter snapshot is tracked; training
-    stops at max_epochs or after `patience` epochs without improvement.
+    train_data and val_data are data.TrainData: the stacked set rows
+    with each set's length, and the normal rows.  After every epoch the
+    validation metric is evaluated and the best parameter snapshot is
+    tracked; training stops at max_epochs or after `patience` epochs
+    without improvement.
     The recorded train objective is the exact full-data value, not the
     minibatch estimate.  This is the training kernel with one member.
     """
@@ -508,8 +514,6 @@ def _lambda_groups(mode, lams):
 
 def grid_search(train_data, val_data, config):
     """Train once per lambda_grid value; returns [(lam, TrainResult), ...] in grid order."""
-    if not config.lambda_grid:
-        raise ValueError("lambda_grid must be nonempty")
     grid = list(config.lambda_grid)
     results = [None] * len(grid)
     for group in _lambda_groups(config.mode, grid):
@@ -523,11 +527,6 @@ def grid_search(train_data, val_data, config):
 def best_of_grid(results):
     """The TrainResult with the highest validation metric; the first in grid order wins ties."""
     return max(results, key=lambda item: item[1].best_val_metric)[1]
-
-
-def select_lambda(train_data, val_data, config):
-    """Grid-search lambda, keeping the best validation metric (ties: first in grid order)."""
-    return best_of_grid(grid_search(train_data, val_data, config))
 
 
 def write_history(path, history, mode):

@@ -1,8 +1,10 @@
-"""Shared test helpers: small random networks and finite-difference tolerances."""
+"""Shared test helpers: small random networks, finite-difference tolerances,
+and weakly labeled data built from lists of sets."""
 
 import numpy as np
 import pytest
 
+from inexad.data import TrainData
 from inexad.scorer import ae_init, reconstruct
 
 # Central finite differences in float64 resolve gradients to roughly
@@ -41,6 +43,19 @@ def small_ae(rng, dim=3, hidden=4, code=2, activation="relu"):
         layer.weight += rng.normal(0.0, 0.1, size=layer.weight.shape)
         layer.bias += rng.normal(0.0, 0.1, size=layer.bias.shape)
     return params
+
+
+def weak_data(sets, normals):
+    """TrainData holding the given list of (set size, D) arrays and normals."""
+    normals = np.asarray(normals, dtype=np.float64)
+    rows = np.concatenate(sets) if sets else np.empty((0, normals.shape[1]))
+    return TrainData(set_rows=rows, lengths=[len(s) for s in sets], normals=normals)
+
+
+def set_list(data):
+    """The sets of a TrainData as a list of arrays, as the allocating functions take them."""
+    ends = np.cumsum(data.lengths)
+    return [data.set_rows[end - n:end] for end, n in zip(ends, data.lengths)]
 
 
 def min_preactivation(params, X):

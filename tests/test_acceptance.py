@@ -263,7 +263,8 @@ def test_criterion_7_optional_dataset_check():
 
 def test_criterion_8_determinism():
     config = ExperimentConfig(modes=("proposed", "ae"), n_repeats=2, seed=3,
-                              fixed_lambda=1.0, max_epochs=20, patience=None)
+                              fixed_lambda=1.0,
+                              train_config=TrainConfig(max_epochs=20, patience=None))
 
     def summary():
         report = run_experiment(replace(config))

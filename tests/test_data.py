@@ -13,6 +13,7 @@ from inexad.data import (
     Dataset,
     InexactAnomalySet,
     SplitSpec,
+    TrainData,
     gen_synthetic,
     load_csv,
     make_splits,
@@ -250,7 +251,21 @@ class TestSynthetic:
     def test_materialize_shapes(self):
         ds, split = gen_synthetic(np.random.default_rng(4))
         train, val, test = materialize(ds, split)
-        assert len(train.sets) == 10 and len(val.sets) == 5
-        assert all(s.shape == (5, 2) for s in train.sets + val.sets)
+        assert train.lengths.tolist() == [5] * 10 and val.lengths.tolist() == [5] * 5
+        assert train.set_rows.shape == (50, 2) and val.set_rows.shape == (25, 2)
         assert train.normals.shape[0] == len(split.train_normals)
         assert test.anomalies.shape[0] == len(split.test_anomalies)
+        # the sets are stacked in set order
+        for k, s in enumerate(split.train_sets):
+            np.testing.assert_array_equal(train.set_rows[5 * k:5 * k + 5],
+                                          ds.X[s.member_indices])
+
+
+class TestTrainData:
+    def test_lengths_must_cover_the_rows(self):
+        with pytest.raises(DataError, match="sum to 3 but there are 4"):
+            TrainData(set_rows=np.zeros((4, 2)), lengths=[1, 2], normals=np.zeros((1, 2)))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(DataError, match="set 1 is empty"):
+            TrainData(set_rows=np.zeros((3, 2)), lengths=[3, 0], normals=np.zeros((1, 2)))

@@ -3,7 +3,7 @@
 import json
 import multiprocessing
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,18 +19,23 @@ from inexad.harness import (
 )
 from inexad.data import gen_synthetic, materialize
 from inexad.scorer import ae_to_vector
-from inexad.training import DEFAULT_LAMBDA_GRID, VAL_METRIC, grid_search, train
+from inexad.training import DEFAULT_LAMBDA_GRID, VAL_METRIC, TrainConfig, grid_search, train
+
+
+def experiment_config(**kw):
+    """An ExperimentConfig from keywords of either config: those that are not
+    ExperimentConfig fields build its train_config."""
+    own = {f.name for f in fields(ExperimentConfig)}
+    training = {k: kw.pop(k) for k in list(kw) if k not in own}
+    return ExperimentConfig(train_config=TrainConfig(**training), **kw)
 
 
 def tiny_config(**kw):
     """A config that trains for a handful of epochs so tests stay fast."""
-    base = dict(modes=("proposed", "mil"), n_repeats=2, seed=0,
-                fixed_lambda=1.0, max_epochs=3, patience=None)
+    base = dict(modes=("proposed", "mil"), n_repeats=2, seed=0, fixed_lambda=1.0,
+                max_epochs=3, patience=None, hidden_dim=8, code_dim=2)
     base.update(kw)
-    config = ExperimentConfig(**base)
-    config.train_config.hidden_dim = 8
-    config.train_config.code_dim = 2
-    return config
+    return experiment_config(**base)
 
 
 class TestExperimentConfig:
@@ -63,7 +68,7 @@ class TestExperimentConfig:
     ])
     def test_bad_training_settings(self, kw, message):
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(**kw)
+            experiment_config(**kw)
 
     @pytest.mark.parametrize("grid, values", [
         ((1234567.0, 1234568.0), "1234567.0 and 1234568.0"),  # both print as 1.23457e+06
@@ -71,7 +76,7 @@ class TestExperimentConfig:
     ])
     def test_grid_values_sharing_a_history_file_rejected(self, grid, values):
         with pytest.raises(ValueError, match=values):
-            ExperimentConfig(lambda_grid=grid)
+            experiment_config(lambda_grid=grid)
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +241,8 @@ class TestCliParse:
         assert config.seed == 7
         assert config.n_repeats == 10
         assert config.fixed_lambda is None
-        assert config.lambda_grid == DEFAULT_LAMBDA_GRID
+        assert config.train_config == TrainConfig()
+        assert config.train_config.lambda_grid == DEFAULT_LAMBDA_GRID
 
     def test_repeatable_mode(self):
         config = cli_parse(["--mode", "ae", "--mode", "mil"])
@@ -249,8 +255,9 @@ class TestCliParse:
         assert "'ae' is given more than once" in capsys.readouterr().err
 
     def test_lambda_grid(self):
-        config = cli_parse(["--lambda-grid", "0,0.5,2"])
-        assert config.lambda_grid == (0.0, 0.5, 2.0)
+        config = cli_parse(["--lambda-grid", "0,0.5,2", "--epochs", "7", "--patience", "3"])
+        assert config.train_config.lambda_grid == (0.0, 0.5, 2.0)
+        assert (config.train_config.max_epochs, config.train_config.patience) == (7, 3)
 
     def test_conflicting_lambda_flags(self):
         with pytest.raises(SystemExit) as exc:
@@ -321,8 +328,8 @@ class TestSharedPlainRun:
     def test_equals_standalone_training(self, monkeypatch):
         # synthetic seed 5: the plain and set-level validation tracks stop
         # at different epochs
-        config = ExperimentConfig(modes=("proposed", "ae", "sae"), n_repeats=1, seed=5,
-                                  lambda_grid=(0.0, 1.0), max_epochs=300, patience=20)
+        config = experiment_config(modes=("proposed", "ae", "sae"), n_repeats=1, seed=5,
+                                   lambda_grid=(0.0, 1.0), max_epochs=300, patience=20)
         shared = {}
         task = harness._train_task
 
@@ -337,7 +344,7 @@ class TestSharedPlainRun:
         report = run_experiment(config)
         ds, split = gen_synthetic(np.random.default_rng(5))
         train_data, val_data, _ = materialize(ds, split)
-        tc = replace(config.effective_train_config(), rng_seed=5)
+        tc = replace(config.train_config, rng_seed=5)
         expected = {
             "ae": train(train_data, val_data, replace(tc, mode="ae", lam=0.0)),
             "proposed": grid_search(train_data, val_data, replace(tc, mode="proposed"))[0][1],

@@ -14,7 +14,6 @@ from inexad.network import (
     layers_to_vector,
     mlp_backward,
     mlp_forward,
-    relu,
     sigmoid_stable,
     vector_to_layers,
 )
@@ -69,16 +68,26 @@ class TestAffineForward:
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def relu_layer(v):
+    """The hidden layer's output for v: identity weights, then mlp_forward's ReLU."""
+    n = len(v)
+    layers = [LayerParams(weight=np.eye(n), bias=np.zeros(n)),
+              LayerParams(weight=np.eye(n), bias=np.zeros(n))]
+    return mlp_forward(layers, v)[0]
+
+
 class TestRelu:
+    """The default hidden activation of mlp_forward."""
+
     def test_mixed(self):
-        np.testing.assert_array_equal(relu([-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(relu_layer([-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
 
     def test_nonnegative_unchanged(self):
         v = np.array([0.0, 1.5, 3.0])
-        np.testing.assert_array_equal(relu(v), v)
+        np.testing.assert_array_equal(relu_layer(v), v)
 
     def test_all_negative(self):
-        np.testing.assert_array_equal(relu([-3.0, -0.1]), [0.0, 0.0])
+        np.testing.assert_array_equal(relu_layer([-3.0, -0.1]), [0.0, 0.0])
 
 
 class TestSigmoid:
@@ -184,7 +193,7 @@ class TestMlpForward:
         rng = np.random.default_rng(11)
         layers = init_params([3, 4, 2], 11)
         x = rng.normal(size=3)
-        h = relu(affine_forward(layers[0], x))
+        h = np.maximum(0.0, affine_forward(layers[0], x))
         expected = affine_forward(layers[1], h)
         out, _ = mlp_forward(layers, x)
         np.testing.assert_allclose(out, expected, rtol=1e-14)

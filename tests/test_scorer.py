@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from inexad.network import (
-    LayerParams,
-    ShapeError,
-    affine_forward,
-    finite_diff_grad,
-    relu,
-)
+from inexad.network import LayerParams, ShapeError, affine_forward, finite_diff_grad
 from inexad.scorer import (
     AutoencoderParams,
     AutoencoderStack,
@@ -17,12 +11,11 @@ from inexad.scorer import (
     ae_init,
     ae_to_vector,
     load_params,
+    reconstruct,
     save_params,
-    score,
     score_batch,
     score_batch_grad,
     score_forward,
-    score_grad,
 )
 from .conftest import assert_grad_close, draw_kink_free, small_ae
 
@@ -44,35 +37,51 @@ def identity_ae(dim=3):
     return AutoencoderParams(encoder=[il(dim), il(dim)], decoder=[il(dim), il(dim)])
 
 
+def score_one(params, x):
+    """score_batch on the one-row batch x."""
+    (value,) = score_batch(params, np.asarray(x, dtype=np.float64)[None, :])
+    return float(value)
+
+
+def grad_one(params, x, upstream):
+    """upstream * d a(x) / d theta from score_batch_grad on the one-row batch x."""
+    _, grad = score_batch_grad(params, np.asarray(x, dtype=np.float64)[None, :],
+                               np.array([upstream], dtype=np.float64))
+    return grad
+
+
 class TestScore:
+    """One instance's score, through a one-row score_batch call."""
+
     def test_zero_params(self):
         # reconstruction is the zero vector, so the score is ||x||^2
-        assert score(zero_ae(), [0.6, 0.8]) == pytest.approx(1.0, abs=1e-15)
+        assert score_one(zero_ae(), [0.6, 0.8]) == pytest.approx(1.0, abs=1e-15)
 
     def test_perfect_reconstruction(self):
         # identity layers pass nonnegative inputs through ReLU unchanged
-        assert score(identity_ae(), [0.5, 1.0, 2.0]) == 0.0
+        assert score_one(identity_ae(), [0.5, 1.0, 2.0]) == 0.0
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(21)
         params = small_ae(rng)
         x = rng.uniform(-1, 1, size=3)
-        h = relu(affine_forward(params.encoder[0], x))
+        h = np.maximum(0.0, affine_forward(params.encoder[0], x))
         code = affine_forward(params.encoder[1], h)
-        h2 = relu(affine_forward(params.decoder[0], code))
+        h2 = np.maximum(0.0, affine_forward(params.decoder[0], code))
         recon = affine_forward(params.decoder[1], h2)
         expected = float((x - recon) @ (x - recon))
-        assert score(params, x) == pytest.approx(expected, rel=1e-14)
+        assert score_one(params, x) == pytest.approx(expected, rel=1e-14)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             params = small_ae(rng)
-            assert score(params, rng.uniform(-2, 2, size=3)) >= 0.0
+            assert score_one(params, rng.uniform(-2, 2, size=3)) >= 0.0
 
     def test_rejects_matrix(self):
-        with pytest.raises(ShapeError):
-            score(zero_ae(), np.zeros((2, 2)))
+        # a batch is 2-d: a single instance vector is rejected, not broadcast
+        with pytest.raises(ShapeError, match="1-d"):
+            score_batch(zero_ae(), np.zeros(2))
 
 
 class TestScoreBatch:
@@ -83,8 +92,9 @@ class TestScoreBatch:
     def test_singleton(self):
         x = np.array([0.3, -0.4])
         params = small_ae(np.random.default_rng(23), dim=2)
+        recon, _, _ = reconstruct(params, x)
         np.testing.assert_allclose(score_batch(params, x[None, :]),
-                                   [score(params, x)], rtol=1e-14)
+                                   [(x - recon) @ (x - recon)], rtol=1e-14)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(24)
@@ -116,26 +126,29 @@ class TestScoreBatch:
 
 
 class TestScoreGrad:
+    """One instance's score gradient, through one-row score_batch_grad calls."""
+
     def test_zero_upstream(self):
         rng = np.random.default_rng(25)
         params = small_ae(rng)
         x = rng.uniform(-1, 1, size=3)
-        res = score_grad(params, x, 0.0)
-        assert res.score == pytest.approx(score(params, x), rel=1e-14)
-        assert not ae_to_vector(res.grad).any()
+        scores, grad = score_batch_grad(params, x[None, :], np.zeros(1))
+        assert scores[0] == pytest.approx(score_one(params, x), rel=1e-14)
+        assert not grad.any()
 
     def test_zero_params_bias_grad(self):
         # recon = decoder output bias b = 0, so d||x - b||^2 / db = -2x
         x = np.array([0.6, 0.8])
-        res = score_grad(zero_ae(), x, 1.0)
-        np.testing.assert_allclose(res.grad.decoder[-1].bias, -2 * x, atol=1e-15)
+        params = zero_ae()
+        grad = ae_from_vector(grad_one(params, x, 1.0), params.dims)
+        np.testing.assert_allclose(grad.decoder[-1].bias, -2 * x, atol=1e-15)
 
     def test_upstream_linearity(self):
         rng = np.random.default_rng(26)
         params = small_ae(rng)
         x = rng.uniform(-1, 1, size=3)
-        g1 = ae_to_vector(score_grad(params, x, 1.0).grad)
-        gc = ae_to_vector(score_grad(params, x, -2.5).grad)
+        g1 = grad_one(params, x, 1.0)
+        gc = grad_one(params, x, -2.5)
         np.testing.assert_allclose(gc, -2.5 * g1, atol=1e-12)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -149,15 +162,11 @@ class TestScoreGrad:
                  else rng.uniform(-1, 1, size=3))
 
             def loss(theta):
-                return score(ae_from_vector(theta, dims, activation=activation), x)
+                return score_one(ae_from_vector(theta, dims, activation=activation), x)
 
-            analytic = ae_to_vector(score_grad(params, x, 1.0).grad)
+            analytic = grad_one(params, x, 1.0)
             numeric = finite_diff_grad(loss, ae_to_vector(params))
             assert_grad_close(analytic, numeric)
-
-    def test_non_finite_upstream(self):
-        with pytest.raises(ValueError, match="finite"):
-            score_grad(zero_ae(), np.zeros(2), np.inf)
 
     def test_batch_grad_sums_instances(self):
         rng = np.random.default_rng(28)
@@ -166,8 +175,7 @@ class TestScoreGrad:
         w = rng.normal(size=4)
         scores, grad = score_batch_grad(params, X, w)
         np.testing.assert_allclose(scores, score_batch(params, X), rtol=1e-14)
-        expected = sum(ae_to_vector(score_grad(params, X[i], w[i]).grad)
-                       for i in range(4))
+        expected = sum(grad_one(params, X[i], w[i]) for i in range(4))
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 

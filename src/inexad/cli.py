@@ -19,7 +19,7 @@ def _build_parser():
     parser.add_argument("--dataset", choices=["synthetic", "csv"],
                         default="synthetic", help="data source")
     parser.add_argument("--csv", metavar="PATH",
-                        help="CSV file (required when --dataset csv)")
+                        help="CSV file (only with, and required by, --dataset csv)")
     parser.add_argument("--label-col", default="label",
                         help="label column name (default: label)")
     parser.add_argument("--mode", action="append", choices=list(MODES),
@@ -52,7 +52,11 @@ def cli_parse(argv):
         parser.error("--lambda and --lambda-grid are mutually exclusive")
     if args.dataset == "csv" and not args.csv:
         parser.error("--dataset csv requires --csv PATH")
-    if args.lambda_grid is not None:
+    if args.dataset != "csv" and args.csv is not None:
+        parser.error("--csv requires --dataset csv")
+    if args.fixed_lambda is not None:
+        grid = (args.fixed_lambda,)
+    elif args.lambda_grid is not None:
         try:
             grid = tuple(float(v) for v in args.lambda_grid.split(","))
         except ValueError:
@@ -61,13 +65,11 @@ def cli_parse(argv):
         grid = DEFAULT_LAMBDA_GRID
     try:
         return ExperimentConfig(
-            dataset=args.dataset,
             csv_path=args.csv,
             label_col=args.label_col,
             modes=tuple(args.mode) if args.mode else ("proposed",),
             n_repeats=args.repeats,
             seed=args.seed,
-            fixed_lambda=args.fixed_lambda,
             out_dir=args.out,
             train_config=TrainConfig(max_epochs=args.epochs, patience=args.patience,
                                      lambda_grid=grid),

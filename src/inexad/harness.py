@@ -35,22 +35,16 @@ from .training import (
 
 @dataclass
 class ExperimentConfig:
-    dataset: str = "synthetic"  # "synthetic" or "csv"
-    csv_path: str = None
+    csv_path: str = None  # None -> the synthetic benchmark
     label_col: str = "label"
     modes: tuple = ("proposed",)
     n_repeats: int = 10
     seed: int = 0
-    fixed_lambda: float = None  # None -> grid search where lambda matters
     out_dir: str = "results"
     # every training setting: epochs, patience, the lambda grid, ...
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.dataset not in ("synthetic", "csv"):
-            raise ValueError(f"unknown dataset kind {self.dataset!r}")
-        if self.dataset == "csv" and not self.csv_path:
-            raise ValueError("dataset 'csv' requires a csv_path")
         if self.n_repeats < 1:
             raise ValueError(f"n_repeats must be >= 1, got {self.n_repeats}")
         for i, m in enumerate(self.modes):
@@ -58,9 +52,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown mode {m!r}")
             if m in self.modes[:i]:
                 raise ValueError(f"mode {m!r} is given more than once")
-        # TrainConfig owns the rules for lambda values
-        if self.fixed_lambda is not None:
-            replace(self.train_config, lam=self.fixed_lambda)
+        # each round sets these itself, so another value would be ignored
+        default = TrainConfig()
+        for name, owner in (("lam", "train_config.lambda_grid=(lam,)"),
+                            ("mode", "modes"), ("rng_seed", "seed")):
+            if getattr(self.train_config, name) != getattr(default, name):
+                raise ValueError(f"train_config.{name} is set per round; "
+                                 f"give it as {owner}")
         grid = tuple(self.train_config.lambda_grid)
         first = {}
         for i, lam in enumerate(grid):
@@ -124,15 +122,13 @@ def _history_label(lam):
     return f"{lam:g}"
 
 
-def _lambda_for(mode, config):
-    """The fixed lambda of one mode's rounds, or None when the grid chooses it."""
+def _lambdas_for(mode, grid):
+    """The lambda values one mode's rounds train: the grid where lambda matters."""
     if mode == "ae":
-        return 0.0
+        return (0.0,)
     if mode == "mil":
-        return 1.0  # unused by the mil objective
-    if config.fixed_lambda is not None:
-        return float(config.fixed_lambda)
-    return None
+        return (1.0,)  # unused by the mil objective
+    return grid
 
 
 def _train_task(train_data, val_data, cfg, lams, tracks):
@@ -196,13 +192,13 @@ def run_experiment(config):
     metric; each other group of lambda values, and mil, is its own task.
     """
     base_ds = None
-    if config.dataset == "csv":
+    if config.csv_path is not None:
         base_ds = preprocess(load_csv(config.csv_path, config.label_col))
 
     tc = config.train_config
 
     report = EvaluationReport(
-        dataset_name="synthetic" if config.dataset == "synthetic" else base_ds.name,
+        dataset_name="synthetic" if base_ds is None else base_ds.name,
         n_repeats=config.n_repeats,
         seed=config.seed,
         modes={m: ModeResult(aucs=[], chosen_lambdas=[], seconds=[])
@@ -214,15 +210,14 @@ def run_experiment(config):
     for r in range(config.n_repeats):
         seed_r = config.seed + r
         rng = np.random.default_rng(seed_r)
-        if config.dataset == "synthetic":
+        if base_ds is None:
             ds, split = gen_synthetic(rng)
         else:
             ds, split = base_ds, make_splits(base_ds, rng)
         train_data, val_data, test_data = materialize(ds, split)
         shared = None  # this repeat's plain task
         for mode in config.modes:
-            fixed = _lambda_for(mode, config)
-            lams = tc.lambda_grid if fixed is None else (fixed,)
+            lams = _lambdas_for(mode, tc.lambda_grid)
             cfg, metric, used = replace(tc, mode=mode, rng_seed=seed_r), VAL_METRIC[mode], []
             for group in _lambda_groups(mode, lams):
                 if not _is_plain(mode, lams[group[0]]):

@@ -11,6 +11,7 @@ its maximum before pair counting: a group "fires" if any member does.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,24 +36,28 @@ def empirical_auc(anomaly_scores, normal_scores):
     Computed by sorting the normal scores once, so the cost is
     O((m+n) log(m+n)) rather than the quadratic pair sum.
     """
-    a = _check_scores("anomaly_scores", anomaly_scores)
-    n = _check_scores("normal_scores", normal_scores)
-    sorted_n = np.sort(n)
-    wins = np.searchsorted(sorted_n, a, side="left").sum()
+    return _count_wins(_check_scores("anomaly_scores", anomaly_scores),
+                       _check_scores("normal_scores", normal_scores))
+
+
+def _count_wins(a, n):
+    """empirical_auc of nonempty, finite float64 score arrays."""
+    wins = np.searchsorted(np.sort(n), a, side="left").sum()
     return float(wins) / (a.size * n.size)
 
 
 def segment_starts(lengths):
-    """Start offsets of consecutive segments with the given lengths.
+    """Start offsets of consecutive segments with the given lengths, as an intp array.
 
     Raises EmptyScoresError naming the first empty segment, which
     segment_max would otherwise give another segment's entry.
     """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    empty = np.flatnonzero(lengths == 0)
-    if empty.size:
-        raise EmptyScoresError(f"set {empty[0]} is empty")
-    return np.cumsum(lengths) - lengths
+    if isinstance(lengths, np.ndarray):
+        lengths = lengths.tolist()  # Python ints sum without numpy's per-element cost
+    if 0 in lengths:
+        raise EmptyScoresError(f"set {lengths.index(0)} is empty")
+    # count drops the running total after the last segment
+    return np.fromiter(itertools.accumulate(lengths, initial=0), np.intp, len(lengths))
 
 
 def segment_max(scores, starts):
@@ -79,7 +84,9 @@ def empirical_inexact_auc(sets, normal_scores):
     """Pairwise AUC with each weakly labeled set represented by its max score."""
     if len(sets) == 0:
         raise EmptyScoresError("sets must be nonempty")
-    return empirical_auc(set_max_scores(sets), normal_scores)
+    # set_max_scores has checked every member, so the maxima are finite
+    maxima = set_max_scores(sets)
+    return _count_wins(maxima, _check_scores("normal_scores", normal_scores))
 
 
 @dataclass

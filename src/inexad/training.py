@@ -34,6 +34,7 @@ validation_metric, adam_step) bit for bit.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +91,22 @@ class TrainConfig:
         for lam in (self.lam, *self.lambda_grid):
             if not (math.isfinite(lam) and lam >= 0):
                 raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_sets < 1 or self.batch_normals < 1:
-            raise ValueError("batch sizes must be at least 1")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.patience is not None and self.patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {self.patience}")
+        for name in ("learning_rate", "adam_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        for name, low in (("batch_sets", 1), ("batch_normals", 1), ("max_epochs", 0),
+                          ("hidden_dim", 1), ("code_dim", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.patience is not None and not (
+                isinstance(self.patience, numbers.Integral) and self.patience >= 1):
+            raise ValueError(f"patience must be an integer >= 1 or None, got {self.patience!r}")
 
 
 @dataclass

@@ -216,7 +216,7 @@ def test_criterion_5_objective_descent():
 
 def test_criterion_6_lambda_sensitivity(synthetic_report):
     config = ExperimentConfig(modes=("proposed",), n_repeats=10, seed=0,
-                              fixed_lambda=0.0)
+                              train_config=TrainConfig(lambda_grid=(0.0,)))
     lam0_mean = run_experiment(config).modes["proposed"].mean
     grid_mean = synthetic_report.modes["proposed"].mean
     mil_mean = synthetic_report.modes["mil"].mean
@@ -248,7 +248,7 @@ def test_criterion_7_optional_dataset_check():
             _reporter.write_line(
                 "[criterion 7] SKIP: optional dataset CSV not present")
         pytest.skip("optional dataset CSV not present")
-    config = ExperimentConfig(dataset="csv", csv_path=path,
+    config = ExperimentConfig(csv_path=path,
                               label_col=os.environ.get("INEXAD_PIMA_LABEL",
                                                        "label"),
                               modes=("proposed",), n_repeats=10, seed=0)
@@ -263,8 +263,8 @@ def test_criterion_7_optional_dataset_check():
 
 def test_criterion_8_determinism():
     config = ExperimentConfig(modes=("proposed", "ae"), n_repeats=2, seed=3,
-                              fixed_lambda=1.0,
-                              train_config=TrainConfig(max_epochs=20, patience=None))
+                              train_config=TrainConfig(max_epochs=20, patience=None,
+                                                       lambda_grid=(1.0,)))
 
     def summary():
         report = run_experiment(replace(config))

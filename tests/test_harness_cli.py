@@ -32,21 +32,13 @@ def experiment_config(**kw):
 
 def tiny_config(**kw):
     """A config that trains for a handful of epochs so tests stay fast."""
-    base = dict(modes=("proposed", "mil"), n_repeats=2, seed=0, fixed_lambda=1.0,
+    base = dict(modes=("proposed", "mil"), n_repeats=2, seed=0, lambda_grid=(1.0,),
                 max_epochs=3, patience=None, hidden_dim=8, code_dim=2)
     base.update(kw)
     return experiment_config(**base)
 
 
 class TestExperimentConfig:
-    def test_bad_dataset(self):
-        with pytest.raises(ValueError, match="dataset"):
-            ExperimentConfig(dataset="parquet")
-
-    def test_csv_requires_path(self):
-        with pytest.raises(ValueError, match="csv_path"):
-            ExperimentConfig(dataset="csv")
-
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             ExperimentConfig(modes=("proposed", "gan"))
@@ -60,8 +52,8 @@ class TestExperimentConfig:
             ExperimentConfig(n_repeats=0)
 
     @pytest.mark.parametrize("kw, message", [
-        (dict(fixed_lambda=float("nan")), "finite"),
-        (dict(fixed_lambda=float("inf")), "finite"),
+        (dict(lambda_grid=(float("nan"),)), "finite"),
+        (dict(lambda_grid=(float("inf"),)), "finite"),
         (dict(lambda_grid=(0.0, float("inf"))), "finite"),
         (dict(max_epochs=-1), "max_epochs"),
         (dict(patience=0), "patience"),
@@ -69,6 +61,18 @@ class TestExperimentConfig:
     def test_bad_training_settings(self, kw, message):
         with pytest.raises(ValueError, match=message):
             experiment_config(**kw)
+
+    @pytest.mark.parametrize("kw, owner", [
+        (dict(lam=7.0), "lambda_grid=(lam,)"),
+        (dict(mode="mil"), "modes"),
+        (dict(rng_seed=99), "seed"),
+    ])
+    def test_settings_each_round_sets_are_rejected(self, kw, owner):
+        # run_experiment replaces these per round, so they would be ignored
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"train_config.{name} ") as exc:
+            experiment_config(**kw)
+        assert str(exc.value).endswith(owner)
 
     @pytest.mark.parametrize("grid, values", [
         ((1234567.0, 1234568.0), "1234567.0 and 1234568.0"),  # both print as 1.23457e+06
@@ -139,7 +143,7 @@ class TestParallelRounds:
     @needs_fork
     def test_worker_count_does_not_change_results(self, monkeypatch):
         config = tiny_config(modes=("proposed", "ae", "mil", "sae"),
-                             fixed_lambda=None, lambda_grid=(0.0, 1.0, 10.0))
+                             lambda_grid=(0.0, 1.0, 10.0))
         reports = []
         for workers in (1, 2):
             monkeypatch.setattr(harness, "_worker_count", lambda n, w=workers: w)
@@ -172,7 +176,7 @@ class TestParallelRounds:
 
     def test_costliest_tasks_start_first(self, monkeypatch):
         config = tiny_config(modes=("proposed", "ae", "mil", "sae"),
-                             fixed_lambda=None, lambda_grid=(0.0, 1.0, 10.0))
+                             lambda_grid=(0.0, 1.0, 10.0))
         started = []
         task = harness._train_task
 
@@ -236,11 +240,10 @@ class TestCliParse:
     def test_defaults(self):
         config = cli_parse(["--dataset", "synthetic", "--mode", "proposed",
                             "--seed", "7"])
-        assert config.dataset == "synthetic"
+        assert config.csv_path is None
         assert config.modes == ("proposed",)
         assert config.seed == 7
         assert config.n_repeats == 10
-        assert config.fixed_lambda is None
         assert config.train_config == TrainConfig()
         assert config.train_config.lambda_grid == DEFAULT_LAMBDA_GRID
 
@@ -258,6 +261,9 @@ class TestCliParse:
         config = cli_parse(["--lambda-grid", "0,0.5,2", "--epochs", "7", "--patience", "3"])
         assert config.train_config.lambda_grid == (0.0, 0.5, 2.0)
         assert (config.train_config.max_epochs, config.train_config.patience) == (7, 3)
+
+    def test_fixed_lambda_is_a_one_value_grid(self):
+        assert cli_parse(["--lambda", "0.5"]).train_config.lambda_grid == (0.5,)
 
     def test_conflicting_lambda_flags(self):
         with pytest.raises(SystemExit) as exc:
@@ -294,6 +300,14 @@ class TestCliParse:
             cli_parse(["--dataset", "csv"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["--csv", "data.csv"],
+                                      ["--dataset", "synthetic", "--csv", "data.csv"]])
+    def test_csv_without_csv_dataset_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_parse(argv)
+        assert exc.value.code == 2
+        assert "--csv requires --dataset csv" in capsys.readouterr().err
+
     def test_grid_values_sharing_a_history_file_are_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_parse(["--lambda-grid", "1234567,1234568"])
@@ -314,6 +328,26 @@ class TestMain:
         out = capsys.readouterr().out
         assert "ae: mean test AUC" in out
         assert (tmp_path / "run" / "summary.json").exists()
+
+    def test_csv_experiment(self, tmp_path, capsys):
+        # 25 anomalies: 15 for the weakly labeled sets, 10 for the test split
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.normal(size=(200, 3)), rng.normal(3.0, 1.0, size=(25, 3))])
+        path = tmp_path / "mixture.csv"
+        np.savetxt(path, np.c_[X, [0] * 200 + [1] * 25], fmt=["%.17g"] * 3 + ["%d"],
+                   delimiter=",", header="f0,f1,f2,label", comments="")
+        out = tmp_path / "run"
+        modes = ("proposed", "ae", "mil", "sae")
+        argv = ["--dataset", "csv", "--csv", str(path), "--repeats", "1", "--epochs", "2",
+                "--lambda-grid", "0,1", "--out", str(out)]
+        code = main(argv + [arg for mode in modes for arg in ("--mode", mode)])
+        assert code == 0, capsys.readouterr().err
+        with open(out / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["dataset"] == str(path)
+        assert sorted(summary["modes"]) == sorted(modes)
+        assert sorted(p.name for p in out.glob("auc_*.csv")) == sorted(
+            f"auc_{mode}.csv" for mode in modes)
 
     def test_runtime_failure_exit_one(self, tmp_path, capsys):
         code = main(["--dataset", "csv", "--csv", str(tmp_path / "missing.csv"),

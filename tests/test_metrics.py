@@ -10,6 +10,7 @@ from inexad.metrics import (
     empirical_auc,
     empirical_inexact_auc,
     roc_curve,
+    segment_starts,
     set_max_scores,
 )
 
@@ -53,6 +54,24 @@ class TestEmpiricalAuc:
         assert 0.0 <= empirical_auc(a, n) <= 1.0
 
 
+class TestSegmentStarts:
+    @pytest.mark.parametrize("lengths, starts", [
+        ([], []),
+        ([3], [0]),
+        ([2, 1, 3], [0, 2, 3]),
+        (np.array([2, 1, 3]), [0, 2, 3]),
+    ])
+    def test_offsets(self, lengths, starts):
+        got = segment_starts(lengths)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, starts)
+
+    @pytest.mark.parametrize("lengths", [[1, 0, 2, 0], np.array([1, 0, 2, 0])])
+    def test_first_empty_segment_is_named(self, lengths):
+        with pytest.raises(EmptyScoresError, match="set 1 is empty"):
+            segment_starts(lengths)
+
+
 class TestSetMax:
     def test_single_set(self):
         np.testing.assert_array_equal(set_max_scores([[0.1, 0.9]]), [0.9])
@@ -92,6 +111,14 @@ class TestInexactAuc:
     def test_no_sets_raises(self):
         with pytest.raises(EmptyScoresError, match="sets"):
             empirical_inexact_auc([], [0.5])
+
+    @pytest.mark.parametrize("sets, error, message", [
+        ([[0.3], []], EmptyScoresError, "set 1 is empty"),
+        ([[0.3], [np.nan]], ValueError, "set scores contain non-finite"),
+    ])
+    def test_sets_are_checked_before_normals(self, sets, error, message):
+        with pytest.raises(error, match=message):
+            empirical_inexact_auc(sets, [])
 
     def test_minus_inf_below_a_finite_maximum_raises(self):
         # the property test below draws this case only some of the time

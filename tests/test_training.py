@@ -109,6 +109,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="grid"):
             TrainConfig(lambda_grid=())
 
+    @pytest.mark.parametrize("kw", [
+        dict(learning_rate=math.nan),
+        dict(learning_rate=math.inf),
+        dict(adam_beta1=1.0),
+        dict(adam_beta2=1.5),
+        dict(adam_eps=-1.0),
+        dict(hidden_dim=0),
+        dict(code_dim=0),
+        dict(max_epochs=2.5),
+        dict(batch_sets=2.5),
+    ])
+    def test_bad_setting_rejected_when_built(self, kw):
+        # each of these used to fail only once training ran, or not at all
+        (name,) = kw
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**kw)
+
 
 class TestObjectiveValue:
     def test_lambda_zero_is_mean_normal_score(self):

@@ -20,8 +20,8 @@ def _build_parser():
                         default="synthetic", help="data source")
     parser.add_argument("--csv", metavar="PATH",
                         help="CSV file (only with, and required by, --dataset csv)")
-    parser.add_argument("--label-col", default="label",
-                        help="label column name (default: label)")
+    parser.add_argument("--label-col",
+                        help="label column name (only with --dataset csv; default: label)")
     parser.add_argument("--mode", action="append", choices=list(MODES),
                         help="mode to run; repeatable (default: proposed)")
     parser.add_argument("--lambda", dest="fixed_lambda", type=float,
@@ -52,8 +52,9 @@ def cli_parse(argv):
         parser.error("--lambda and --lambda-grid are mutually exclusive")
     if args.dataset == "csv" and not args.csv:
         parser.error("--dataset csv requires --csv PATH")
-    if args.dataset != "csv" and args.csv is not None:
-        parser.error("--csv requires --dataset csv")
+    for flag, value in (("--csv", args.csv), ("--label-col", args.label_col)):
+        if args.dataset != "csv" and value is not None:
+            parser.error(f"{flag} requires --dataset csv")
     if args.fixed_lambda is not None:
         grid = (args.fixed_lambda,)
     elif args.lambda_grid is not None:
@@ -66,7 +67,7 @@ def cli_parse(argv):
     try:
         return ExperimentConfig(
             csv_path=args.csv,
-            label_col=args.label_col,
+            label_col="label" if args.label_col is None else args.label_col,
             modes=tuple(args.mode) if args.mode else ("proposed",),
             n_repeats=args.repeats,
             seed=args.seed,

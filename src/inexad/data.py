@@ -16,8 +16,9 @@ class DataError(ValueError):
     """Raised for malformed input files or infeasible split requests."""
 
 
-DEFAULT_ANOMALY_VALUES = frozenset({"anomaly", "anomalous", "1", "1.0", "true", "yes"})
-DEFAULT_NORMAL_VALUES = frozenset({"normal", "0", "0.0", "false", "no"})
+# Label cells (stripped, lower-cased) that load_csv reads as anomalous or normal.
+ANOMALY_VALUES = frozenset({"anomaly", "anomalous", "1", "1.0", "true", "yes"})
+NORMAL_VALUES = frozenset({"normal", "0", "0.0", "false", "no"})
 
 
 @dataclass
@@ -95,18 +96,17 @@ class SplitSpec:
         )
 
 
-def _parse_label(raw, row_num, anomaly_values, normal_values):
+def _parse_label(raw, row_num):
     val = raw.strip().lower()
-    if val in anomaly_values:
+    if val in ANOMALY_VALUES:
         return True
-    if val in normal_values:
+    if val in NORMAL_VALUES:
         return False
     raise DataError(f"row {row_num}: unknown label value {raw!r}")
 
 
-def load_csv(path, label_column="label", anomaly_values=DEFAULT_ANOMALY_VALUES,
-             normal_values=DEFAULT_NORMAL_VALUES, name=None):
-    """Read a numeric CSV with one label column into a Dataset.
+def load_csv(path, label_column="label"):
+    """Read a numeric CSV with one label column into a Dataset named str(path).
 
     label_column may be a header name or a 0-based column index.  A
     header row is detected by attempting to parse the first row's
@@ -176,8 +176,7 @@ def load_csv(path, label_column="label", anomaly_values=DEFAULT_ANOMALY_VALUES,
                     f"row {row_num}, column {j}: non-numeric cell {cell!r}"
                 ) from None
         X.append(feats)
-        flags.append(_parse_label(row[label_idx], row_num, anomaly_values,
-                                  normal_values))
+        flags.append(_parse_label(row[label_idx], row_num))
 
     X = np.array(X)
     bad = np.argwhere(~np.isfinite(X))
@@ -191,7 +190,7 @@ def load_csv(path, label_column="label", anomaly_values=DEFAULT_ANOMALY_VALUES,
     if header is not None:
         feature_names = [h for j, h in enumerate(header) if j != label_idx]
     return Dataset(X=X, is_anomaly=np.array(flags),
-                   name=name or str(path), feature_names=feature_names)
+                   name=str(path), feature_names=feature_names)
 
 
 def preprocess(ds):
@@ -287,7 +286,7 @@ SYNTH_N_NORMAL = 500
 SYNTH_N_ANOM = 200
 
 
-def gen_synthetic(rng, n_train_sets=10, n_val_sets=5, set_size=5):
+def gen_synthetic(rng):
     """Draw the 2-d mixture dataset and split it; returns (Dataset, SplitSpec).
 
     The wide-variance anomaly component is excluded from the weakly
@@ -309,9 +308,7 @@ def gen_synthetic(rng, n_train_sets=10, n_val_sets=5, set_size=5):
     ds = Dataset(X=X, is_anomaly=flags, name="synthetic",
                  feature_names=["x1", "x2"])
     trainable_anoms = np.arange(SYNTH_N_NORMAL, SYNTH_N_NORMAL + per_comp)
-    split = make_splits(ds, rng, n_train_sets=n_train_sets,
-                        n_val_sets=n_val_sets, set_size=set_size,
-                        set_anomaly_pool=trainable_anoms)
+    split = make_splits(ds, rng, set_anomaly_pool=trainable_anoms)
     return ds, split
 
 

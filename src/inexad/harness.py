@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -45,8 +46,13 @@ class ExperimentConfig:
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.n_repeats < 1:
-            raise ValueError(f"n_repeats must be >= 1, got {self.n_repeats}")
+        for name, low in (("n_repeats", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.csv_path is None and self.label_col != "label":
+            raise ValueError(f"label_col {self.label_col!r} needs csv_path: the "
+                             "synthetic data has no label column")
         for i, m in enumerate(self.modes):
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")

@@ -2,7 +2,10 @@
 
 Everything here operates on plain float64 numpy arrays.  Layers are
 affine maps with ReLU (or tanh) on hidden layers and a linear final
-layer.
+layer.  Inputs are (n, D) batches, one row per instance; a lone 1-d
+vector is rejected with ShapeError.  A flat parameter vector holds, per
+layer, the weight in row-major order and then the bias; layers_to_vector
+writes this layout and layer_views is the one place that reads it.
 A central finite-difference estimator is provided as an independent
 oracle for the analytic backward pass.
 """
@@ -46,38 +49,18 @@ class LayerParams:
         return self.weight.shape[0]
 
 
-@dataclass
-class ForwardCache:
-    """Intermediate state of one forward pass, consumed by mlp_backward.
-
-    All arrays are 2-d with one row per batch instance, even when the
-    forward call was made with a single vector.
-    """
-
-    x0: np.ndarray
-    pre: list  # pre-activation per layer
-    act: list  # post-activation per layer (last layer is linear)
-
-
-def _as_batch(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ShapeError(f"expected a vector or a batch of vectors, got {x.ndim}-d")
-
-
 def affine_forward(params, x):
-    """weight @ x + bias.  Accepts a vector or a (n, in_dim) batch."""
-    xb, single = _as_batch(x)
-    if xb.shape[1] != params.in_dim:
+    """x @ weight.T + bias for an (n, in_dim) batch x."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"expected an (n, D) batch, got {x.ndim}-d")
+    if x.shape[1] != params.in_dim:
         raise ShapeError(
-            f"input has {xb.shape[1]} features but layer expects {params.in_dim}"
+            f"input has {x.shape[1]} features but layer expects {params.in_dim}"
         )
-    out = np.matmul(xb, params.weight.T)
+    out = np.matmul(x, params.weight.T)
     out += params.bias
-    return out[0] if single else out
+    return out
 
 
 # Smallest positive subnormal / largest double below 1; sigmoid output is
@@ -86,17 +69,15 @@ _SIGMOID_LO = 5e-324
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def sigmoid_stable(z, out=None):
+def sigmoid_stable(z):
     """Numerically stable logistic function, elementwise.
 
     Never overflows; output is clamped into the open interval (0, 1).
-    out, if given, receives the result and may be z itself.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 0:
         return float(_sigmoid_into(z[None], np.empty(1), np.empty(1))[0])
-    return _sigmoid_into(z, np.empty(z.shape) if out is None else out,
-                         np.empty(z.shape))
+    return _sigmoid_into(z, np.empty(z.shape), np.empty(z.shape))
 
 
 def _sigmoid_into(z, out, scratch):
@@ -138,51 +119,44 @@ def _activation_grad(act, activation, out=None):
 
 
 def mlp_forward(layers, x, activation="relu", cache=True):
-    """Run affine+activation layers (linear final layer); returns (output, cache).
+    """Run affine+activation layers (linear final layer) on an (n, D) batch.
 
-    With cache=False no tape is kept and the cache is None: each layer's
-    output takes its activation in place and is dropped once the next
-    layer has read it, so at most two layer outputs are alive at a time.
+    Returns (output, tape).  Each layer's output takes its activation in
+    place.  With cache=True the tape is the list [x, output of layer 0,
+    ..., output of the last layer], so tape[i] is the input of layer i;
+    mlp_backward reads it.  With cache=False the tape is None and each
+    layer output is dropped once the next layer has read it, so at most
+    two are alive at a time.
     """
-    xb, single = _as_batch(x)
-    if not cache:
-        h = xb
-        for i, layer in enumerate(layers):
-            h = affine_forward(layer, h)
-            if i < len(layers) - 1:
-                _activate(h, activation, out=h)
-        return (h[0] if single else h), None
-    pre, act = [], []
-    h = xb
+    h = np.asarray(x, dtype=np.float64)
+    tape = [h] if cache else None
     for i, layer in enumerate(layers):
-        z = affine_forward(layer, h)
-        pre.append(z)
-        h = z if i == len(layers) - 1 else _activate(z, activation)
-        act.append(h)
-    cache = ForwardCache(x0=xb, pre=pre, act=act)
-    return (h[0] if single else h), cache
+        h = affine_forward(layer, h)
+        if i < len(layers) - 1:
+            _activate(h, activation, out=h)
+        if cache:
+            tape.append(h)
+    return h, tape
 
 
-def mlp_backward(layers, cache, output_grad, activation="relu"):
-    """Backpropagate through a cached forward pass.
+def mlp_backward(layers, tape, output_grad, activation="relu"):
+    """Backpropagate through the tape of an mlp_forward pass.
 
-    output_grad is dLoss/dOutput, shaped like the forward output.
+    output_grad is dLoss/dOutput, shaped like the (n, out) forward output.
     Returns ([(dweight, dbias) per layer], input_grad).
     """
-    g, single = _as_batch(output_grad)
-    last = cache.act[-1]
-    if g.shape != last.shape:
+    g = np.asarray(output_grad, dtype=np.float64)
+    if g.shape != tape[-1].shape:
         raise ShapeError(
-            f"output_grad shape {g.shape} does not match cached output {last.shape}"
+            f"output_grad shape {g.shape} does not match the output {tape[-1].shape}"
         )
     param_grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        a_prev = cache.x0 if i == 0 else cache.act[i - 1]
-        param_grads[i] = (np.matmul(g.T, a_prev), np.sum(g, axis=0))
+        param_grads[i] = (np.matmul(g.T, tape[i]), np.sum(g, axis=0))
         g = np.matmul(g, layers[i].weight)
         if i > 0:
-            g *= _activation_grad(a_prev, activation)
-    return param_grads, (g[0] if single else g)
+            g *= _activation_grad(tape[i], activation)
+    return param_grads, g
 
 
 def finite_diff_grad(loss_fn, params, step=1e-5):
@@ -225,19 +199,24 @@ def layers_to_vector(layers):
     return np.concatenate(parts)
 
 
-def vector_to_layers(vec, layer_dims):
-    """Inverse of layers_to_vector for the given dimension chain."""
-    vec = np.asarray(vec, dtype=np.float64)
-    dims = list(layer_dims)
+def layer_views(theta, dims):
+    """[(weight (..., out, in), bias (..., out)) per layer] as views into a
+    (..., P) array whose rows are laid out like layers_to_vector."""
     needed = sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))
-    if vec.size != needed:
-        raise ShapeError(f"vector has {vec.size} entries but dims need {needed}")
-    layers = []
-    pos = 0
+    if theta.shape[-1] != needed:
+        raise ShapeError(f"vector has {theta.shape[-1]} entries but dims need {needed}")
+    lead = theta.shape[:-1]
+    views, pos = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = vec[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in)
+        weight = theta[..., pos:pos + fan_out * fan_in].reshape(lead + (fan_out, fan_in))
         pos += fan_out * fan_in
-        b = vec[pos:pos + fan_out]
+        views.append((weight, theta[..., pos:pos + fan_out]))
         pos += fan_out
-        layers.append(LayerParams(weight=w, bias=b))
-    return layers
+    return views
+
+
+def vector_to_layers(vec, layer_dims):
+    """Inverse of layers_to_vector for the given dimension chain; the layers
+    are views into vec."""
+    vec = np.asarray(vec, dtype=np.float64)
+    return [LayerParams(weight=w, bias=b) for w, b in layer_views(vec, list(layer_dims))]

@@ -21,6 +21,7 @@ from .network import (
     _activate,
     _activation_grad,
     init_params,
+    layer_views,
     layers_to_vector,
     mlp_backward,
     mlp_forward,
@@ -83,38 +84,36 @@ def ae_init(input_dim, rng_seed, hidden=DEFAULT_HIDDEN, code=DEFAULT_CODE,
 
 
 def ae_to_vector(params):
-    return np.concatenate(
-        [layers_to_vector(params.encoder), layers_to_vector(params.decoder)]
-    )
+    return layers_to_vector(params.encoder + params.decoder)
 
 
 def ae_from_vector(vec, dims, activation="relu"):
-    """Rebuild AutoencoderParams from a flat vector and full dimension chain."""
-    vec = np.asarray(vec, dtype=np.float64)
-    n_enc = (len(dims) - 1) // 2
-    enc_dims = dims[: n_enc + 1]
-    dec_dims = dims[n_enc:]
-    n_enc_params = sum(
-        o * i + o for i, o in zip(enc_dims[:-1], enc_dims[1:])
-    )
-    enc = vector_to_layers(vec[:n_enc_params], enc_dims)
-    dec = vector_to_layers(vec[n_enc_params:], dec_dims)
-    return AutoencoderParams(encoder=enc, decoder=dec, activation=activation)
+    """Rebuild AutoencoderParams from a flat vector and full dimension chain;
+    the layers are views into vec."""
+    layers = vector_to_layers(vec, dims)
+    n_enc = len(layers) // 2
+    return AutoencoderParams(encoder=layers[:n_enc], decoder=layers[n_enc:],
+                             activation=activation)
 
 
 def reconstruct(params, X):
-    """Decoder(encoder(x)) for a vector or a batch, with caches."""
-    code, enc_cache = mlp_forward(params.encoder, X, activation=params.activation)
-    recon, dec_cache = mlp_forward(params.decoder, code, activation=params.activation)
-    return recon, enc_cache, dec_cache
+    """Decoder(encoder(X)) for an (n, D) batch, with both halves' tapes."""
+    code, enc_tape = mlp_forward(params.encoder, X, activation=params.activation)
+    recon, dec_tape = mlp_forward(params.decoder, code, activation=params.activation)
+    return recon, enc_tape, dec_tape
 
 
 def score_forward(params, X):
-    """Scores of an (n, D) batch plus the tape score_backward consumes."""
-    recon, enc_cache, dec_cache = reconstruct(params, X)
+    """Scores of an (n, D) batch plus the tape score_backward consumes.
+
+    The tape keeps each layer output once, the code shared by both
+    halves: 2 * hidden + code + D doubles per row, the last D holding
+    the reconstruction error.
+    """
+    recon, enc_tape, dec_tape = reconstruct(params, X)
     diff = np.subtract(X, recon, out=recon)
     scores = np.einsum("ij,ij->i", diff, diff)
-    return scores, (diff, enc_cache, dec_cache)
+    return scores, (diff, enc_tape, dec_tape)
 
 
 def score_backward(params, tape, upstream):
@@ -123,12 +122,12 @@ def score_backward(params, tape, upstream):
     Returns the gradient as a new vector in ae_to_vector order.  Consumes
     the tape.
     """
-    diff, enc_cache, dec_cache = tape
+    diff, enc_tape, dec_tape = tape
     g_recon = np.multiply(-2.0, diff, out=diff)
     g_recon *= upstream[:, None]
-    dec_grads, g_code = mlp_backward(params.decoder, dec_cache, g_recon,
+    dec_grads, g_code = mlp_backward(params.decoder, dec_tape, g_recon,
                                      activation=params.activation)
-    enc_grads, _ = mlp_backward(params.encoder, enc_cache, g_code,
+    enc_grads, _ = mlp_backward(params.encoder, enc_tape, g_code,
                                 activation=params.activation)
     return np.concatenate([p.ravel() for dw, db in enc_grads + dec_grads
                            for p in (dw, db)])
@@ -178,19 +177,6 @@ def carve(pool, *shapes):
     return views
 
 
-def _layer_views(stack, dims):
-    """(weight (L, out, in), bias (L, out)) views into the rows of an (L, P)
-    array laid out like ae_to_vector."""
-    views, pos = [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weight = stack[:, pos:pos + fan_out * fan_in].reshape(
-            len(stack), fan_out, fan_in)
-        pos += fan_out * fan_in
-        views.append((weight, stack[:, pos:pos + fan_out]))
-        pos += fan_out
-    return views
-
-
 class AutoencoderStack:
     """L autoencoders of one architecture, stacked as the rows of (L, P) arrays.
 
@@ -209,8 +195,8 @@ class AutoencoderStack:
         self.activation = params.activation
         self.theta = np.tile(ae_to_vector(params), (count, 1))
         self.grad = np.empty_like(self.theta)
-        self.layers = _layer_views(self.theta, self.dims)
-        self.grads = _layer_views(self.grad, self.dims)
+        self.layers = layer_views(self.theta, self.dims)
+        self.grads = layer_views(self.grad, self.dims)
         half = len(self.layers) // 2
         self.hidden = [i % half != half - 1 for i in range(len(self.layers))]
         self.pool = np.empty(pool_size)

@@ -42,6 +42,8 @@ import numpy as np
 from .metrics import empirical_auc, segment_max, segment_starts
 from .network import ACTIVATIONS, _sigmoid_into
 from .scorer import (
+    DEFAULT_CODE,
+    DEFAULT_HIDDEN,
     AutoencoderParams,
     AutoencoderStack,
     ae_from_vector,
@@ -76,8 +78,8 @@ class TrainConfig:
     patience: int = 100
     rng_seed: int = 0
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
-    hidden_dim: int = 128
-    code_dim: int = 16
+    hidden_dim: int = DEFAULT_HIDDEN
+    code_dim: int = DEFAULT_CODE
     activation: str = "relu"
 
     def __post_init__(self):
@@ -100,7 +102,7 @@ class TrainConfig:
             if not 0 <= value < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
         for name, low in (("batch_sets", 1), ("batch_normals", 1), ("max_epochs", 0),
-                          ("hidden_dim", 1), ("code_dim", 1)):
+                          ("rng_seed", 0), ("hidden_dim", 1), ("code_dim", 1)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -1,11 +1,20 @@
 """Shared test helpers: small random networks, finite-difference tolerances,
 and weakly labeled data built from lists of sets."""
 
-import numpy as np
-import pytest
+import os
 
-from inexad.data import TrainData
-from inexad.scorer import ae_init, reconstruct
+# The experiment tests train in forked workers, one per CPU.  OpenBLAS
+# threads would multiply that by the core count and slow the small
+# matmuls several-fold, so pin one thread before numpy loads, as CI does;
+# a value set in the environment still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from inexad.data import TrainData  # noqa: E402
+from inexad.network import affine_forward  # noqa: E402
+from inexad.scorer import ae_init, reconstruct  # noqa: E402
 
 # Central finite differences in float64 resolve gradients to roughly
 # this relative precision away from ReLU kinks.
@@ -60,8 +69,9 @@ def set_list(data):
 
 def min_preactivation(params, X):
     """Smallest |pre-activation| over the hidden layers for the batch X."""
-    _, enc_cache, dec_cache = reconstruct(params, np.atleast_2d(X))
-    margins = [np.min(np.abs(c.pre[0])) for c in (enc_cache, dec_cache)]
+    _, enc_tape, dec_tape = reconstruct(params, np.atleast_2d(X))
+    margins = [np.min(np.abs(affine_forward(half[0], tape[0])))
+               for half, tape in ((params.encoder, enc_tape), (params.decoder, dec_tape))]
     return min(margins)
 
 

@@ -57,10 +57,18 @@ class TestExperimentConfig:
         (dict(lambda_grid=(0.0, float("inf"))), "finite"),
         (dict(max_epochs=-1), "max_epochs"),
         (dict(patience=0), "patience"),
+        (dict(seed=2.5), "seed"),
+        (dict(n_repeats=1.5), "n_repeats"),
     ])
     def test_bad_training_settings(self, kw, message):
         with pytest.raises(ValueError, match=message):
             experiment_config(**kw)
+
+    def test_label_col_without_csv_rejected(self):
+        # the synthetic data has no label column, so the setting would be ignored
+        with pytest.raises(ValueError, match="label_col 'y' needs csv_path"):
+            ExperimentConfig(label_col="y")
+        assert ExperimentConfig(csv_path="d.csv", label_col="y").label_col == "y"
 
     @pytest.mark.parametrize("kw, owner", [
         (dict(lam=7.0), "lambda_grid=(lam,)"),
@@ -307,6 +315,14 @@ class TestCliParse:
             cli_parse(argv)
         assert exc.value.code == 2
         assert "--csv requires --dataset csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--label-col", "nosuchcol"],
+                                      ["--dataset", "synthetic", "--label-col", "label"]])
+    def test_label_col_without_csv_dataset_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_parse(argv)
+        assert exc.value.code == 2
+        assert "--label-col requires --dataset csv" in capsys.readouterr().err
 
     def test_grid_values_sharing_a_history_file_are_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:

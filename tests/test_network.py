@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from inexad.network import (
     LayerParams,
     ShapeError,
+    _sigmoid_into,
     affine_forward,
     finite_diff_grad,
     init_params,
+    layer_views,
     layers_to_vector,
     mlp_backward,
     mlp_forward,
@@ -25,11 +27,11 @@ finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 class TestAffineForward:
     def test_identity(self):
         layer = LayerParams(weight=np.eye(2), bias=np.zeros(2))
-        np.testing.assert_array_equal(affine_forward(layer, [3.0, 4.0]), [3.0, 4.0])
+        np.testing.assert_array_equal(affine_forward(layer, [[3.0, 4.0]]), [[3.0, 4.0]])
 
     def test_scale_and_shift(self):
         layer = LayerParams(weight=2 * np.eye(2), bias=np.ones(2))
-        np.testing.assert_array_equal(affine_forward(layer, [1.0, 1.0]), [3.0, 3.0])
+        np.testing.assert_array_equal(affine_forward(layer, [[1.0, 1.0]]), [[3.0, 3.0]])
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(7)
@@ -39,7 +41,7 @@ class TestAffineForward:
             sum(layer.weight[i, j] * x[j] for j in range(2)) + layer.bias[i]
             for i in range(3)
         ]
-        np.testing.assert_allclose(affine_forward(layer, x), expected, rtol=1e-14)
+        np.testing.assert_allclose(affine_forward(layer, [x]), [expected], rtol=1e-14)
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(8)
@@ -47,21 +49,21 @@ class TestAffineForward:
         X = rng.normal(size=(5, 4))
         out = affine_forward(layer, X)
         for i in range(5):
-            # batched and single-vector BLAS paths may differ by 1 ulp
-            np.testing.assert_allclose(out[i], affine_forward(layer, X[i]),
+            # batched and one-row BLAS paths may differ by 1 ulp
+            np.testing.assert_allclose(out[i], affine_forward(layer, X[i:i + 1])[0],
                                        rtol=1e-14)
 
     def test_dimension_mismatch(self):
         layer = LayerParams(weight=np.eye(2), bias=np.zeros(2))
         with pytest.raises(ShapeError, match="3 features.*expects 2"):
-            affine_forward(layer, [1.0, 2.0, 3.0])
+            affine_forward(layer, [[1.0, 2.0, 3.0]])
 
     def test_linearity(self):
         rng = np.random.default_rng(9)
         layer = LayerParams(weight=rng.normal(size=(3, 3)), bias=rng.normal(size=3))
         for _ in range(10):
             a, b = rng.normal(size=2)
-            x, y = rng.normal(size=(2, 3))
+            x, y = rng.normal(size=(2, 1, 3))
             lhs = affine_forward(layer, a * x + b * y)
             rhs = (a * affine_forward(layer, x) + b * affine_forward(layer, y)
                    - (a + b - 1) * layer.bias)
@@ -73,7 +75,7 @@ def relu_layer(v):
     n = len(v)
     layers = [LayerParams(weight=np.eye(n), bias=np.zeros(n)),
               LayerParams(weight=np.eye(n), bias=np.zeros(n))]
-    return mlp_forward(layers, v)[0]
+    return mlp_forward(layers, [v])[0][0]
 
 
 class TestRelu:
@@ -163,14 +165,14 @@ class TestSigmoidMatchesMaskedFormula:
         for z in sigmoid_cases():
             want = masked_sigmoid(z)
             buf = z.copy()
-            assert sigmoid_stable(buf, out=buf) is buf
+            assert _sigmoid_into(buf, buf, np.empty_like(buf)) is buf
             np.testing.assert_array_equal(buf, want)
 
     def test_input_unchanged_with_separate_out(self):
         z = np.linspace(-5.0, 5.0, 11)
         before = z.copy()
         out = np.empty_like(z)
-        assert sigmoid_stable(z, out=out) is out
+        assert _sigmoid_into(z, out, np.empty_like(z)) is out
         np.testing.assert_array_equal(z, before)
         np.testing.assert_array_equal(out, masked_sigmoid(before))
 
@@ -178,21 +180,21 @@ class TestSigmoidMatchesMaskedFormula:
 class TestMlpForward:
     def test_single_identity_layer(self):
         layers = [LayerParams(weight=np.eye(3), bias=np.zeros(3))]
-        out, _ = mlp_forward(layers, [1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(out, [1.0, -2.0, 3.0])
+        out, _ = mlp_forward(layers, [[1.0, -2.0, 3.0]])
+        np.testing.assert_array_equal(out, [[1.0, -2.0, 3.0]])
 
     def test_zero_params_zero_output(self):
         layers = [
             LayerParams(weight=np.zeros((4, 3)), bias=np.zeros(4)),
             LayerParams(weight=np.zeros((2, 4)), bias=np.zeros(2)),
         ]
-        out, _ = mlp_forward(layers, [5.0, -1.0, 2.0])
-        np.testing.assert_array_equal(out, np.zeros(2))
+        out, _ = mlp_forward(layers, [[5.0, -1.0, 2.0]])
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(11)
         layers = init_params([3, 4, 2], 11)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(1, 3))
         h = np.maximum(0.0, affine_forward(layers[0], x))
         expected = affine_forward(layers[1], h)
         out, _ = mlp_forward(layers, x)
@@ -200,20 +202,27 @@ class TestMlpForward:
 
     def test_tanh_activation(self):
         layers = init_params([3, 4, 2], 12)
-        x = np.array([0.3, -0.2, 0.1])
+        x = np.array([[0.3, -0.2, 0.1]])
         h = np.tanh(affine_forward(layers[0], x))
         expected = affine_forward(layers[1], h)
         out, _ = mlp_forward(layers, x, activation="tanh")
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
-    def test_cache_shapes(self):
-        layers = init_params([3, 4, 2], 13)
-        _, cache = mlp_forward(layers, np.ones((5, 3)))
-        assert cache.pre[0].shape == (5, 4)
-        assert cache.act[1].shape == (5, 2)
+    def test_tape_is_the_input_then_each_layer_output(self):
+        layers = init_params([3, 4, 2, 5], 13)
+        x = np.random.default_rng(13).normal(size=(5, 3))
+        for activation, act in (("relu", lambda z: np.maximum(0.0, z)), ("tanh", np.tanh)):
+            out, tape = mlp_forward(layers, x, activation)
+            assert len(tape) == len(layers) + 1
+            assert tape[0] is x and tape[-1] is out
+            for i, layer in enumerate(layers):
+                want = affine_forward(layer, tape[i])
+                if i < len(layers) - 1:
+                    want = act(want)
+                assert tape[i + 1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("shape", [(3,), (1, 3), (7, 3)])
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 3), (7, 3)])
     def test_tape_free_equals_taped_bitwise(self, activation, shape):
         layers = init_params([3, 6, 2, 6, 3], 17)
         x = np.random.default_rng(17).normal(size=shape)
@@ -221,7 +230,7 @@ class TestMlpForward:
         out, cache = mlp_forward(layers, x, activation, cache=False)
         assert cache is None
         taped = mlp_forward(layers, x, activation)[0]
-        assert out.shape == taped.shape == x.shape[:-1] + (3,)
+        assert out.shape == taped.shape == (len(x), 3)
         assert out.tobytes() == taped.tobytes()
         # the in-place activations write only into the layer outputs
         np.testing.assert_array_equal(x, before)
@@ -230,8 +239,8 @@ class TestMlpForward:
 class TestMlpBackward:
     def test_zero_output_grad(self):
         layers = init_params([3, 4, 2], 14)
-        _, cache = mlp_forward(layers, np.array([0.2, 0.5, -0.1]))
-        grads, input_grad = mlp_backward(layers, cache, np.zeros(2))
+        _, tape = mlp_forward(layers, np.array([[0.2, 0.5, -0.1]]))
+        grads, input_grad = mlp_backward(layers, tape, np.zeros((1, 2)))
         for dw, db in grads:
             assert not dw.any() and not db.any()
         assert not np.asarray(input_grad).any()
@@ -239,11 +248,11 @@ class TestMlpBackward:
     def test_single_linear_layer(self):
         # loss = scalar output  =>  dW = x, db = 1
         layers = [LayerParams(weight=np.array([[0.3, -0.7]]), bias=np.array([0.1]))]
-        x = np.array([2.0, 5.0])
-        _, cache = mlp_forward(layers, x)
-        grads, _ = mlp_backward(layers, cache, np.array([1.0]))
+        x = np.array([[2.0, 5.0]])
+        _, tape = mlp_forward(layers, x)
+        grads, _ = mlp_backward(layers, tape, np.array([[1.0]]))
         dw, db = grads[0]
-        np.testing.assert_array_equal(dw, x[None, :])
+        np.testing.assert_array_equal(dw, x)
         np.testing.assert_array_equal(db, [1.0])
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -256,20 +265,21 @@ class TestMlpBackward:
                 layer.bias += rng.normal(0.0, 0.2, size=layer.bias.shape)
             # redraw inputs that graze a ReLU kink
             for _ in range(100):
-                x = rng.uniform(-1, 1, size=3)
-                _, cache = mlp_forward(layers, x, activation=activation)
+                x = rng.uniform(-1, 1, size=(1, 3))
+                _, tape = mlp_forward(layers, x, activation=activation)
                 if activation == "tanh" or all(
-                    np.min(np.abs(p)) >= KINK_MARGIN for p in cache.pre[:-1]
+                    np.min(np.abs(affine_forward(layer, h))) >= KINK_MARGIN
+                    for layer, h in zip(layers[:-1], tape)
                 ):
                     break
-            w_out = rng.normal(size=2)
+            w_out = rng.normal(size=(1, 2))
 
             def loss(theta):
                 ls = vector_to_layers(theta, dims)
                 out, _ = mlp_forward(ls, x, activation=activation)
-                return float(w_out @ out)
+                return float(np.sum(w_out * out))
 
-            grads, _ = mlp_backward(layers, cache, w_out, activation=activation)
+            grads, _ = mlp_backward(layers, tape, w_out, activation=activation)
             analytic = np.concatenate(
                 [np.concatenate([dw.ravel(), db]) for dw, db in grads]
             )
@@ -278,9 +288,30 @@ class TestMlpBackward:
 
     def test_shape_mismatch(self):
         layers = init_params([3, 4, 2], 16)
-        _, cache = mlp_forward(layers, np.zeros(3))
+        _, tape = mlp_forward(layers, np.zeros((1, 3)))
         with pytest.raises(ShapeError):
-            mlp_backward(layers, cache, np.zeros(3))
+            mlp_backward(layers, tape, np.zeros((1, 3)))
+
+
+class TestBatchesOnly:
+    """A lone 1-d vector is rejected, not read as a one-row batch."""
+
+    def test_affine_forward(self):
+        (layer,) = init_params([3, 2], 19)
+        with pytest.raises(ShapeError, match="1-d"):
+            affine_forward(layer, np.zeros(3))
+
+    def test_mlp_forward(self):
+        layers = init_params([3, 4, 2], 19)
+        for cache in (True, False):
+            with pytest.raises(ShapeError, match="1-d"):
+                mlp_forward(layers, np.zeros(3), cache=cache)
+
+    def test_mlp_backward(self):
+        layers = init_params([3, 4, 2], 19)
+        _, tape = mlp_forward(layers, np.zeros((1, 3)))
+        with pytest.raises(ShapeError):
+            mlp_backward(layers, tape, np.zeros(2))
 
 
 class TestFiniteDiff:
@@ -344,3 +375,18 @@ class TestVectorRoundTrip:
     def test_wrong_length(self):
         with pytest.raises(ShapeError, match="entries"):
             vector_to_layers(np.zeros(7), [3, 5, 2])
+
+    def test_stack_views_equal_each_row_and_share_memory(self):
+        dims = [3, 5, 2, 5, 3]
+        rows = [layers_to_vector(init_params(dims, seed)) for seed in (20, 21, 22)]
+        stack = np.stack(rows)
+        views = layer_views(stack, dims)
+        for m, row in enumerate(rows):
+            for (weight, bias), layer in zip(views, vector_to_layers(row, dims)):
+                assert weight[m].tobytes() == layer.weight.tobytes()
+                assert bias[m].tobytes() == layer.bias.tobytes()
+        for weight, bias in views:
+            # updates written through the views land in the stack, as Adam's do
+            assert np.shares_memory(weight, stack) and np.shares_memory(bias, stack)
+        views[-1][1][1] += 1.0
+        assert stack[1, -3:].tolist() == (rows[1][-3:] + 1.0).tolist()

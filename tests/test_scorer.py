@@ -65,10 +65,10 @@ class TestScore:
         rng = np.random.default_rng(21)
         params = small_ae(rng)
         x = rng.uniform(-1, 1, size=3)
-        h = np.maximum(0.0, affine_forward(params.encoder[0], x))
+        h = np.maximum(0.0, affine_forward(params.encoder[0], [x]))
         code = affine_forward(params.encoder[1], h)
         h2 = np.maximum(0.0, affine_forward(params.decoder[0], code))
-        recon = affine_forward(params.decoder[1], h2)
+        (recon,) = affine_forward(params.decoder[1], h2)
         expected = float((x - recon) @ (x - recon))
         assert score_one(params, x) == pytest.approx(expected, rel=1e-14)
 
@@ -92,7 +92,7 @@ class TestScoreBatch:
     def test_singleton(self):
         x = np.array([0.3, -0.4])
         params = small_ae(np.random.default_rng(23), dim=2)
-        recon, _, _ = reconstruct(params, x)
+        (recon,), _, _ = reconstruct(params, x[None, :])
         np.testing.assert_allclose(score_batch(params, x[None, :]),
                                    [(x - recon) @ (x - recon)], rtol=1e-14)
 

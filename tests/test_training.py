@@ -119,6 +119,7 @@ class TestConfig:
         dict(code_dim=0),
         dict(max_epochs=2.5),
         dict(batch_sets=2.5),
+        dict(rng_seed=1.5),
     ])
     def test_bad_setting_rejected_when_built(self, kw):
         # each of these used to fail only once training ran, or not at all

@@ -29,6 +29,7 @@ from .training import (
     _is_plain,
     _lambda_groups,
     _train_members,
+    _usable_cpus,
     best_of_grid,
     write_history,
 )
@@ -137,16 +138,18 @@ def _lambdas_for(mode, grid):
     return grid
 
 
-def _train_task(train_data, val_data, cfg, lams, tracks):
+def _train_task(train_data, val_data, cfg, lams, tracks, overlap=None):
     """Train one objective group of one repeat in a worker process.
 
     Returns ({track: {lam: TrainResult}}, seconds).  Per track, only the
     group's best_of_grid winner keeps its parameters: a mode's winner over
-    its whole grid is always one of these.
+    its whole grid is always one of these.  overlap goes to the training
+    kernel: False in pool workers, which keep every CPU busy already.
     """
     t0 = time.perf_counter()
     out = {}
-    for track, results in zip(tracks, _train_members(train_data, val_data, cfg, lams, tracks)):
+    trained = _train_members(train_data, val_data, cfg, lams, tracks, overlap=overlap)
+    for track, results in zip(tracks, trained):
         best = best_of_grid(list(zip(lams, results)))
         for res in results:
             if res is not best:
@@ -159,11 +162,7 @@ def _worker_count(n_tasks):
     """One worker per usable CPU, at most one per task; 1 where fork is unavailable."""
     if not hasattr(os, "fork"):
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(n_tasks, cpus)
+    return min(n_tasks, _usable_cpus())
 
 
 def _map_tasks(tasks):
@@ -182,7 +181,8 @@ def _map_tasks(tasks):
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_train_task, *zip(*tasks)))
+        # the workers fill the CPUs, so no training overlaps its evaluation
+        return list(pool.map(_train_task, *zip(*tasks), itertools.repeat(False)))
     finally:
         # after a failed task, do not start the tasks still queued
         pool.shutdown(cancel_futures=True)

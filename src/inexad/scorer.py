@@ -203,7 +203,7 @@ class AutoencoderStack:
         self.tape = []
 
     @staticmethod
-    def pool_size(dims, count, score_rows, step_rows, step_spare=0):
+    def pool_size(dims, count, score_rows=0, step_rows=0, step_spare=0):
         """Pool entries for scores() over score_rows rows, and for forward()
         and backward() over step_rows rows with step_spare entries of
         spare() in use between them."""

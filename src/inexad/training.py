@@ -30,11 +30,20 @@ with batched matmuls.  A batched matmul gives each member the bits of
 the 2-d call, so each member's results equal those of training it alone
 with the public allocating functions (mode_objective, objective_grad,
 validation_metric, adam_step) bit for bit.
+
+After each epoch's steps the kernel evaluates every member: it scores
+all train and validation rows, then computes the exact objective and
+the validation metrics, on a copy of the parameters in a second stack.
+When a CPU is spare (see _overlap_pays) that evaluation runs on a
+helper thread while the next epoch's steps run on the caller's; it
+makes the same single-threaded numpy and BLAS calls either way, so the
+results do not change.
 """
 
 import csv
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +71,13 @@ DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
 # The most members one kernel call trains; longer grids run in groups of
 # at most this many, so memory does not grow with the grid's length.
 _MAX_MEMBERS = 8
+
+# Multiply-adds of one epoch's evaluation (see _evaluation_work) below
+# which handing it to a helper thread costs more than it saves.  On two
+# CPUs with BLAS on one thread, trainings whose evaluation was 2.0-2.3 M
+# ran 18-29 % slower with the helper, 4.1-4.4 M between 6 % faster and
+# 9 % slower, and 6.1-43 M 5-32 % faster.
+_MIN_OVERLAP_WORK = 6_000_000
 
 
 @dataclass
@@ -130,6 +146,8 @@ class TrainResult:
     stopped_epoch: int
     chosen_lambda: float = None
     best_epoch: int = 0
+    # "patience" when early stopping ended training, else "max_epochs"
+    stop_reason: str = "max_epochs"
 
 
 # each mode's validation metric, named as its history file's column
@@ -350,7 +368,48 @@ def validation_metric(mode, params, val_sets, val_normals):
     return _metric(n_scores, set_scores, _set_starts(mode, [len(s) for s in val_sets]))
 
 
-def _train_members(train_data, val_data, config, lams, tracks=None):
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _evaluation_work(dims, count, rows):
+    """Multiply-adds of scoring `rows` rows with `count` members: the size of one
+    epoch's evaluation, as _overlap_pays weighs it."""
+    return count * rows * sum(i * o for i, o in zip(dims[:-1], dims[1:]))
+
+
+def _overlap_pays(work):
+    """Whether an evaluation of `work` multiply-adds should run on a helper
+    thread while the next epoch's steps run on the caller's.
+
+    Only when a CPU is spare: the evaluation is large enough to pay for
+    the handoff, the process may run on at least two CPUs, and the
+    loaded BLAS runs one thread (an unknown count counts as more).
+    Callers that already keep every CPU busy, such as harness pool
+    workers, ask the kernel not to overlap instead.
+    """
+    if work < _MIN_OVERLAP_WORK or _usable_cpus() < 2:
+        return False
+    from . import blas  # imported here: ctypes is not needed at import time
+
+    return blas.num_threads() == 1
+
+
+class _Ran:
+    """A call made at once, with the result() of a concurrent.futures.Future."""
+
+    def __init__(self, fn, *args):
+        self.value = fn(*args)
+
+    def result(self):
+        return self.value
+
+
+def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None):
     """Train one model per value in lams, in lockstep.
 
     Every setting but lam comes from config.  All members score the same
@@ -361,6 +420,15 @@ def _train_members(train_data, val_data, config, lams, tracks=None):
     have all stopped is swapped behind the active ones, and passes run
     on the leading rows only.  Returns one list of TrainResults per
     track, in lams order.
+
+    Each epoch's evaluation (scoring every train and validation row, the
+    exact objective and the metrics) reads a copy of the parameters in a
+    second stack, so it can run while the next epoch's steps update the
+    first.  With overlap it runs on a helper thread that lives for this
+    call; without, on the calling thread; None leaves the choice to
+    _overlap_pays.  Either way a member that stops at epoch e has
+    already taken epoch e + 1's steps, which are discarded: a member's
+    bits do not depend on which others share the stack.
     """
     mode = config.mode
     tracks = tracks or (VAL_METRIC[mode],)
@@ -392,8 +460,6 @@ def _train_members(train_data, val_data, config, lams, tracks=None):
 
     batch_set_rows = 0 if plain else int(np.sort(lengths)[-config.batch_sets:].sum())
     step_rows = config.batch_normals + batch_set_rows
-    score_rows = max(len(normals), len(val_normals), len(val_rows),
-                     0 if plain else len(set_rows))
     # reference scores per ranking term: set maxima, or every set row for sae
     if plain:
         ranked = ranked_all = 0
@@ -401,14 +467,18 @@ def _train_members(train_data, val_data, config, lams, tracks=None):
         ranked, ranked_all = batch_set_rows, len(set_rows)
     else:
         ranked, ranked_all = min(config.batch_sets, len(lengths)), len(lengths)
-    pool_size = max(
-        AutoencoderStack.pool_size(init.dims, count, score_rows, step_rows,
-                                   2 * count * ranked * config.batch_normals),
-        2 * ranked_all * len(normals),  # one member's objective
+    stack = AutoencoderStack(init, count, max(
+        AutoencoderStack.pool_size(init.dims, count, step_rows=step_rows,
+                                   step_spare=2 * count * ranked * config.batch_normals),
         2 * count * init.size,  # Adam's scratch
-    )
-    stack = AutoencoderStack(init, count, pool_size)
+    ))
     theta, grad = stack.theta, stack.grad
+    # the evaluation's copy of the parameters, with a pool of its own
+    ev = AutoencoderStack(init, count, max(
+        AutoencoderStack.pool_size(init.dims, count, score_rows=max(
+            len(normals), len(val_normals), len(val_rows), 0 if plain else len(set_rows))),
+        2 * ranked_all * len(normals),  # one member's objective
+    ))
     adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     normal_scores = np.empty((count, len(normals)))
     set_scores = None if plain else np.empty((count, len(set_rows)))
@@ -424,75 +494,113 @@ def _train_members(train_data, val_data, config, lams, tracks=None):
     best = np.empty((len(tracks),) + theta.shape)
     best_metric = [[-math.inf] * count for _ in tracks]
     best_epoch = [[0] * count for _ in tracks]
-    stopped = [[None] * count for _ in tracks]  # None while the track runs
+    # (stop epoch, TrainResult.stop_reason), or None while the track runs
+    stopped = [[None] * count for _ in tracks]
 
-    rng = np.random.default_rng(config.rng_seed)
-    patience = config.patience if config.patience is not None else config.max_epochs
-    active, t = count, 0
-    for epoch in range(config.max_epochs + 1):  # epoch 0 evaluates the initialisation
-        batches = make_batches(len(lengths), len(normals), config, rng) if epoch else ()
-        if batches and not plain:
-            rows, lens, cuts = _epoch_rows(lengths, row_starts, batches)
-        p = 0  # position of the batch's first set in the epoch's set order
-        for set_ids, normal_ids in batches:
-            j = len(normal_ids)
-            # the indices are in range, and "clip" copies straight into out
-            np.take(normals, normal_ids, axis=0, out=step_x[:j], mode="clip")
-            if plain:
-                X, batch_lens = step_x[:j], None
-            else:
-                q = p + len(set_ids)
-                X = step_x[:j + cuts[q] - cuts[p]]
-                np.take(set_rows, rows[cuts[p]:cuts[q]], axis=0, out=X[j:], mode="clip")
-                batch_lens, p = lens[p:q], q
-            shape = (active, len(X))
-            scores = stack.forward(active, X, carve(step_scores, shape)[0])
-            upstream = _upstream(mode, slot_lams[:active], scores, j, batch_lens,
-                                 out=carve(step_upstream, shape)[0], pair=stack.spare())
-            stack.backward(active, X, upstream)
-            t += 1
-            _adam_update(theta[:active], grad[:active], adam_m[:active],
-                         adam_v[:active], t, config,
-                         *carve(stack.pool, *[theta[:active].shape] * 2))
-        stack.scores(active, normals, normal_scores[:active])
+    def evaluate(a, lams_now, running):
+        """(objective, [metric or None per track]) of each of ev's leading a
+        members; running[s][k] says whether slot s's track k still runs."""
+        ev.scores(a, normals, normal_scores[:a])
         if not plain:
-            stack.scores(active, set_rows, set_scores[:active])
-        stack.scores(active, val_normals, val_normal_scores[:active])
-        stack.scores(active, val_rows, val_set_scores[:active])
-        # descending, so a member swapped in from behind was already seen
-        for s in range(active - 1, -1, -1):
+            ev.scores(a, set_rows, set_scores[:a])
+        ev.scores(a, val_normals, val_normal_scores[:a])
+        ev.scores(a, val_rows, val_set_scores[:a])
+        return [(_objective(mode, lam, normal_scores[s], None if plain else set_scores[s],
+                            set_starts, ev.pool),
+                 [_metric(val_normal_scores[s], val_set_scores[s], starts) if run else None
+                  for run, starts in zip(running[s], val_starts)])
+                for s, lam in enumerate(lams_now)]
+
+    def record(epoch, results):
+        """Book one epoch's evaluation; returns the slots whose tracks have
+        all stopped, in descending order."""
+        leaving = []
+        for s in range(len(results) - 1, -1, -1):
             m = slots[s]
-            obj = _objective(mode, float(slot_lams[s]), normal_scores[s],
-                             None if plain else set_scores[s], set_starts, stack.pool)
-            for k, starts in enumerate(val_starts):
-                if stopped[k][m] is not None:
+            obj, metrics = results[s]
+            for k, metric in enumerate(metrics):
+                if metric is None:
                     continue
-                metric = _metric(val_normal_scores[s], val_set_scores[s], starts)
                 histories[k][m].append((epoch, obj, metric))
                 if metric >= best_metric[k][m]:
                     if metric > best_metric[k][m]:
                         best_metric[k][m], best_epoch[k][m] = metric, epoch
                     # equally good on validation: keep the most-trained snapshot
                     # (patience still counts from the last strict improvement)
-                    best[k, m] = theta[s]
+                    best[k, m] = ev.theta[s]
                 if epoch - best_epoch[k][m] >= patience:
-                    stopped[k][m] = epoch
+                    stopped[k][m] = (epoch, "patience")
+                elif epoch == config.max_epochs:
+                    stopped[k][m] = (epoch, "max_epochs")
             if all(done[m] is not None for done in stopped):
-                # leave the stack: swap behind the members still training
-                active -= 1
-                for arr in (theta, adam_m, adam_v, slot_lams):
-                    arr[[s, active]] = arr[[active, s]]
-                slots[s], slots[active] = slots[active], slots[s]
-        if active == 0:
-            break
+                leaving.append(s)
+        return leaving
+
+    if overlap is None:
+        overlap = _overlap_pays(_evaluation_work(init.dims, count, len(normals) + len(val_normals)
+                                                 + len(val_rows) + (0 if plain else len(set_rows))))
+    helper = None
+    if overlap:
+        # imported here: at module level it adds to `import inexad`
+        from concurrent.futures import ThreadPoolExecutor
+
+        helper = ThreadPoolExecutor(1, thread_name_prefix="inexad-evaluation")
+    rng = np.random.default_rng(config.rng_seed)
+    patience = math.inf if config.patience is None else config.patience
+    active, t, pending = count, 0, None
+    try:
+        for epoch in range(config.max_epochs + 1):  # epoch 0 evaluates the initialisation
+            batches = make_batches(len(lengths), len(normals), config, rng) if epoch else ()
+            if batches and not plain:
+                rows, lens, cuts = _epoch_rows(lengths, row_starts, batches)
+            p = 0  # position of the batch's first set in the epoch's set order
+            for set_ids, normal_ids in batches:
+                j = len(normal_ids)
+                # the indices are in range, and "clip" copies straight into out
+                np.take(normals, normal_ids, axis=0, out=step_x[:j], mode="clip")
+                if plain:
+                    X, batch_lens = step_x[:j], None
+                else:
+                    q = p + len(set_ids)
+                    X = step_x[:j + cuts[q] - cuts[p]]
+                    np.take(set_rows, rows[cuts[p]:cuts[q]], axis=0, out=X[j:], mode="clip")
+                    batch_lens, p = lens[p:q], q
+                shape = (active, len(X))
+                step = stack.forward(active, X, carve(step_scores, shape)[0])
+                upstream = _upstream(mode, slot_lams[:active], step, j, batch_lens,
+                                     out=carve(step_upstream, shape)[0], pair=stack.spare())
+                stack.backward(active, X, upstream)
+                t += 1
+                _adam_update(theta[:active], grad[:active], adam_m[:active],
+                             adam_v[:active], t, config,
+                             *carve(stack.pool, *[theta[:active].shape] * 2))
+            if pending is not None:
+                for s in record(epoch - 1, pending.result()):
+                    # leave the stack: swap behind the members still training
+                    active -= 1
+                    for arr in (theta, adam_m, adam_v, slot_lams):
+                        arr[[s, active]] = arr[[active, s]]
+                    slots[s], slots[active] = slots[active], slots[s]
+                if active == 0:
+                    break  # this epoch's steps are discarded
+            ev.theta[:active] = theta[:active]
+            args = (evaluate, active, slot_lams[:active].tolist(),
+                    [[done[m] is None for done in stopped] for m in slots[:active]])
+            pending = helper.submit(*args) if helper else _Ran(*args)
+        else:
+            record(config.max_epochs, pending.result())
+    finally:
+        if helper is not None:
+            helper.shutdown()
 
     return [[TrainResult(
         best_params=ae_from_vector(best[k, m].copy(), init.dims, activation=config.activation),
         best_val_metric=best_metric[k][m],
         history=histories[k][m],
-        stopped_epoch=config.max_epochs if stopped[k][m] is None else stopped[k][m],
+        stopped_epoch=stopped[k][m][0],
         chosen_lambda=lams[m],
         best_epoch=best_epoch[k][m],
+        stop_reason=stopped[k][m][1],
     ) for m in range(count)] for k in range(len(tracks))]
 
 

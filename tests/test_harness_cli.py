@@ -19,7 +19,14 @@ from inexad.harness import (
 )
 from inexad.data import gen_synthetic, materialize
 from inexad.scorer import ae_to_vector
-from inexad.training import DEFAULT_LAMBDA_GRID, VAL_METRIC, TrainConfig, grid_search, train
+from inexad.training import (
+    DEFAULT_LAMBDA_GRID,
+    VAL_METRIC,
+    TrainConfig,
+    TrainResult,
+    grid_search,
+    train,
+)
 
 
 def experiment_config(**kw):
@@ -201,6 +208,25 @@ class TestParallelRounds:
                                for mode in ("proposed", "sae")]
         assert [lams for *_, lams in started[4:]] == [[0.0], [1.0]] * 2
         assert [seed for seed, *_ in started[4:]] == [0, 0, 1, 1]
+
+    @needs_fork
+    def test_pool_workers_do_not_overlap_evaluation(self, monkeypatch):
+        def spy(train_data, val_data, cfg, lams, tracks, overlap=None):
+            # the overlap setting the kernel was given, returned as the history
+            return [[TrainResult(best_params=None, best_val_metric=0.0, history=[overlap],
+                                 stopped_epoch=0, chosen_lambda=lam) for lam in lams]
+                    for _ in tracks]
+
+        # forked workers inherit the patched kernel
+        monkeypatch.setattr(harness, "_train_members", spy)
+        tasks = [(None, None, TrainConfig(), [1.0], ["val_auc"])] * 3
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
+        pooled = harness._map_tasks(tasks)
+        assert [out["val_auc"][1.0].history for out, _ in pooled] == [[False]] * 3
+        # one worker: the caller's process, where the kernel decides
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 1)
+        serial = harness._map_tasks(tasks)
+        assert [out["val_auc"][1.0].history for out, _ in serial] == [[None]] * 3
 
     def test_no_modes_trains_nothing(self):
         assert run_experiment(tiny_config(modes=())).modes == {}
@@ -405,6 +431,7 @@ class TestSharedPlainRun:
             (got,) = shared[VAL_METRIC[mode]].values()
             assert report.histories[(mode, 0, 0.0)] == want.history
             assert got.history == want.history
-            assert (got.stopped_epoch, got.best_epoch) == (want.stopped_epoch, want.best_epoch)
+            assert (got.stopped_epoch, got.best_epoch, got.stop_reason) \
+                == (want.stopped_epoch, want.best_epoch, want.stop_reason)
             np.testing.assert_array_equal(ae_to_vector(got.best_params),
                                           ae_to_vector(want.best_params))

@@ -1,6 +1,11 @@
 """Unit tests for the objective, its gradient, Adam, batching, and the train loop."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +20,8 @@ from inexad.scorer import (
     score_batch,
     score_batch_grad,
 )
-from inexad import training
+from inexad import blas, training
+from inexad.data import gen_synthetic, materialize
 from inexad.training import (
     AdamState,
     TrainConfig,
@@ -508,7 +514,20 @@ def reference_train(train_data, val_data, config):
     return history, best_theta, epoch
 
 
-class TestTrainMatchesAllocatingReference:
+class ForcedOverlap:
+    """Forces the training kernel to evaluate each epoch on the calling
+    thread (overlap False) or on its helper thread (True), whatever the
+    problem's size and the machine; subclasses repeat the tests with True."""
+
+    overlap = False
+
+    @pytest.fixture(autouse=True)
+    def force_overlap(self, monkeypatch):
+        monkeypatch.setattr(training, "_train_members",
+                            functools.partial(training._train_members, overlap=self.overlap))
+
+
+class TestTrainMatchesAllocatingReference(ForcedOverlap):
     """train() runs the member-stacked kernel with one member; its results
     must equal the allocating functions' bit for bit."""
 
@@ -526,6 +545,7 @@ class TestTrainMatchesAllocatingReference:
         history, best_theta, stopped = reference_train(train_data, val_data, config)
         assert res.stopped_epoch < config.max_epochs  # early stopping fired
         assert res.stopped_epoch == stopped
+        assert res.stop_reason == "patience"
         assert len(res.history) == len(history)
         for got, want in zip(res.history, history):
             assert got == want
@@ -536,7 +556,11 @@ class TestTrainMatchesAllocatingReference:
         np.testing.assert_array_equal(ae_to_vector(res.best_params), best_theta)
 
 
-class TestGridMatchesAllocatingReference:
+class TestTrainMatchesAllocatingReferenceOverlapped(TestTrainMatchesAllocatingReference):
+    overlap = True
+
+
+class TestGridMatchesAllocatingReference(ForcedOverlap):
     """grid_search trains its values in lockstep; each must still equal the
     allocating reference loop for its lambda bit for bit."""
 
@@ -557,6 +581,8 @@ class TestGridMatchesAllocatingReference:
                 train_data, val_data, replace(config, lam=lam))
             assert res.chosen_lambda == lam
             assert res.stopped_epoch == stopped
+            assert res.stop_reason == ("patience" if stopped < config.max_epochs
+                                       else "max_epochs")
             assert res.history == history
             assert res.best_val_metric == max(m for _, _, m in history)
             assert res.history[res.best_epoch][2] == res.best_val_metric
@@ -576,9 +602,9 @@ class TestGridMatchesAllocatingReference:
         groups = []
         kernel = training._train_members
 
-        def spy(train_data, val_data, config, lams):
+        def spy(train_data, val_data, config, lams, **kwargs):
             groups.append(list(lams))
-            return kernel(train_data, val_data, config, lams)
+            return kernel(train_data, val_data, config, lams, **kwargs)
 
         monkeypatch.setattr(training, "_train_members", spy)
         results = grid_search(train_data, val_data, config)
@@ -591,6 +617,132 @@ class TestGridMatchesAllocatingReference:
             assert res.stopped_epoch == direct.stopped_epoch
             np.testing.assert_array_equal(ae_to_vector(res.best_params),
                                           ae_to_vector(direct.best_params))
+
+
+class TestGridMatchesAllocatingReferenceOverlapped(TestGridMatchesAllocatingReference):
+    overlap = True
+
+
+class TestOverlappedEvaluation:
+    """The kernel's helper thread: errors, joining, and when it is used."""
+
+    def test_error_reaches_the_caller_and_the_helper_is_joined(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        train_data, val_data = tiny_problem(rng)
+        error = RuntimeError("metric failed at epoch 3")
+        threads, metric = [], training._metric
+
+        def failing(*args):
+            # one member with one track: one call per epoch
+            threads.append(threading.current_thread())
+            if len(threads) == 4:
+                raise error
+            return metric(*args)
+
+        monkeypatch.setattr(training, "_metric", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            training._train_members(train_data, val_data, quick_config(max_epochs=8),
+                                    [1.0], overlap=True)
+        assert caught.value is error
+        assert threading.active_count() == before
+        assert len(threads) == 4 and threading.main_thread() not in threads
+
+    def test_helper_is_joined_on_return(self):
+        rng = np.random.default_rng(66)
+        train_data, val_data = tiny_problem(rng)
+        before = threading.active_count()
+        (result,), = training._train_members(train_data, val_data, quick_config(),
+                                             [1.0], overlap=True)
+        assert threading.active_count() == before
+        assert result.history == train(train_data, val_data, quick_config()).history
+
+    def test_bits_hold_under_frequent_thread_switches(self):
+        # the helper and the caller share the parameter copy between joins;
+        # switching threads every microsecond would expose an unjoined read
+        train_data, val_data = ragged_problem(np.random.default_rng(68))
+        config = quick_config(max_epochs=30, patience=3, batch_sets=3, batch_normals=11,
+                              hidden_dim=128, code_dim=16)
+        lams = [1e-2, 0.5, 3.0, 30.0]
+        inline = training._train_members(train_data, val_data, config, lams, overlap=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            overlapped = training._train_members(train_data, val_data, config, lams,
+                                                 overlap=True)
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(inline[0], overlapped[0]):
+            assert (got.history, got.stopped_epoch) == (want.history, want.stopped_epoch)
+            np.testing.assert_array_equal(ae_to_vector(got.best_params),
+                                          ae_to_vector(want.best_params))
+
+    @pytest.fixture
+    def spare_cpu(self, monkeypatch):
+        """Two CPUs and a one-thread BLAS, so that only the size rule decides."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(blas, "num_threads", lambda: 1)
+
+    def test_large_evaluation_overlaps_when_a_cpu_is_spare(self, spare_cpu):
+        assert training._overlap_pays(training._MIN_OVERLAP_WORK)
+
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_multithreaded_or_unknown_blas_does_not_overlap(self, spare_cpu, monkeypatch,
+                                                            threads):
+        monkeypatch.setattr(blas, "num_threads", lambda: threads)
+        assert not training._overlap_pays(10 * training._MIN_OVERLAP_WORK)
+
+    def test_one_cpu_does_not_overlap(self, spare_cpu, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not training._overlap_pays(10 * training._MIN_OVERLAP_WORK)
+
+    def test_small_trainings_fall_below_the_size_rule(self, spare_cpu):
+        # the largest test problem with grid_search's largest group, and a
+        # one-member run on the synthetic data, at the default widths
+        ds, split = gen_synthetic(np.random.default_rng(0))
+        synthetic = materialize(ds, split)[:2]
+        for (train_data, val_data), count in ((ragged_problem(np.random.default_rng(64)), 5),
+                                              (synthetic, 1)):
+            rows = sum(len(x) for x in (train_data.normals, train_data.set_rows,
+                                        val_data.normals, val_data.set_rows))
+            dim = train_data.normals.shape[1]
+            work = training._evaluation_work([dim, 128, 16, 128, dim], count, rows)
+            assert not training._overlap_pays(work)
+        # the benchmark's fixed-lambda training: 32 features, about 3,000 rows
+        assert training._overlap_pays(training._evaluation_work([32, 128, 16, 128, 32], 1, 3000))
+
+    def test_blas_thread_count_is_read_or_unknown(self):
+        threads = blas.num_threads()
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
+
+    def test_import_loads_neither_threads_nor_ctypes_helper(self):
+        code = ("import sys, inexad; "
+                "print([m for m in ('concurrent.futures', 'inexad.blas') if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(training.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"
+
+
+class TestStopReason:
+    def test_patience(self):
+        rng = np.random.default_rng(67)
+        train_data, val_data = tiny_problem(rng)
+        res = train(train_data, val_data, quick_config(max_epochs=50, patience=2))
+        assert res.stopped_epoch < 50 and res.stop_reason == "patience"
+
+    @pytest.mark.parametrize("patience", [None, 1000])
+    def test_max_epochs(self, patience):
+        rng = np.random.default_rng(67)
+        train_data, val_data = tiny_problem(rng)
+        res = train(train_data, val_data, quick_config(max_epochs=6, patience=patience))
+        assert (res.stopped_epoch, res.stop_reason) == (6, "max_epochs")
+
+    def test_no_epochs(self):
+        rng = np.random.default_rng(67)
+        train_data, val_data = tiny_problem(rng)
+        res = train(train_data, val_data, quick_config(max_epochs=0))
+        assert (res.stopped_epoch, res.stop_reason) == (0, "max_epochs")
 
 
 class TestValidationMetric:

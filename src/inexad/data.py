@@ -7,7 +7,10 @@ keeps exact labels (singleton groups).
 
 import csv as _csv
 import json
+import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -110,19 +113,36 @@ def load_csv(path, label_column="label"):
 
     label_column may be a header name or a 0-based column index.  A
     header row is detected by attempting to parse the first row's
-    attribute cells as numbers.
+    attribute cells as numbers.  The file is read as UTF-8, with or
+    without a byte-order mark; blank lines are skipped.
+
+    Rows are streamed: each row's feature cells go straight into one
+    float64 buffer that becomes X, so no row's text outlives its turn.
+    Row numbers in error messages are the file's line numbers.  A bad
+    row fails at once, but a non-finite cell is reported only after
+    every row has parsed.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        rows = [r for r in _csv.reader(fh) if r]
-    if not rows:
+        try:
+            return _read_csv(_csv.reader(fh), path, label_column)
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the decoder's current chunk, not the file
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason} "
+                            f"{exc.object[exc.start:exc.end]!r}") from None
+
+
+def _read_csv(reader, path, label_column):
+    rows = filter(None, reader)  # a blank line reads as []
+    first = next(rows, None)
+    if first is None:
         raise DataError(f"{path}: no data rows")
+    width = len(first)
 
     header = None
-    first = rows[0]
     if isinstance(label_column, str):
         label_idx_guess = None
     else:
@@ -131,14 +151,11 @@ def load_csv(path, label_column="label"):
         for j, cell in enumerate(first):
             if j != label_idx_guess:
                 float(cell)
-        has_header = False
     except ValueError:
-        has_header = True
-    if has_header:
         header = [c.strip() for c in first]
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: header only, no data rows")
+    row = first if header is None else next(rows, None)
+    if row is None:
+        raise DataError(f"{path}: header only, no data rows")
 
     if isinstance(label_column, str):
         if header is None:
@@ -154,50 +171,57 @@ def load_csv(path, label_column="label"):
             ) from None
     else:
         label_idx = int(label_column)
-        if not 0 <= label_idx < len(first):
+        if not 0 <= label_idx < width:
             raise DataError(f"label column index {label_idx} out of range")
 
-    first_row_num = 2 if has_header else 1
-    X, flags = [], []
-    for r, row in enumerate(rows):
-        row_num = r + first_row_num
-        if len(row) != len(first):
-            raise DataError(
-                f"row {row_num}: expected {len(first)} cells, got {len(row)}"
-            )
-        feats = []
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
-            try:
-                feats.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"row {row_num}, column {j}: non-numeric cell {cell!r}"
-                ) from None
-        X.append(feats)
-        flags.append(_parse_label(row[label_idx], row_num))
+    values, flags = array("d"), []
+    non_finite = None  # (line, column, cell) of the first non-finite cell
+    for row in chain([row], rows):
+        line = reader.line_num
+        if len(row) != width:
+            raise DataError(f"row {line}: expected {width} cells, got {len(row)}")
+        label = row.pop(label_idx)  # feature k is now file column k + (k >= label_idx)
+        try:
+            feats = list(map(float, row))
+        except ValueError:
+            k, cell = next((k, cell) for k, cell in enumerate(row)
+                           if not _is_number(cell))
+            raise DataError(f"row {line}, column {k + (k >= label_idx)}: "
+                            f"non-numeric cell {cell!r}") from None
+        # a non-finite sum flags a non-finite cell (or, rarely, overflow)
+        if non_finite is None and not math.isfinite(sum(feats)):
+            k = next((k for k, v in enumerate(feats) if not math.isfinite(v)), None)
+            if k is not None:
+                non_finite = (line, k + (k >= label_idx), row[k])
+        values.fromlist(feats)
+        flags.append(_parse_label(label, line))
 
-    X = np.array(X)
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        r, k = (int(v) for v in bad[0])
-        j = k + (k >= label_idx)  # file column: the features skip the label
-        raise DataError(f"row {r + first_row_num}, column {j}: "
-                        f"non-finite cell {rows[r][j]!r}")
+    if non_finite is not None:
+        line, j, cell = non_finite
+        raise DataError(f"row {line}, column {j}: non-finite cell {cell!r}")
 
     feature_names = []
     if header is not None:
         feature_names = [h for j, h in enumerate(header) if j != label_idx]
+    X = np.frombuffer(values).reshape(len(flags), width - 1)
     return Dataset(X=X, is_anomaly=np.array(flags),
                    name=str(path), feature_names=feature_names)
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def preprocess(ds):
     """Min-max scale each attribute to [0, 1], then drop exact duplicate rows.
 
-    Scaling statistics come from the whole dataset; constant columns map
-    to zero.  Duplicates are bitwise-equal rows after scaling; the first
+    Scaling statistics come from the whole dataset; constant and NaN
+    columns map to zero.  The scaled copy is made once and scaled in
+    place.  Duplicates are bitwise-equal rows after scaling; the first
     occurrence is kept.
     """
     if ds.n < 2:
@@ -205,7 +229,10 @@ def preprocess(ds):
     lo = ds.X.min(axis=0)
     hi = ds.X.max(axis=0)
     span = hi - lo
-    scaled = np.where(span > 0, (ds.X - lo) / np.where(span > 0, span, 1.0), 0.0)
+    varies = span > 0  # False for constant and NaN columns
+    scaled = np.subtract(ds.X, lo)
+    scaled /= np.where(varies, span, 1.0)
+    scaled[:, ~varies] = 0.0
     _, keep = np.unique(scaled, axis=0, return_index=True)
     keep = np.sort(keep)
     return Dataset(X=scaled[keep], is_anomaly=ds.is_anomaly[keep],

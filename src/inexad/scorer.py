@@ -10,6 +10,7 @@ together on shared input rows, which is how training advances the
 members of a lambda grid in lockstep.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,13 +195,21 @@ class AutoencoderStack:
         self.dims = params.dims
         self.activation = params.activation
         self.theta = np.tile(ae_to_vector(params), (count, 1))
-        self.grad = np.empty_like(self.theta)
         self.layers = layer_views(self.theta, self.dims)
-        self.grads = layer_views(self.grad, self.dims)
         half = len(self.layers) // 2
         self.hidden = [i % half != half - 1 for i in range(len(self.layers))]
         self.pool = np.empty(pool_size)
         self.tape = []
+
+    @functools.cached_property
+    def grad(self):
+        """The (L, P) gradients, allocated on first use: a stack that only
+        scores never holds one."""
+        return np.empty_like(self.theta)
+
+    @functools.cached_property
+    def grads(self):
+        return layer_views(self.grad, self.dims)
 
     @staticmethod
     def pool_size(dims, count, score_rows=0, step_rows=0, step_spare=0):

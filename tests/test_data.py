@@ -1,5 +1,8 @@
 """Unit tests for CSV ingestion, preprocessing, splits, and the synthetic generator."""
 
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2, column 2: non-finite cell 'nan'"):
             load_csv(path, label_column=0)
 
+    def test_finite_cells_whose_sum_overflows(self, tmp_path):
+        path = write(tmp_path, "1e308,1e308,0\n-1e308,-1e308,1\n")
+        np.testing.assert_array_equal(load_csv(path, label_column=2).X,
+                                      [[1e308, 1e308], [-1e308, -1e308]])
+        path = write(tmp_path, "1e308,1e308,0\n1,-inf,1\n")
+        with pytest.raises(DataError, match=r"row 2, column 1: non-finite cell '-inf'"):
+            load_csv(path, label_column=2)
+
     def test_unknown_label_value(self, tmp_path):
         path = write(tmp_path, "1,2,maybe\n")
         with pytest.raises(DataError, match="unknown label"):
@@ -91,6 +102,99 @@ class TestLoadCsv:
         path = write(tmp_path, "1,2,0\n3,1\n")
         with pytest.raises(DataError, match="expected 3 cells"):
             load_csv(path, label_column=2)
+
+    def test_header_only_comes_before_label_errors(self, tmp_path):
+        path = write(tmp_path, "a,b,label\n\n")
+        with pytest.raises(DataError, match="header only"):
+            load_csv(path, label_column="target")
+
+    @pytest.mark.parametrize("text, message", [
+        # a ragged row, then a non-numeric cell, then an unknown label
+        ("1,2,0\n3,oops\n", "row 2: expected 3 cells"),
+        ("1,2,0\n3,oops,maybe\n", "row 2, column 1: non-numeric cell 'oops'"),
+        # a non-numeric cell in any row before a non-finite cell in an earlier one
+        ("1,nan,0\n2,3,1\n4,oops,0\n", "row 3, column 1: non-numeric cell 'oops'"),
+        ("1,nan,0\n2,3,maybe\n", "row 2: unknown label value 'maybe'"),
+        ("1,2,0\n3,inf,1\n-inf,4,0\n", "row 2, column 1: non-finite cell 'inf'"),
+    ])
+    def test_error_precedence(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=message):
+            load_csv(path, label_column=2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,label\n1,2,0\n\n3,oops,1\n", "row 4, column 1: non-numeric"),
+        ("\na,b,label\n\n1,2,0\n3,4\n", "row 5: expected 3 cells"),
+        ("a,b,label\n\n\n1,nan,0\n", "row 4, column 1: non-finite"),
+        ("a,b,label\n1,2,0\n\n3,4,maybe\n", "row 4: unknown label"),
+    ])
+    def test_rows_are_numbered_by_file_line(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=message):
+            load_csv(path, label_column="label")
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,a,b\n0,1,2\n1,3,4\n")
+        ds = load_csv(path, label_column="label")
+        assert ds.feature_names == ["a", "b"]
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.is_anomaly, [False, True])
+
+    def test_byte_order_mark_before_numbers_keeps_first_row(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0,0\n3,4,1\n")
+        ds = load_csv(path, label_column=2)
+        assert ds.feature_names == []
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_bytes_that_are_not_utf8_name_the_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b,label\n1,2,0\n3,4,\xe9\n")
+        with pytest.raises(DataError, match=r"latin1.csv is not UTF-8 text: .* b'\\xe9'"):
+            load_csv(path, label_column="label")
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_bits_match_per_row_float_lists(self, tmp_path, header):
+        rng = np.random.default_rng(70)
+        values = rng.normal(size=(60, 4)) * 10.0 ** rng.integers(-300, 300, size=(60, 4))
+        values[0, 0], values[1, 1] = -0.0, 5e-324
+        formats = [repr, "{:.6e}".format, "{:.3f}".format, lambda v: f" {v!r} "]
+        path = tmp_path / "mixed.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            if header:
+                writer.writerow(["f0", "f1", "label", "f3", "f4"])
+            for i, row in enumerate(values):
+                cells = [formats[(i + j) % 4](float(v)) for j, v in enumerate(row)]
+                writer.writerow(cells[:2] + [i % 2] + cells[2:])
+        ds = load_csv(path, label_column="label" if header else 2)
+
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r][header:]
+        want = np.array([[float(c) for j, c in enumerate(r) if j != 2] for r in rows])
+        assert ds.X.shape == want.shape
+        assert ds.X.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(ds.is_anomaly, np.arange(60) % 2 == 1)
+        assert ds.feature_names == (["f0", "f1", "f3", "f4"] if header else [])
+
+    def test_streaming_peak_memory(self, tmp_path):
+        # rows are parsed one at a time into one float64 buffer, so the
+        # traced peak stays near X's size instead of holding every cell's text
+        rng = np.random.default_rng(71)
+        path = tmp_path / "big.csv"
+        labels = rng.integers(0, 2, size=5000)
+        np.savetxt(path, np.c_[rng.normal(size=(5000, 16)), labels], delimiter=",",
+                   fmt=["%.17g"] * 16 + ["%d"],
+                   header=",".join([f"f{j}" for j in range(16)] + ["label"]), comments="")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, label_column="label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.X.shape == (5000, 16)
+        assert peak <= 3 * ds.X.nbytes
 
 
 class TestPreprocess:
@@ -111,6 +215,19 @@ class TestPreprocess:
                      is_anomaly=[False] * 3)
         out = preprocess(ds)
         np.testing.assert_array_equal(out.X[:, 0], [0.0, 0.0, 0.0])
+
+    def test_matches_the_three_temporary_formula(self):
+        rng = np.random.default_rng(69)
+        X = rng.normal(size=(50, 5)) * [1.0, 1e-300, 1e300, 1.0, 1.0]
+        X[:, 3] = 7.5  # constant
+        X[10, 4] = np.nan  # makes the whole column's min and max NaN
+        ds = Dataset(X=X, is_anomaly=rng.integers(0, 2, size=50))
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        span = hi - lo
+        want = np.where(span > 0, (X - lo) / np.where(span > 0, span, 1.0), 0.0)
+        out = preprocess(ds)
+        assert out.X.tobytes() == want.tobytes()  # no duplicate rows to drop
+        np.testing.assert_array_equal(out.X[:, 3:], 0.0)
 
     def test_min_and_max_exact(self):
         rng = np.random.default_rng(61)

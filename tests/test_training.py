@@ -410,6 +410,20 @@ class TestTrain:
                                    set_list(val_data), val_data.normals)
         assert metric == res.best_val_metric
 
+    def test_only_the_step_stack_holds_a_gradient(self, monkeypatch):
+        stacks = []
+
+        class Recorded(training.AutoencoderStack):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stacks.append(self)
+
+        monkeypatch.setattr(training, "AutoencoderStack", Recorded)
+        train(*tiny_problem(np.random.default_rng(53)), quick_config(lam=1.0))
+        step, evaluation = stacks
+        assert "grad" in vars(step)
+        assert "grad" not in vars(evaluation) and "grads" not in vars(evaluation)
+
     def test_lambda_zero_ignores_set_contents(self):
         # with no ranking term the training sets cannot influence the
         # parameter trajectory (patience disabled, fixed epoch count)

@@ -26,7 +26,7 @@ from .metrics import (
     set_max_scores,
 )
 from .network import (
-    LayerParams,
+    Layer,
     finite_diff_grad,
     init_params,
     mlp_backward,

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 import argparse
+import os
 import sys
 
 from .harness import ExperimentConfig, emit_report, run_experiment
@@ -55,6 +56,12 @@ def cli_parse(argv):
     for flag, value in (("--csv", args.csv), ("--label-col", args.label_col)):
         if args.dataset != "csv" and value is not None:
             parser.error(f"{flag} requires --dataset csv")
+    # the report is written after training: a file in the way would waste it
+    existing = os.path.abspath(args.out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        parser.error(f"--out: {existing} exists and is not a directory")
     if args.fixed_lambda is not None:
         grid = (args.fixed_lambda,)
     elif args.lambda_grid is not None:

@@ -127,12 +127,15 @@ def load_csv(path, label_column="label"):
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
+        reader = _csv.reader(fh)
         try:
-            return _read_csv(_csv.reader(fh), path, label_column)
+            return _read_csv(reader, path, label_column)
         except UnicodeDecodeError as exc:
             # exc.start counts from the decoder's current chunk, not the file
             raise DataError(f"{path} is not UTF-8 text: {exc.reason} "
                             f"{exc.object[exc.start:exc.end]!r}") from None
+        except _csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            raise DataError(f"{path}, row {reader.line_num}: {exc}") from None
 
 
 def _read_csv(reader, path, label_column):

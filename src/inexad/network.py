@@ -3,14 +3,15 @@
 Everything here operates on plain float64 numpy arrays.  Layers are
 affine maps with ReLU (or tanh) on hidden layers and a linear final
 layer.  Inputs are (n, D) batches, one row per instance; a lone 1-d
-vector is rejected with ShapeError.  A flat parameter vector holds, per
-layer, the weight in row-major order and then the bias; layers_to_vector
-writes this layout and layer_views is the one place that reads it.
-A central finite-difference estimator is provided as an independent
-oracle for the analytic backward pass.
+vector is rejected with ShapeError.  A model's parameters are one flat
+vector holding, per layer, the weight in row-major order and then the
+bias.  layer_views is the one place that knows this layout: every
+reader and writer of a layer goes through its views.  A central
+finite-difference estimator is provided as an independent oracle for
+the analytic backward pass.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,47 +20,23 @@ class ShapeError(ValueError):
     """Raised when an input dimension does not match a layer dimension."""
 
 
-@dataclass
-class LayerParams:
-    """One affine layer: weight is (out_dim, in_dim), bias is (out_dim,)."""
+class Layer(NamedTuple):
+    """One affine layer: weight is (..., out_dim, in_dim), bias is (..., out_dim)."""
 
     weight: np.ndarray
     bias: np.ndarray
 
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise ShapeError(
-                f"weight must be 2-d and bias 1-d, got {self.weight.ndim}-d "
-                f"and {self.bias.ndim}-d"
-            )
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ShapeError(
-                f"weight has {self.weight.shape[0]} output rows but bias has "
-                f"{self.bias.shape[0]} entries"
-            )
 
-    @property
-    def in_dim(self):
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self):
-        return self.weight.shape[0]
-
-
-def affine_forward(params, x):
+def affine_forward(layer, x):
     """x @ weight.T + bias for an (n, in_dim) batch x."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected an (n, D) batch, got {x.ndim}-d")
-    if x.shape[1] != params.in_dim:
-        raise ShapeError(
-            f"input has {x.shape[1]} features but layer expects {params.in_dim}"
-        )
-    out = np.matmul(x, params.weight.T)
-    out += params.bias
+    in_dim = layer.weight.shape[1]
+    if x.shape[1] != in_dim:
+        raise ShapeError(f"input has {x.shape[1]} features but layer expects {in_dim}")
+    out = np.matmul(x, layer.weight.T)
+    out += layer.bias
     return out
 
 
@@ -177,32 +154,29 @@ def finite_diff_grad(loss_fn, params, step=1e-5):
 
 
 def init_params(layer_dims, rng_seed):
-    """Glorot-uniform weights, zero biases; deterministic for a given seed."""
+    """Glorot-uniform weights and zero biases as one flat vector, drawn layer by
+    layer; deterministic for a given seed."""
     dims = list(layer_dims)
     if len(dims) < 2:
         raise ValueError(f"need at least two layer dims, got {dims}")
     rng = np.random.default_rng(rng_seed)
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    theta = np.zeros(param_count(dims))
+    for weight, _ in layer_views(theta, dims):
+        fan_out, fan_in = weight.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        layers.append(LayerParams(weight=w, bias=np.zeros(fan_out)))
-    return layers
+        weight[...] = rng.uniform(-bound, bound, size=weight.shape)
+    return theta
 
 
-def layers_to_vector(layers):
-    """Flatten a layer list to one float64 vector (weights then bias, per layer)."""
-    parts = []
-    for layer in layers:
-        parts.append(layer.weight.ravel())
-        parts.append(layer.bias)
-    return np.concatenate(parts)
+def param_count(dims):
+    """Length of the parameter vector of the layer chain dims."""
+    return sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))
 
 
 def layer_views(theta, dims):
-    """[(weight (..., out, in), bias (..., out)) per layer] as views into a
-    (..., P) array whose rows are laid out like layers_to_vector."""
-    needed = sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))
+    """[Layer(weight (..., out, in), bias (..., out)) per layer] as views into
+    a (..., P) array, each row one model's parameter vector."""
+    needed = param_count(dims)
     if theta.shape[-1] != needed:
         raise ShapeError(f"vector has {theta.shape[-1]} entries but dims need {needed}")
     lead = theta.shape[:-1]
@@ -210,13 +184,6 @@ def layer_views(theta, dims):
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weight = theta[..., pos:pos + fan_out * fan_in].reshape(lead + (fan_out, fan_in))
         pos += fan_out * fan_in
-        views.append((weight, theta[..., pos:pos + fan_out]))
+        views.append(Layer(weight, theta[..., pos:pos + fan_out]))
         pos += fan_out
     return views
-
-
-def vector_to_layers(vec, layer_dims):
-    """Inverse of layers_to_vector for the given dimension chain; the layers
-    are views into vec."""
-    vec = np.asarray(vec, dtype=np.float64)
-    return [LayerParams(weight=w, bias=b) for w, b in layer_views(vec, list(layer_dims))]

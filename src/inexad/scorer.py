@@ -12,7 +12,8 @@ members of a lambda grid in lockstep.
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +24,8 @@ from .network import (
     _activation_grad,
     init_params,
     layer_views,
-    layers_to_vector,
     mlp_backward,
     mlp_forward,
-    vector_to_layers,
 )
 
 DEFAULT_HIDDEN = 128
@@ -35,11 +34,19 @@ DEFAULT_CODE = 16
 
 @dataclass
 class AutoencoderParams:
-    """All weights and biases of the encoder and decoder."""
+    """An autoencoder as its dimension chain, one flat parameter vector and
+    the hidden-layer activation of both halves.
 
-    encoder: list  # of LayerParams
-    decoder: list  # of LayerParams
-    activation: str = "relu"  # hidden-layer activation of both halves
+    dims runs input -> ... -> code -> ... -> input.  encoder and decoder
+    are the two halves of network.layer_views(theta, dims): views, so an
+    in-place edit of a layer changes theta.
+    """
+
+    dims: list
+    theta: np.ndarray
+    activation: str = "relu"
+    encoder: list = field(init=False, repr=False)
+    decoder: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -47,54 +54,44 @@ class AutoencoderParams:
                 f"unknown activation {self.activation!r}, expected one of "
                 f"{ACTIVATIONS}"
             )
-        if self.encoder[-1].out_dim != self.decoder[0].in_dim:
+        dims = list(self.dims) if np.ndim(self.dims) == 1 else []
+        if (len(dims) < 3 or len(dims) % 2 == 0 or dims[0] != dims[-1]
+                or not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims)):
             raise ShapeError(
-                f"encoder emits {self.encoder[-1].out_dim} features but the "
-                f"decoder expects {self.decoder[0].in_dim}"
+                "dims must be an odd number (at least 3) of positive integers "
+                f"that starts and ends at the input width, got {self.dims!r}"
             )
-        if self.decoder[-1].out_dim != self.encoder[0].in_dim:
-            raise ShapeError(
-                f"decoder emits {self.decoder[-1].out_dim} features but the "
-                f"encoder input has {self.encoder[0].in_dim}"
-            )
+        self.dims = [int(d) for d in dims]
+        self.theta = np.asarray(self.theta, dtype=np.float64)
+        if self.theta.ndim != 1:
+            raise ShapeError(f"theta must be 1-d, got {self.theta.ndim}-d")
+        layers = layer_views(self.theta, self.dims)
+        half = len(layers) // 2
+        self.encoder, self.decoder = layers[:half], layers[half:]
+
+    def __reduce__(self):
+        # pickle theta alone: copies of the views would no longer share its memory
+        return AutoencoderParams, (self.dims, self.theta, self.activation)
 
     @property
     def input_dim(self):
-        return self.encoder[0].in_dim
-
-    @property
-    def size(self):
-        """Number of parameters: the length of ae_to_vector(params)."""
-        return sum(l.weight.size + l.bias.size
-                   for l in self.encoder + self.decoder)
-
-    @property
-    def dims(self):
-        """Full dimension chain input -> ... -> code -> ... -> input."""
-        enc = [l.in_dim for l in self.encoder] + [self.encoder[-1].out_dim]
-        dec = [l.out_dim for l in self.decoder]
-        return enc + dec
+        return self.dims[0]
 
 
 def ae_init(input_dim, rng_seed, hidden=DEFAULT_HIDDEN, code=DEFAULT_CODE,
             activation="relu"):
-    """Fresh autoencoder D -> hidden -> code -> hidden -> D."""
-    enc = init_params([input_dim, hidden, code], rng_seed)
-    dec = init_params([code, hidden, input_dim], rng_seed + 1)
-    return AutoencoderParams(encoder=enc, decoder=dec, activation=activation)
-
-
-def ae_to_vector(params):
-    return layers_to_vector(params.encoder + params.decoder)
+    """Fresh autoencoder D -> hidden -> code -> hidden -> D: the encoder drawn
+    from rng_seed, the decoder from rng_seed + 1."""
+    theta = np.concatenate([init_params([input_dim, hidden, code], rng_seed),
+                            init_params([code, hidden, input_dim], rng_seed + 1)])
+    return AutoencoderParams([input_dim, hidden, code, hidden, input_dim], theta,
+                             activation=activation)
 
 
 def ae_from_vector(vec, dims, activation="relu"):
-    """Rebuild AutoencoderParams from a flat vector and full dimension chain;
-    the layers are views into vec."""
-    layers = vector_to_layers(vec, dims)
-    n_enc = len(layers) // 2
-    return AutoencoderParams(encoder=layers[:n_enc], decoder=layers[n_enc:],
-                             activation=activation)
+    """AutoencoderParams over a flat vector and full dimension chain; the
+    layers are views into vec."""
+    return AutoencoderParams(dims, vec, activation=activation)
 
 
 def reconstruct(params, X):
@@ -120,8 +117,8 @@ def score_forward(params, X):
 def score_backward(params, tape, upstream):
     """sum_i upstream_i * d a(x_i)/d theta for a score_forward tape.
 
-    Returns the gradient as a new vector in ae_to_vector order.  Consumes
-    the tape.
+    Returns the gradient as a new vector laid out like params.theta.
+    Consumes the tape.
     """
     diff, enc_tape, dec_tape = tape
     g_recon = np.multiply(-2.0, diff, out=diff)
@@ -130,8 +127,12 @@ def score_backward(params, tape, upstream):
                                      activation=params.activation)
     enc_grads, _ = mlp_backward(params.encoder, enc_tape, g_code,
                                 activation=params.activation)
-    return np.concatenate([p.ravel() for dw, db in enc_grads + dec_grads
-                           for p in (dw, db)])
+    grad = np.empty_like(params.theta)
+    for (dweight, dbias), (w, b) in zip(layer_views(grad, params.dims),
+                                        enc_grads + dec_grads):
+        dweight[...] = w
+        dbias[...] = b
+    return grad
 
 
 def score_batch(params, X):
@@ -159,8 +160,8 @@ def score_batch(params, X):
 def score_batch_grad(params, X, upstream):
     """Scores and the summed parameter gradient sum_i upstream_i * d a(x_i)/d theta.
 
-    Returns (scores, grad_vector) with the gradient flattened in
-    ae_to_vector order.
+    Returns (scores, grad_vector) with the gradient laid out like
+    params.theta.
     """
     X = np.asarray(X, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -181,7 +182,7 @@ def carve(pool, *shapes):
 class AutoencoderStack:
     """L autoencoders of one architecture, stacked as the rows of (L, P) arrays.
 
-    theta holds one model's parameters per row, in ae_to_vector order,
+    theta holds one model's parameter vector per row,
     and grad their gradients; each layer's weights are (L, out, in) views
     into them.  A pass runs the leading `a` models on one shared (n, D)
     batch with batched matmuls, which give each model the bits of the
@@ -194,7 +195,7 @@ class AutoencoderStack:
     def __init__(self, params, count, pool_size):
         self.dims = params.dims
         self.activation = params.activation
-        self.theta = np.tile(ae_to_vector(params), (count, 1))
+        self.theta = np.tile(params.theta, (count, 1))
         self.layers = layer_views(self.theta, self.dims)
         half = len(self.layers) // 2
         self.hidden = [i % half != half - 1 for i in range(len(self.layers))]
@@ -290,15 +291,13 @@ def save_params(path, params, rng_seed=-1):
         dims=np.asarray(params.dims, dtype=np.int64),
         seed=np.int64(rng_seed),
         activation=np.str_(params.activation),
-        theta=ae_to_vector(params),
+        theta=params.theta,
     )
 
 
 def load_params(path):
     """Read parameters written by save_params; returns (params, seed)."""
     with np.load(path) as f:
-        dims = [int(d) for d in f["dims"]]
         seed = int(f["seed"])
-        activation = str(f["activation"])
-        params = ae_from_vector(f["theta"].copy(), dims, activation=activation)
+        params = ae_from_vector(f["theta"].copy(), f["dims"], activation=str(f["activation"]))
     return params, seed

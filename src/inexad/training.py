@@ -57,7 +57,6 @@ from .scorer import (
     AutoencoderStack,
     ae_from_vector,
     ae_init,
-    ae_to_vector,
     carve,
     score_backward,
     score_batch,
@@ -257,7 +256,7 @@ def _upstream(mode, lams, scores, j, lengths, out=None, pair=None):
 
 
 def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
-    """Exact gradient of the batch objective, flattened in ae_to_vector order."""
+    """Exact gradient of the batch objective, laid out like params.theta."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     normals = np.asarray(normal_batch, dtype=np.float64)
@@ -445,7 +444,7 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
                    hidden=config.hidden_dim, code=config.code_dim,
                    activation=config.activation)
     if config.max_epochs == 0:
-        return [[TrainResult(best_params=ae_from_vector(ae_to_vector(init), init.dims,
+        return [[TrainResult(best_params=ae_from_vector(init.theta.copy(), init.dims,
                                                         activation=config.activation),
                              best_val_metric=math.nan, history=[], stopped_epoch=0,
                              chosen_lambda=lam)
@@ -470,7 +469,7 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     stack = AutoencoderStack(init, count, max(
         AutoencoderStack.pool_size(init.dims, count, step_rows=step_rows,
                                    step_spare=2 * count * ranked * config.batch_normals),
-        2 * count * init.size,  # Adam's scratch
+        2 * count * init.theta.size,  # Adam's scratch
     ))
     theta, grad = stack.theta, stack.grad
     # the evaluation's copy of the parameters, with a pool of its own

@@ -13,8 +13,8 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from inexad.data import TrainData  # noqa: E402
-from inexad.network import affine_forward  # noqa: E402
-from inexad.scorer import ae_init, reconstruct  # noqa: E402
+from inexad.network import affine_forward, param_count  # noqa: E402
+from inexad.scorer import AutoencoderParams, ae_init, reconstruct  # noqa: E402
 
 # Central finite differences in float64 resolve gradients to roughly
 # this relative precision away from ReLU kinks.
@@ -40,17 +40,24 @@ def assert_grad_close(analytic, numeric):
     )
 
 
+def zero_ae(dim=2, hidden=3, code=2):
+    """Autoencoder whose weights and biases are all zero: it reconstructs every row as 0."""
+    dims = [dim, hidden, code, hidden, dim]
+    return AutoencoderParams(dims, np.zeros(param_count(dims)))
+
+
 def small_ae(rng, dim=3, hidden=4, code=2, activation="relu"):
     """Tiny autoencoder with weights rescaled away from the origin.
 
     Glorot init plus a random shift keeps scores nonzero and, for ReLU,
-    makes kink-free inputs easy to find.
+    makes kink-free inputs easy to find.  The edits go through the
+    layer views, so they land in params.theta.
     """
     params = ae_init(dim, int(rng.integers(0, 2**31)), hidden=hidden,
                      code=code, activation=activation)
-    for layer in params.encoder + params.decoder:
-        layer.weight += rng.normal(0.0, 0.1, size=layer.weight.shape)
-        layer.bias += rng.normal(0.0, 0.1, size=layer.bias.shape)
+    for weight, bias in params.encoder + params.decoder:
+        weight += rng.normal(0.0, 0.1, size=weight.shape)
+        bias += rng.normal(0.0, 0.1, size=bias.shape)
     return params
 
 

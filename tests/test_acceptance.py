@@ -17,7 +17,7 @@ from inexad.data import gen_synthetic, materialize
 from inexad.harness import ExperimentConfig, run_experiment
 from inexad.metrics import empirical_auc, empirical_inexact_auc
 from inexad.network import finite_diff_grad
-from inexad.scorer import ae_from_vector, ae_to_vector, score_batch
+from inexad.scorer import ae_from_vector, score_batch
 from inexad.training import TrainConfig, mode_objective, objective_grad, train
 from .conftest import KINK_MARGIN, REL_TOL, ABS_TOL, min_preactivation, small_ae
 
@@ -87,7 +87,7 @@ def test_criterion_1_gradient_correctness():
             return mode_objective("proposed", p, sets, normals, lam)
 
         analytic = objective_grad(params, sets, normals, lam)
-        numeric = finite_diff_grad(loss, ae_to_vector(params))
+        numeric = finite_diff_grad(loss, params.theta)
         tol = np.maximum(ABS_TOL, REL_TOL * np.abs(numeric))
         gap = np.abs(analytic - numeric)
         ok = ok and bool(np.all(gap <= tol))

@@ -154,6 +154,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"latin1.csv is not UTF-8 text: .* b'\\xe9'"):
             load_csv(path, label_column="label")
 
+    def test_cell_over_the_field_size_limit_names_the_path_and_row(self, tmp_path):
+        path = write(tmp_path, 'a,b,label\n1,2,0\n3,"' + "4" * 200_000 + '",1\n')
+        with pytest.raises(DataError, match=r"data.csv, row 3: field larger than field limit"):
+            load_csv(path, label_column="label")
+
     @pytest.mark.parametrize("header", [True, False])
     def test_bits_match_per_row_float_lists(self, tmp_path, header):
         rng = np.random.default_rng(70)

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from inexad.harness import (
     run_experiment,
 )
 from inexad.data import gen_synthetic, materialize
-from inexad.scorer import ae_to_vector
 from inexad.training import (
     DEFAULT_LAMBDA_GRID,
     VAL_METRIC,
@@ -356,6 +356,17 @@ class TestCliParse:
         assert exc.value.code == 2
         assert "1234567.0 and 1234568.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["taken", os.path.join("taken", "run")])
+    def test_out_blocked_by_a_file_fails_before_training(self, tmp_path, out, capsys):
+        (tmp_path / "taken").write_text("")
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["--mode", "proposed", "--repeats", "1", "--epochs", "30",
+                  "--out", str(tmp_path / out)])
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.code == 2
+        assert "exists and is not a directory" in capsys.readouterr().err
+
     def test_bad_grid_value(self):
         with pytest.raises(SystemExit) as exc:
             cli_parse(["--lambda-grid", "0,abc"])
@@ -433,5 +444,4 @@ class TestSharedPlainRun:
             assert got.history == want.history
             assert (got.stopped_epoch, got.best_epoch, got.stop_reason) \
                 == (want.stopped_epoch, want.best_epoch, want.stop_reason)
-            np.testing.assert_array_equal(ae_to_vector(got.best_params),
-                                          ae_to_vector(want.best_params))
+            np.testing.assert_array_equal(got.best_params.theta, want.best_params.theta)

@@ -6,36 +6,40 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inexad.network import (
-    LayerParams,
+    Layer,
     ShapeError,
     _sigmoid_into,
     affine_forward,
     finite_diff_grad,
     init_params,
     layer_views,
-    layers_to_vector,
     mlp_backward,
     mlp_forward,
+    param_count,
     sigmoid_stable,
-    vector_to_layers,
 )
 from .conftest import KINK_MARGIN, assert_grad_close
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
+def init_layers(dims, seed):
+    """The layers of init_params(dims, seed), as views into its vector."""
+    return layer_views(init_params(dims, seed), dims)
+
+
 class TestAffineForward:
     def test_identity(self):
-        layer = LayerParams(weight=np.eye(2), bias=np.zeros(2))
+        layer = Layer(weight=np.eye(2), bias=np.zeros(2))
         np.testing.assert_array_equal(affine_forward(layer, [[3.0, 4.0]]), [[3.0, 4.0]])
 
     def test_scale_and_shift(self):
-        layer = LayerParams(weight=2 * np.eye(2), bias=np.ones(2))
+        layer = Layer(weight=2 * np.eye(2), bias=np.ones(2))
         np.testing.assert_array_equal(affine_forward(layer, [[1.0, 1.0]]), [[3.0, 3.0]])
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(7)
-        layer = LayerParams(weight=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
+        layer = Layer(weight=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
         x = np.array([0.5, -0.5])
         expected = [
             sum(layer.weight[i, j] * x[j] for j in range(2)) + layer.bias[i]
@@ -45,7 +49,7 @@ class TestAffineForward:
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(8)
-        layer = LayerParams(weight=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
+        layer = Layer(weight=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
         X = rng.normal(size=(5, 4))
         out = affine_forward(layer, X)
         for i in range(5):
@@ -54,13 +58,13 @@ class TestAffineForward:
                                        rtol=1e-14)
 
     def test_dimension_mismatch(self):
-        layer = LayerParams(weight=np.eye(2), bias=np.zeros(2))
+        layer = Layer(weight=np.eye(2), bias=np.zeros(2))
         with pytest.raises(ShapeError, match="3 features.*expects 2"):
             affine_forward(layer, [[1.0, 2.0, 3.0]])
 
     def test_linearity(self):
         rng = np.random.default_rng(9)
-        layer = LayerParams(weight=rng.normal(size=(3, 3)), bias=rng.normal(size=3))
+        layer = Layer(weight=rng.normal(size=(3, 3)), bias=rng.normal(size=3))
         for _ in range(10):
             a, b = rng.normal(size=2)
             x, y = rng.normal(size=(2, 1, 3))
@@ -73,8 +77,8 @@ class TestAffineForward:
 def relu_layer(v):
     """The hidden layer's output for v: identity weights, then mlp_forward's ReLU."""
     n = len(v)
-    layers = [LayerParams(weight=np.eye(n), bias=np.zeros(n)),
-              LayerParams(weight=np.eye(n), bias=np.zeros(n))]
+    layers = [Layer(weight=np.eye(n), bias=np.zeros(n)),
+              Layer(weight=np.eye(n), bias=np.zeros(n))]
     return mlp_forward(layers, [v])[0][0]
 
 
@@ -179,21 +183,21 @@ class TestSigmoidMatchesMaskedFormula:
 
 class TestMlpForward:
     def test_single_identity_layer(self):
-        layers = [LayerParams(weight=np.eye(3), bias=np.zeros(3))]
+        layers = [Layer(weight=np.eye(3), bias=np.zeros(3))]
         out, _ = mlp_forward(layers, [[1.0, -2.0, 3.0]])
         np.testing.assert_array_equal(out, [[1.0, -2.0, 3.0]])
 
     def test_zero_params_zero_output(self):
         layers = [
-            LayerParams(weight=np.zeros((4, 3)), bias=np.zeros(4)),
-            LayerParams(weight=np.zeros((2, 4)), bias=np.zeros(2)),
+            Layer(weight=np.zeros((4, 3)), bias=np.zeros(4)),
+            Layer(weight=np.zeros((2, 4)), bias=np.zeros(2)),
         ]
         out, _ = mlp_forward(layers, [[5.0, -1.0, 2.0]])
         np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(11)
-        layers = init_params([3, 4, 2], 11)
+        layers = init_layers([3, 4, 2], 11)
         x = rng.normal(size=(1, 3))
         h = np.maximum(0.0, affine_forward(layers[0], x))
         expected = affine_forward(layers[1], h)
@@ -201,7 +205,7 @@ class TestMlpForward:
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_tanh_activation(self):
-        layers = init_params([3, 4, 2], 12)
+        layers = init_layers([3, 4, 2], 12)
         x = np.array([[0.3, -0.2, 0.1]])
         h = np.tanh(affine_forward(layers[0], x))
         expected = affine_forward(layers[1], h)
@@ -209,7 +213,7 @@ class TestMlpForward:
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_tape_is_the_input_then_each_layer_output(self):
-        layers = init_params([3, 4, 2, 5], 13)
+        layers = init_layers([3, 4, 2, 5], 13)
         x = np.random.default_rng(13).normal(size=(5, 3))
         for activation, act in (("relu", lambda z: np.maximum(0.0, z)), ("tanh", np.tanh)):
             out, tape = mlp_forward(layers, x, activation)
@@ -224,7 +228,7 @@ class TestMlpForward:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("shape", [(0, 3), (1, 3), (7, 3)])
     def test_tape_free_equals_taped_bitwise(self, activation, shape):
-        layers = init_params([3, 6, 2, 6, 3], 17)
+        layers = init_layers([3, 6, 2, 6, 3], 17)
         x = np.random.default_rng(17).normal(size=shape)
         before = x.copy()
         out, cache = mlp_forward(layers, x, activation, cache=False)
@@ -238,7 +242,7 @@ class TestMlpForward:
 
 class TestMlpBackward:
     def test_zero_output_grad(self):
-        layers = init_params([3, 4, 2], 14)
+        layers = init_layers([3, 4, 2], 14)
         _, tape = mlp_forward(layers, np.array([[0.2, 0.5, -0.1]]))
         grads, input_grad = mlp_backward(layers, tape, np.zeros((1, 2)))
         for dw, db in grads:
@@ -247,7 +251,7 @@ class TestMlpBackward:
 
     def test_single_linear_layer(self):
         # loss = scalar output  =>  dW = x, db = 1
-        layers = [LayerParams(weight=np.array([[0.3, -0.7]]), bias=np.array([0.1]))]
+        layers = [Layer(weight=np.array([[0.3, -0.7]]), bias=np.array([0.1]))]
         x = np.array([[2.0, 5.0]])
         _, tape = mlp_forward(layers, x)
         grads, _ = mlp_backward(layers, tape, np.array([[1.0]]))
@@ -260,9 +264,10 @@ class TestMlpBackward:
         rng = np.random.default_rng(15)
         dims = [3, 5, 4, 2]
         for _ in range(5):
-            layers = init_params(dims, int(rng.integers(0, 2**31)))
-            for layer in layers:
-                layer.bias += rng.normal(0.0, 0.2, size=layer.bias.shape)
+            theta = init_params(dims, int(rng.integers(0, 2**31)))
+            layers = layer_views(theta, dims)
+            for _, bias in layers:
+                bias += rng.normal(0.0, 0.2, size=bias.shape)
             # redraw inputs that graze a ReLU kink
             for _ in range(100):
                 x = rng.uniform(-1, 1, size=(1, 3))
@@ -275,19 +280,18 @@ class TestMlpBackward:
             w_out = rng.normal(size=(1, 2))
 
             def loss(theta):
-                ls = vector_to_layers(theta, dims)
-                out, _ = mlp_forward(ls, x, activation=activation)
+                out, _ = mlp_forward(layer_views(theta, dims), x, activation=activation)
                 return float(np.sum(w_out * out))
 
             grads, _ = mlp_backward(layers, tape, w_out, activation=activation)
             analytic = np.concatenate(
                 [np.concatenate([dw.ravel(), db]) for dw, db in grads]
             )
-            numeric = finite_diff_grad(loss, layers_to_vector(layers))
+            numeric = finite_diff_grad(loss, theta)
             assert_grad_close(analytic, numeric)
 
     def test_shape_mismatch(self):
-        layers = init_params([3, 4, 2], 16)
+        layers = init_layers([3, 4, 2], 16)
         _, tape = mlp_forward(layers, np.zeros((1, 3)))
         with pytest.raises(ShapeError):
             mlp_backward(layers, tape, np.zeros((1, 3)))
@@ -297,18 +301,18 @@ class TestBatchesOnly:
     """A lone 1-d vector is rejected, not read as a one-row batch."""
 
     def test_affine_forward(self):
-        (layer,) = init_params([3, 2], 19)
+        (layer,) = init_layers([3, 2], 19)
         with pytest.raises(ShapeError, match="1-d"):
             affine_forward(layer, np.zeros(3))
 
     def test_mlp_forward(self):
-        layers = init_params([3, 4, 2], 19)
+        layers = init_layers([3, 4, 2], 19)
         for cache in (True, False):
             with pytest.raises(ShapeError, match="1-d"):
                 mlp_forward(layers, np.zeros(3), cache=cache)
 
     def test_mlp_backward(self):
-        layers = init_params([3, 4, 2], 19)
+        layers = init_layers([3, 4, 2], 19)
         _, tape = mlp_forward(layers, np.zeros((1, 3)))
         with pytest.raises(ShapeError):
             mlp_backward(layers, tape, np.zeros(2))
@@ -337,23 +341,25 @@ class TestInitParams:
     def test_deterministic(self):
         a = init_params([4, 3, 2], 42)
         b = init_params([4, 3, 2], 42)
-        for la, lb in zip(a, b):
-            np.testing.assert_array_equal(la.weight, lb.weight)
-            np.testing.assert_array_equal(la.bias, lb.bias)
+        assert a.tobytes() == b.tobytes()
+
+    def test_one_vector_of_every_layer(self):
+        theta = init_params([4, 3, 2], 42)
+        assert theta.shape == (4 * 3 + 3 + 3 * 2 + 2,) == (param_count([4, 3, 2]),)
 
     def test_seed_changes_weights(self):
         a = init_params([4, 3], 1)
         b = init_params([4, 3], 2)
-        assert not np.array_equal(a[0].weight, b[0].weight)
+        assert not np.array_equal(a, b)
 
     def test_bound(self):
         # fan_in + fan_out = 6  =>  bound = 1
-        (layer,) = init_params([4, 2], 0)
+        (layer,) = init_layers([4, 2], 0)
         assert np.all(np.abs(layer.weight) <= 1.0)
         np.testing.assert_array_equal(layer.bias, np.zeros(2))
 
     def test_sample_mean_near_zero(self):
-        (layer,) = init_params([128, 16], 3)
+        (layer,) = init_layers([128, 16], 3)
         bound = np.sqrt(6.0 / 144)
         stderr = bound / np.sqrt(3) / np.sqrt(layer.weight.size)
         assert abs(layer.weight.mean()) < 5 * stderr
@@ -363,26 +369,25 @@ class TestInitParams:
             init_params([4], 0)
 
 
-class TestVectorRoundTrip:
-    def test_round_trip(self):
-        layers = init_params([3, 5, 2], 18)
-        vec = layers_to_vector(layers)
-        back = vector_to_layers(vec, [3, 5, 2])
-        for la, lb in zip(layers, back):
-            np.testing.assert_array_equal(la.weight, lb.weight)
-            np.testing.assert_array_equal(la.bias, lb.bias)
+class TestLayerViews:
+    def test_layout(self):
+        # per layer, the row-major weight and then the bias
+        theta = np.arange(float(param_count([3, 2, 1])))
+        (w0, b0), (w1, b1) = layer_views(theta, [3, 2, 1])
+        assert w0.tolist() == [[0, 1, 2], [3, 4, 5]] and b0.tolist() == [6, 7]
+        assert w1.tolist() == [[8, 9]] and b1.tolist() == [10]
 
     def test_wrong_length(self):
         with pytest.raises(ShapeError, match="entries"):
-            vector_to_layers(np.zeros(7), [3, 5, 2])
+            layer_views(np.zeros(7), [3, 5, 2])
 
     def test_stack_views_equal_each_row_and_share_memory(self):
         dims = [3, 5, 2, 5, 3]
-        rows = [layers_to_vector(init_params(dims, seed)) for seed in (20, 21, 22)]
+        rows = [init_params(dims, seed) for seed in (20, 21, 22)]
         stack = np.stack(rows)
         views = layer_views(stack, dims)
         for m, row in enumerate(rows):
-            for (weight, bias), layer in zip(views, vector_to_layers(row, dims)):
+            for (weight, bias), layer in zip(views, layer_views(row, dims)):
                 assert weight[m].tobytes() == layer.weight.tobytes()
                 assert bias[m].tobytes() == layer.bias.tobytes()
         for weight, bias in views:

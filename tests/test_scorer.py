@@ -1,15 +1,22 @@
 """Unit tests for the reconstruction-error scorer and its gradients."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from inexad.network import LayerParams, ShapeError, affine_forward, finite_diff_grad
+from inexad.network import (
+    ACTIVATIONS,
+    ShapeError,
+    affine_forward,
+    finite_diff_grad,
+    param_count,
+)
 from inexad.scorer import (
     AutoencoderParams,
     AutoencoderStack,
     ae_from_vector,
     ae_init,
-    ae_to_vector,
     load_params,
     reconstruct,
     save_params,
@@ -17,24 +24,14 @@ from inexad.scorer import (
     score_batch_grad,
     score_forward,
 )
-from .conftest import assert_grad_close, draw_kink_free, small_ae
-
-
-def zero_ae(dim=2, hidden=3, code=2):
-    def zl(i, o):
-        return LayerParams(weight=np.zeros((o, i)), bias=np.zeros(o))
-
-    return AutoencoderParams(
-        encoder=[zl(dim, hidden), zl(hidden, code)],
-        decoder=[zl(code, hidden), zl(hidden, dim)],
-    )
+from .conftest import assert_grad_close, draw_kink_free, small_ae, zero_ae
 
 
 def identity_ae(dim=3):
-    def il(d):
-        return LayerParams(weight=np.eye(d), bias=np.zeros(d))
-
-    return AutoencoderParams(encoder=[il(dim), il(dim)], decoder=[il(dim), il(dim)])
+    params = zero_ae(dim, hidden=dim, code=dim)
+    for weight, _ in params.encoder + params.decoder:
+        weight[...] = np.eye(dim)
+    return params
 
 
 def score_one(params, x):
@@ -165,7 +162,7 @@ class TestScoreGrad:
                 return score_one(ae_from_vector(theta, dims, activation=activation), x)
 
             analytic = grad_one(params, x, 1.0)
-            numeric = finite_diff_grad(loss, ae_to_vector(params))
+            numeric = finite_diff_grad(loss, params.theta)
             assert_grad_close(analytic, numeric)
 
     def test_batch_grad_sums_instances(self):
@@ -205,37 +202,102 @@ class TestAutoencoderStack:
 
 
 class TestStructure:
-    def test_size_counts_parameters(self):
+    def test_theta_holds_every_parameter(self):
         params = ae_init(5, 0, hidden=7, code=3)
-        assert params.size == ae_to_vector(params).size
+        assert params.theta.shape == ((5 * 7 + 7) + (7 * 3 + 3) + (3 * 7 + 7) + (7 * 5 + 5),)
 
     def test_dims_chain(self):
         params = ae_init(5, 0, hidden=7, code=3)
         assert params.dims == [5, 7, 3, 7, 5]
 
     def test_init_deterministic(self):
-        a = ae_to_vector(ae_init(4, 9, hidden=6, code=2))
-        b = ae_to_vector(ae_init(4, 9, hidden=6, code=2))
+        a = ae_init(4, 9, hidden=6, code=2).theta
+        b = ae_init(4, 9, hidden=6, code=2).theta
         np.testing.assert_array_equal(a, b)
 
-    def test_vector_round_trip(self):
-        params = ae_init(4, 10, hidden=6, code=2, activation="tanh")
-        back = ae_from_vector(ae_to_vector(params), params.dims, activation="tanh")
-        np.testing.assert_array_equal(ae_to_vector(back), ae_to_vector(params))
-        assert back.activation == "tanh"
+    @pytest.mark.parametrize("dim, seed, hidden, code", [(3, 41, 6, 2), (2, 0, 128, 16)])
+    def test_initial_draws_are_pinned(self, dim, seed, hidden, code):
+        # Glorot-uniform weights in layer order, the encoder drawn from seed and
+        # the decoder from seed + 1, each layer's zero bias after its weight
+        parts = []
+        for rng_seed, chain in ((seed, [dim, hidden, code]), (seed + 1, [code, hidden, dim])):
+            rng = np.random.default_rng(rng_seed)
+            for fan_in, fan_out in zip(chain[:-1], chain[1:]):
+                bound = np.sqrt(6.0 / (fan_in + fan_out))
+                parts += [rng.uniform(-bound, bound, size=fan_out * fan_in), np.zeros(fan_out)]
+        want = np.concatenate(parts)
+        for activation in ACTIVATIONS:
+            got = ae_init(dim, seed, hidden=hidden, code=code, activation=activation).theta
+            assert got.tobytes() == want.tobytes()
 
-    def test_mismatched_halves_rejected(self):
-        enc = [LayerParams(weight=np.zeros((3, 2)), bias=np.zeros(3))]
-        dec = [LayerParams(weight=np.zeros((2, 4)), bias=np.zeros(2))]
-        with pytest.raises(ShapeError):
-            AutoencoderParams(encoder=enc, decoder=dec)
+    def test_layer_edits_land_in_theta(self):
+        params = ae_init(3, 0, hidden=4, code=2)
+        before = params.theta.copy()
+        params.encoder[1].weight[0, 0] += 1.0
+        params.decoder[0].bias[...] = 5.0
+        # encoder: 4 * 3 + 4 entries, then the (2, 4) weight and 2 biases;
+        # decoder: the (4, 2) weight, then its 4 biases
+        assert np.flatnonzero(params.theta != before).tolist() == [16, 34, 35, 36, 37]
+        X = np.random.default_rng(30).normal(size=(5, 3))
+        copied = ae_from_vector(params.theta.copy(), params.dims)
+        np.testing.assert_array_equal(score_batch(params, X), score_batch(copied, X))
+
+    def test_from_vector_wraps_without_copying(self):
+        params = ae_init(4, 10, hidden=6, code=2, activation="tanh")
+        back = ae_from_vector(params.theta, params.dims, activation="tanh")
+        assert back.theta is params.theta
+        assert back.dims == params.dims and back.activation == "tanh"
+
+    def test_survives_pickling_as_views(self):
+        params = small_ae(np.random.default_rng(31))
+        back = pickle.loads(pickle.dumps(params))
+        np.testing.assert_array_equal(back.theta, params.theta)
+        for weight, bias in back.encoder + back.decoder:
+            assert np.shares_memory(weight, back.theta) and np.shares_memory(bias, back.theta)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="'sigmoid'"):
             ae_init(3, 0, activation="sigmoid")
-        vec = ae_to_vector(ae_init(3, 0, hidden=4, code=2))
+        vec = ae_init(3, 0, hidden=4, code=2).theta
         with pytest.raises(ValueError, match="'gelu'"):
             ae_from_vector(vec, [3, 4, 2, 4, 3], activation="gelu")
+
+
+# (dims, theta length or shape) pairs that describe no autoencoder
+MALFORMED = [
+    pytest.param([3], 0, id="one-entry"),
+    pytest.param([3, 3], 12, id="one-layer"),
+    pytest.param([3, 4, 5, 3], param_count([3, 4, 5, 3]), id="even-count"),
+    pytest.param([3, 0, 3], 3, id="zero-width"),
+    pytest.param([3, -4, 3], param_count([3, 4, 3]), id="negative-width"),
+    pytest.param([3, 4, 2], param_count([3, 4, 2]), id="ends-differ"),
+    pytest.param([3.0, 4.0, 3.0], param_count([3, 4, 3]), id="float-widths"),
+    pytest.param(3, 0, id="0-d"),
+    pytest.param([3, 4, 3], param_count([3, 4, 3]) - 1, id="theta-too-short"),
+    pytest.param([3, 4, 3], param_count([3, 4, 3]) + 1, id="theta-too-long"),
+    pytest.param([3, 4, 3], (1, param_count([3, 4, 3])), id="theta-2-d"),
+]
+
+
+class TestMalformedModel:
+    """A model's dims and theta are checked where an AutoencoderParams is built."""
+
+    def test_smallest_chain_accepted(self):
+        params = AutoencoderParams([3, 4, 3], np.zeros(param_count([3, 4, 3])))
+        assert len(params.encoder) == len(params.decoder) == 1
+
+    @pytest.mark.parametrize("dims, theta_shape", MALFORMED)
+    def test_rejected_when_built(self, dims, theta_shape):
+        with pytest.raises(ShapeError):
+            AutoencoderParams(dims, np.zeros(theta_shape))
+
+    @pytest.mark.parametrize("dims, theta_shape", MALFORMED)
+    def test_rejected_on_load(self, tmp_path, dims, theta_shape):
+        path = tmp_path / "model.npz"
+        np.savez(path, dims=np.asarray(dims), seed=np.int64(0),
+                 activation=np.str_("relu"), theta=np.zeros(theta_shape))
+        with pytest.raises(ShapeError):
+            load_params(path)
 
 
 class TestSerialization:
@@ -247,14 +309,14 @@ class TestSerialization:
         assert seed == 77
         assert loaded.dims == params.dims
         assert loaded.activation == params.activation
-        np.testing.assert_array_equal(ae_to_vector(loaded), ae_to_vector(params))
+        np.testing.assert_array_equal(loaded.theta, params.theta)
 
     def test_unknown_activation_rejected_on_load(self, tmp_path):
         params = ae_init(3, 0, hidden=4, code=2)
         path = tmp_path / "model.npz"
         np.savez(path, dims=np.asarray(params.dims, dtype=np.int64),
                  seed=np.int64(0), activation=np.str_("gelu"),
-                 theta=ae_to_vector(params))
+                 theta=params.theta)
         with pytest.raises(ValueError, match="'gelu'"):
             load_params(path)
 

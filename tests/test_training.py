@@ -11,12 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inexad.network import LayerParams, finite_diff_grad, sigmoid_stable
+from inexad.network import finite_diff_grad, sigmoid_stable
 from inexad.scorer import (
-    AutoencoderParams,
     ae_from_vector,
     ae_init,
-    ae_to_vector,
     score_batch,
     score_batch_grad,
 )
@@ -43,15 +41,8 @@ from .conftest import (
     set_list,
     small_ae,
     weak_data,
+    zero_ae,
 )
-
-
-def zero_ae(dim=2):
-    def zl(i, o):
-        return LayerParams(weight=np.zeros((o, i)), bias=np.zeros(o))
-
-    return AutoencoderParams(encoder=[zl(dim, 3), zl(3, 2)],
-                             decoder=[zl(2, 3), zl(3, dim)])
 
 
 def tiny_problem(rng, n_sets=4, set_size=3, n_normals=20):
@@ -279,12 +270,12 @@ class TestObjectiveGradFiniteDifferences:
                 return mode_objective(mode, p, sets, normals, lam)
 
             analytic = objective_grad(params, sets, normals, lam, mode=mode)
-            assert_grad_close(analytic, finite_diff_grad(loss, ae_to_vector(params)))
+            assert_grad_close(analytic, finite_diff_grad(loss, params.theta))
 
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        theta0 = ae_to_vector(ae_init(2, 0, hidden=3, code=2))
+        theta0 = ae_init(2, 0, hidden=3, code=2).theta
         state = AdamState.zeros(theta0.size)
         new, _ = adam_step(theta0, np.zeros_like(theta0), state, TrainConfig())
         np.testing.assert_array_equal(new, theta0)
@@ -382,8 +373,7 @@ class TestTrain:
         config = quick_config(max_epochs=0)
         res = train(train_data, val_data, config)
         init = ae_init(2, config.rng_seed, hidden=8, code=2)
-        np.testing.assert_array_equal(ae_to_vector(res.best_params),
-                                      ae_to_vector(init))
+        np.testing.assert_array_equal(res.best_params.theta, init.theta)
         assert res.history == []
         assert math.isnan(res.best_val_metric)
 
@@ -393,8 +383,7 @@ class TestTrain:
         a = train(train_data, val_data, quick_config())
         b = train(train_data, val_data, quick_config())
         assert a.history == b.history
-        np.testing.assert_array_equal(ae_to_vector(a.best_params),
-                                      ae_to_vector(b.best_params))
+        np.testing.assert_array_equal(a.best_params.theta, b.best_params.theta)
 
     def test_best_metric_is_history_max(self):
         rng = np.random.default_rng(51)
@@ -434,8 +423,7 @@ class TestTrain:
         config = quick_config(lam=0.0, max_epochs=4)
         a = train(train_data, val_data, config)
         b = train(shuffled, val_data, config)
-        np.testing.assert_array_equal(ae_to_vector(a.best_params),
-                                      ae_to_vector(b.best_params))
+        np.testing.assert_array_equal(a.best_params.theta, b.best_params.theta)
 
     def test_mil_improves_training_surrogate(self):
         # mil maximizes the pairwise surrogate, so the selected snapshot
@@ -497,7 +485,7 @@ def reference_train(train_data, val_data, config):
     init = ae_init(normals.shape[1], config.rng_seed, hidden=config.hidden_dim,
                    code=config.code_dim, activation=config.activation)
     dims = init.dims
-    theta = ae_to_vector(init)
+    theta = init.theta
     state = AdamState.zeros(theta.size)
     rng = np.random.default_rng(config.rng_seed)
 
@@ -567,7 +555,7 @@ class TestTrainMatchesAllocatingReference(ForcedOverlap):
         assert res.history[res.best_epoch][2] == res.best_val_metric
         # patience counts from the first epoch that reached the best metric
         assert res.best_epoch == next(e for e, _, m in history if m == res.best_val_metric)
-        np.testing.assert_array_equal(ae_to_vector(res.best_params), best_theta)
+        np.testing.assert_array_equal(res.best_params.theta, best_theta)
 
 
 class TestTrainMatchesAllocatingReferenceOverlapped(TestTrainMatchesAllocatingReference):
@@ -600,7 +588,7 @@ class TestGridMatchesAllocatingReference(ForcedOverlap):
             assert res.history == history
             assert res.best_val_metric == max(m for _, _, m in history)
             assert res.history[res.best_epoch][2] == res.best_val_metric
-            np.testing.assert_array_equal(ae_to_vector(res.best_params), best_theta)
+            np.testing.assert_array_equal(res.best_params.theta, best_theta)
             stops.add(stopped)
         if mode in ("proposed", "sae"):
             # members left the stack at different epochs
@@ -629,8 +617,7 @@ class TestGridMatchesAllocatingReference(ForcedOverlap):
             direct = train(train_data, val_data, replace(config, lam=lam))
             assert res.history == direct.history
             assert res.stopped_epoch == direct.stopped_epoch
-            np.testing.assert_array_equal(ae_to_vector(res.best_params),
-                                          ae_to_vector(direct.best_params))
+            np.testing.assert_array_equal(res.best_params.theta, direct.best_params.theta)
 
 
 class TestGridMatchesAllocatingReferenceOverlapped(TestGridMatchesAllocatingReference):
@@ -688,8 +675,7 @@ class TestOverlappedEvaluation:
             sys.setswitchinterval(interval)
         for want, got in zip(inline[0], overlapped[0]):
             assert (got.history, got.stopped_epoch) == (want.history, want.stopped_epoch)
-            np.testing.assert_array_equal(ae_to_vector(got.best_params),
-                                          ae_to_vector(want.best_params))
+            np.testing.assert_array_equal(got.best_params.theta, want.best_params.theta)
 
     @pytest.fixture
     def spare_cpu(self, monkeypatch):
@@ -785,8 +771,7 @@ class TestLambdaSelection:
         picked = best_of_grid(grid_search(train_data, val_data, config))
         direct = train(train_data, val_data, replace(config, lam=0.1))
         assert picked.chosen_lambda == 0.1
-        np.testing.assert_array_equal(ae_to_vector(picked.best_params),
-                                      ae_to_vector(direct.best_params))
+        np.testing.assert_array_equal(picked.best_params.theta, direct.best_params.theta)
 
     def test_selects_grid_argmax_with_smaller_tiebreak(self):
         rng = np.random.default_rng(59)

@@ -71,7 +71,9 @@ def set_max_scores(sets):
 
     Every member score must be finite, not only each set's maximum.
     """
-    starts = segment_starts([np.size(s) for s in sets])
+    # .size skips np.size's per-call dispatch, most of the call on many small sets
+    starts = segment_starts([s.size if isinstance(s, np.ndarray) else np.size(s)
+                             for s in sets])
     if not len(sets):
         return np.empty(0)
     flat = np.concatenate(sets, axis=None).astype(np.float64, copy=False)

@@ -67,10 +67,10 @@ def _sigmoid_into(z, out, scratch):
     e = np.abs(z, out=scratch)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    # the numerator where(z >= 0, 1, e) without a mask: heaviside gives 1
-    # for z >= 0 (-0.0 included) and 0 below, and 0 <= e <= 1, so the
-    # maximum of the two is 1 or e
-    np.heaviside(z, 1.0, out=out)
+    # the numerator where(z >= 0, 1, e) without a mask: z >= 0 is 1 for
+    # z >= 0 (-0.0 included) and 0 below, and 0 <= e <= 1, so the maximum
+    # of the two is 1 or e; a NaN z gives a NaN e, which the maximum keeps
+    np.greater_equal(z, 0.0, out=out)
     np.maximum(out, e, out=out)
     e += 1.0
     out /= e
@@ -120,7 +120,10 @@ def mlp_backward(layers, tape, output_grad, activation="relu"):
     """Backpropagate through the tape of an mlp_forward pass.
 
     output_grad is dLoss/dOutput, shaped like the (n, out) forward output.
-    Returns ([(dweight, dbias) per layer], input_grad).
+    Returns ([(dweight, dbias) per layer], input_grad).  No caller in the
+    package: training backpropagates through scorer.AutoencoderStack.  It
+    stays because perfbench/tracing.py wraps it by name and the tests'
+    2-d reference gradient uses it.
     """
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != tape[-1].shape:

@@ -7,7 +7,10 @@ its reconstruction; higher means more anomalous.
 
 AutoencoderStack holds several models of one architecture and runs them
 together on shared input rows, which is how training advances the
-members of a lambda grid in lockstep.
+members of a lambda grid in lockstep.  Its backward pass is the
+package's only one: training.objective_grad runs it on a one-model
+stack.  score_batch scores through network.mlp_forward, which gives
+the same bits.
 """
 
 import functools
@@ -24,7 +27,6 @@ from .network import (
     _activation_grad,
     init_params,
     layer_views,
-    mlp_backward,
     mlp_forward,
 )
 
@@ -95,52 +97,18 @@ def ae_from_vector(vec, dims, activation="relu"):
 
 
 def reconstruct(params, X):
-    """Decoder(encoder(X)) for an (n, D) batch, with both halves' tapes."""
+    """Decoder(encoder(X)) for an (n, D) batch, with both halves' tapes.
+
+    No caller in the package: it stays because perfbench/tracing.py wraps
+    it by name, and the tests' 2-d reference gradient builds on it.
+    """
     code, enc_tape = mlp_forward(params.encoder, X, activation=params.activation)
     recon, dec_tape = mlp_forward(params.decoder, code, activation=params.activation)
     return recon, enc_tape, dec_tape
 
 
-def score_forward(params, X):
-    """Scores of an (n, D) batch plus the tape score_backward consumes.
-
-    The tape keeps each layer output once, the code shared by both
-    halves: 2 * hidden + code + D doubles per row, the last D holding
-    the reconstruction error.
-    """
-    recon, enc_tape, dec_tape = reconstruct(params, X)
-    diff = np.subtract(X, recon, out=recon)
-    scores = np.einsum("ij,ij->i", diff, diff)
-    return scores, (diff, enc_tape, dec_tape)
-
-
-def score_backward(params, tape, upstream):
-    """sum_i upstream_i * d a(x_i)/d theta for a score_forward tape.
-
-    Returns the gradient as a new vector laid out like params.theta.
-    Consumes the tape.
-    """
-    diff, enc_tape, dec_tape = tape
-    g_recon = np.multiply(-2.0, diff, out=diff)
-    g_recon *= upstream[:, None]
-    dec_grads, g_code = mlp_backward(params.decoder, dec_tape, g_recon,
-                                     activation=params.activation)
-    enc_grads, _ = mlp_backward(params.encoder, enc_tape, g_code,
-                                activation=params.activation)
-    grad = np.empty_like(params.theta)
-    for (dweight, dbias), (w, b) in zip(layer_views(grad, params.dims),
-                                        enc_grads + dec_grads):
-        dweight[...] = w
-        dbias[...] = b
-    return grad
-
-
-def score_batch(params, X):
-    """Scores for a batch of instances; order preserving.
-
-    Forward only: no layer output outlives the layer that reads it, and
-    the reconstruction is overwritten by the error.
-    """
+def check_batch(params, X):
+    """X as a float64 array; ShapeError unless it is an (n, D) batch of the model's width."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"expected an (n, D) batch, got {X.ndim}-d")
@@ -149,24 +117,22 @@ def score_batch(params, X):
             f"batch has {X.shape[1]} features but the model expects "
             f"{params.input_dim}"
         )
+    return X
+
+
+def score_batch(params, X):
+    """Scores for a batch of instances; order preserving.
+
+    Forward only: no layer output outlives the layer that reads it, and
+    the reconstruction is overwritten by the error.
+    """
+    X = check_batch(params, X)
     code, _ = mlp_forward(params.encoder, X, activation=params.activation,
                           cache=False)
     recon, _ = mlp_forward(params.decoder, code, activation=params.activation,
                            cache=False)
     diff = np.subtract(X, recon, out=recon)
     return np.einsum("ij,ij->i", diff, diff)
-
-
-def score_batch_grad(params, X, upstream):
-    """Scores and the summed parameter gradient sum_i upstream_i * d a(x_i)/d theta.
-
-    Returns (scores, grad_vector) with the gradient laid out like
-    params.theta.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    scores, tape = score_forward(params, X)
-    return scores, score_backward(params, tape, upstream)
 
 
 def carve(pool, *shapes):

@@ -27,9 +27,13 @@ several models ("members") together.  Members share the initialisation
 and the minibatch stream, since both are seeded from rng_seed, and
 differ only in lambda, so every pass runs all of them on the same rows
 with batched matmuls.  A batched matmul gives each member the bits of
-the 2-d call, so each member's results equal those of training it alone
-with the public allocating functions (mode_objective, objective_grad,
-validation_metric, adam_step) bit for bit.
+the 2-d call, so each member's results equal, bit for bit, those of
+training it alone with the public allocating functions (mode_objective,
+validation_metric, adam_step) and a gradient from 2-d passes through
+network.mlp_forward/mlp_backward, which the tests keep as their
+reference.  objective_grad is no such second path: it runs one step's
+passes (forward, _upstream, backward) on a one-model AutoencoderStack,
+so the gradient it returns is the one training follows.
 
 After each epoch's steps the kernel evaluates every member: it scores
 all train and validation rows, then computes the exact objective and
@@ -58,9 +62,8 @@ from .scorer import (
     ae_from_vector,
     ae_init,
     carve,
-    score_backward,
+    check_batch,
     score_batch,
-    score_forward,
 )
 
 MODES = ("proposed", "ae", "mil", "sae")
@@ -256,21 +259,33 @@ def _upstream(mode, lams, scores, j, lengths, out=None, pair=None):
 
 
 def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
-    """Exact gradient of the batch objective, laid out like params.theta."""
+    """Exact gradient of the batch objective, laid out like params.theta.
+
+    Runs a training step's passes (forward, _upstream, backward) on a
+    one-model AutoencoderStack over the normal rows followed by the set rows.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    normals = np.asarray(normal_batch, dtype=np.float64)
-    if normals.shape[0] == 0:
+    normals = check_batch(params, normal_batch)
+    j = normals.shape[0]
+    if j == 0:
         raise ValueError("normal batch must be nonempty")
     plain = _is_plain(mode, lam)
     if not plain and not set_batch:
         raise ValueError(f"mode {mode!r} needs a nonempty set batch")
-    sets = [] if plain else [np.asarray(s, dtype=np.float64) for s in set_batch]
-    all_x = np.concatenate([normals] + sets) if sets else normals
-    scores, tape = score_forward(params, all_x)
-    upstream = _upstream(mode, np.array([lam], dtype=np.float64), scores[None],
-                         normals.shape[0], None if plain else [len(s) for s in sets])
-    return score_backward(params, tape, upstream[0])
+    if plain:
+        X, lengths, ranked = normals, None, 0
+    else:
+        sets = [check_batch(params, s) for s in set_batch]
+        X, lengths = np.concatenate([normals] + sets), [len(s) for s in sets]
+        ranked = len(X) - j if mode == "sae" else len(sets)
+    stack = AutoencoderStack(params, 1, AutoencoderStack.pool_size(
+        params.dims, 1, step_rows=len(X), step_spare=2 * ranked * j))
+    scores = stack.forward(1, X, np.empty((1, len(X))))
+    upstream = _upstream(mode, np.array([lam], dtype=np.float64), scores, j, lengths,
+                         pair=stack.spare())
+    stack.backward(1, X, upstream)
+    return stack.grad[0]
 
 
 def _adam_update(theta, grad, m, v, t, config, tmp, denom):

@@ -92,6 +92,16 @@ class TestSetMax:
         with pytest.raises(EmptyScoresError, match="set 2 "):
             set_max_scores([[0.3], [0.1, 0.2], [], [0.5], []])
 
+    def test_arrays_lists_and_scalars_mix(self):
+        sets = [np.array([0.3, 0.9]), [0.4, 0.2], np.float64(0.7), 0.1, np.array(0.5),
+                np.array([[0.2, 0.8], [0.6, 0.1]])]  # a 2-d set is flattened
+        np.testing.assert_array_equal(set_max_scores(sets), [0.9, 0.4, 0.7, 0.1, 0.5, 0.8])
+
+    @pytest.mark.parametrize("empty", [[], np.array([]), np.empty((0, 3)), np.empty((2, 0))])
+    def test_empty_set_of_any_kind_is_named(self, empty):
+        with pytest.raises(EmptyScoresError, match="set 1 is empty"):
+            set_max_scores([np.array([0.3]), empty])
+
     @given(sets=st.lists(scores, min_size=1, max_size=6))
     def test_equals_per_set_max(self, sets):
         np.testing.assert_array_equal(set_max_scores(sets), [max(s) for s in sets])

@@ -181,6 +181,33 @@ class TestSigmoidMatchesMaskedFormula:
         np.testing.assert_array_equal(out, masked_sigmoid(before))
 
 
+def heaviside_sigmoid(z):
+    """The same-exp formula with numpy's heaviside step as the numerator's switch."""
+    e = np.exp(-np.abs(z))
+    out = np.maximum(np.heaviside(z, 1.0), e) / (1.0 + e)
+    return np.clip(out, 5e-324, np.nextafter(1.0, 0.0))
+
+
+class TestSigmoidMatchesHeavisideFormula:
+    """The numerator's switch is a comparison, not heaviside; the bits must not move."""
+
+    EDGES = [0.0, 5e-324, 1e-320, 1e-300, 36.7, 745.2, 800.0, np.inf]
+
+    def cases(self):
+        edges = np.array(self.EDGES)
+        yield np.concatenate([edges, -edges, [np.nan, -np.nan]])
+        yield np.random.default_rng(19).normal(scale=30.0, size=100_000)
+
+    def test_bitwise_equal_and_nan_where_the_formula_gives_nan(self):
+        for z in self.cases():
+            want = heaviside_sigmoid(z)
+            buf = z.copy()
+            for got in (sigmoid_stable(z), _sigmoid_into(buf, buf, np.empty_like(buf))):
+                np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+                keep = ~np.isnan(want)
+                assert got[keep].tobytes() == want[keep].tobytes()
+
+
 class TestMlpForward:
     def test_single_identity_layer(self):
         layers = [Layer(weight=np.eye(3), bias=np.zeros(3))]

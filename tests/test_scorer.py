@@ -21,10 +21,9 @@ from inexad.scorer import (
     reconstruct,
     save_params,
     score_batch,
-    score_batch_grad,
-    score_forward,
 )
 from .conftest import assert_grad_close, draw_kink_free, small_ae, zero_ae
+from .reference import score_batch_grad, score_forward
 
 
 def identity_ae(dim=3):
@@ -41,7 +40,8 @@ def score_one(params, x):
 
 
 def grad_one(params, x, upstream):
-    """upstream * d a(x) / d theta from score_batch_grad on the one-row batch x."""
+    """upstream * d a(x) / d theta from the reference score_batch_grad on the
+    one-row batch x."""
     _, grad = score_batch_grad(params, np.asarray(x, dtype=np.float64)[None, :],
                                np.array([upstream], dtype=np.float64))
     return grad
@@ -123,7 +123,8 @@ class TestScoreBatch:
 
 
 class TestScoreGrad:
-    """One instance's score gradient, through one-row score_batch_grad calls."""
+    """One instance's score gradient, through one-row calls of the 2-d
+    reference, which TestAutoencoderStack holds the stacked passes to."""
 
     def test_zero_upstream(self):
         rng = np.random.default_rng(25)
@@ -177,7 +178,7 @@ class TestScoreGrad:
 
 
 class TestAutoencoderStack:
-    """The stacked passes against the allocating 2-d functions, per model."""
+    """The stacked passes against the 2-d reference path, per model."""
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_passes_smaller_than_the_pool_match_allocating(self, activation):

@@ -11,13 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inexad.network import finite_diff_grad, sigmoid_stable
-from inexad.scorer import (
-    ae_from_vector,
-    ae_init,
-    score_batch,
-    score_batch_grad,
-)
+from inexad.network import ShapeError, finite_diff_grad, sigmoid_stable
+from inexad.scorer import ae_from_vector, ae_init, score_batch
 from inexad import blas, training
 from inexad.data import gen_synthetic, materialize
 from inexad.training import (
@@ -34,6 +29,7 @@ from inexad.training import (
     validation_metric,
     write_history,
 )
+from . import reference
 from .conftest import (
     KINK_MARGIN,
     assert_grad_close,
@@ -202,8 +198,7 @@ class TestObjectiveGrad:
         params = small_ae(rng, dim=2)
         normals = rng.uniform(-1, 1, size=(5, 2))
         g = objective_grad(params, [], normals, 0.0)
-        _, expected = score_batch_grad(params, normals,
-                                       np.full(5, 1.0 / 5))
+        _, expected = reference.score_batch_grad(params, normals, np.full(5, 1.0 / 5))
         np.testing.assert_allclose(g, expected, atol=1e-12)
 
     def test_modes_need_sets(self):
@@ -230,6 +225,60 @@ class TestObjectiveGrad:
         g1 = objective_grad(params, sets, normals, 1.0)
         g2 = objective_grad(params, sets, normals, 1.0)
         np.testing.assert_array_equal(g1, g2)
+
+    @pytest.mark.parametrize("normals", [
+        pytest.param(np.ones(2), id="1-d"),
+        pytest.param(np.ones((3, 3)), id="too-wide"),
+        pytest.param(np.ones((3, 1)), id="too-narrow"),
+    ])
+    @pytest.mark.parametrize("mode", ["proposed", "ae"])
+    def test_batch_of_another_shape_is_a_shape_error(self, normals, mode):
+        params = small_ae(np.random.default_rng(47), dim=2)
+        with pytest.raises(ShapeError, match="1-d|features"):
+            objective_grad(params, [normals], normals, 1.0, mode=mode)
+
+    @pytest.mark.parametrize("bad_set", [
+        pytest.param(np.ones(2), id="1-d"),
+        pytest.param(np.ones((2, 3)), id="too-wide"),
+    ])
+    def test_set_of_another_shape_is_a_shape_error(self, bad_set):
+        params = small_ae(np.random.default_rng(48), dim=2)
+        with pytest.raises(ShapeError, match="1-d|features"):
+            objective_grad(params, [np.ones((2, 2)), bad_set], np.ones((3, 2)), 1.0)
+
+
+class TestObjectiveGradMatchesReference:
+    """objective_grad runs the training kernel's stacked passes on one model;
+    it must give the bits of the 2-d reference path."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dim", [2, 9, 32])
+    @pytest.mark.parametrize("hidden, code", [(128, 16), (7, 3)])
+    def test_bitwise_equal(self, activation, dim, hidden, code):
+        rng = np.random.default_rng(dim * hidden + code)
+        params = ae_init(dim, dim + hidden, hidden=hidden, code=code, activation=activation)
+        params.theta += rng.normal(scale=0.1, size=params.theta.shape)
+        for n_normals, n_sets in ((11, 3), (128, 8), (300, 20)):
+            normals = rng.normal(size=(n_normals, dim))
+            sets = [rng.normal(0.5, 1.0, size=(int(rng.integers(1, 6)), dim))
+                    for _ in range(n_sets)]
+            for mode in training.MODES:
+                for lam in (0.0, 0.7):
+                    got = objective_grad(params, sets, normals, lam, mode=mode)
+                    want = reference.objective_grad(params, sets, normals, lam, mode=mode)
+                    assert got.tobytes() == want.tobytes(), (mode, lam, n_normals)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_strided_normals_bitwise_equal(self, activation):
+        # with no set rows the normals reach the stack as given, not copied
+        rng = np.random.default_rng(66)
+        params = ae_init(9, 5, activation=activation)
+        params.theta += rng.normal(scale=0.1, size=params.theta.shape)
+        X = rng.normal(size=(300, 9))
+        for normals in (X[::2], np.asfortranarray(X)[::3], X[::-1]):
+            got = objective_grad(params, [], normals, 0.0, mode="ae")
+            want = reference.objective_grad(params, [], normals, 0.0, mode="ae")
+            assert got.tobytes() == want.tobytes()
 
 
 def _draw_smooth_point(rng, mode, activation):
@@ -473,7 +522,8 @@ def ragged_problem(rng, dim=3, shift=2.5):
 
 
 def reference_train(train_data, val_data, config):
-    """train() restated with the allocating public functions.
+    """train() restated with the allocating public functions, and the 2-d
+    reference gradient in place of objective_grad's stacked passes.
 
     Every pass gets fresh arrays and a fresh parameter object, and Adam
     returns a new flat vector.  The sets are a list of arrays, and each
@@ -502,8 +552,8 @@ def reference_train(train_data, val_data, config):
     best_metric, best_theta, best_epoch = history[0][2], theta.copy(), 0
     for epoch in range(1, config.max_epochs + 1):
         for set_ids, normal_ids in make_batches(len(sets), len(normals), config, rng):
-            grad = objective_grad(params_of(theta), [sets[i] for i in set_ids],
-                                  normals[normal_ids], config.lam, mode=config.mode)
+            grad = reference.objective_grad(params_of(theta), [sets[i] for i in set_ids],
+                                            normals[normal_ids], config.lam, mode=config.mode)
             theta, state = adam_step(theta, grad, state, config)
         history.append(evaluate(epoch, theta))
         metric = history[-1][2]

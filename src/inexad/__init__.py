@@ -9,7 +9,6 @@ surrogate of that set-level AUC.
 
 from .data import (
     Dataset,
-    InexactAnomalySet,
     SplitSpec,
     gen_synthetic,
     load_csv,

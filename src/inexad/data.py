@@ -6,13 +6,14 @@ keeps exact labels (singleton groups).
 """
 
 import csv as _csv
-import json
 import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+
+from .network import ShapeError
 
 
 class DataError(ValueError):
@@ -49,54 +50,19 @@ class Dataset:
 
 
 @dataclass
-class InexactAnomalySet:
-    """Row indices of one weakly labeled group (exactly one anomaly inside)."""
-
-    member_indices: list
-
-    def __post_init__(self):
-        idx = [int(i) for i in self.member_indices]
-        if not idx:
-            raise DataError("a weakly labeled set must be nonempty")
-        if len(set(idx)) != len(idx):
-            raise DataError(f"duplicate indices in set: {idx}")
-        self.member_indices = idx
-
-
-@dataclass
 class SplitSpec:
-    """Index-level description of one train/val/test split; JSON serializable."""
+    """Row indices of one train/val/test split, each field an np.intp array.
 
-    train_normals: list
-    val_normals: list
-    test_normals: list
-    train_sets: list  # of InexactAnomalySet
-    val_sets: list  # of InexactAnomalySet
-    test_anomalies: list
+    train_sets and val_sets are (n_sets, set_size) matrices: row k holds
+    set k's members, its planted anomaly in column 0.
+    """
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "train_normals": self.train_normals,
-                "val_normals": self.val_normals,
-                "test_normals": self.test_normals,
-                "train_sets": [s.member_indices for s in self.train_sets],
-                "val_sets": [s.member_indices for s in self.val_sets],
-                "test_anomalies": self.test_anomalies,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(
-            train_normals=d["train_normals"],
-            val_normals=d["val_normals"],
-            test_normals=d["test_normals"],
-            train_sets=[InexactAnomalySet(m) for m in d["train_sets"]],
-            val_sets=[InexactAnomalySet(m) for m in d["val_sets"]],
-            test_anomalies=d["test_anomalies"],
-        )
+    train_normals: np.ndarray
+    val_normals: np.ndarray
+    test_normals: np.ndarray
+    train_sets: np.ndarray
+    val_sets: np.ndarray
+    test_anomalies: np.ndarray
 
 
 def _parse_label(raw, row_num):
@@ -253,7 +219,7 @@ def make_splits(ds, rng, n_train_sets=10, n_val_sets=5, set_size=5,
     """
     normal_idx = np.flatnonzero(~ds.is_anomaly)
     anomaly_idx = np.flatnonzero(ds.is_anomaly)
-    eligible = (np.asarray(set_anomaly_pool, dtype=int)
+    eligible = (np.asarray(set_anomaly_pool, dtype=np.intp)
                 if set_anomaly_pool is not None else anomaly_idx)
 
     n_sets = n_train_sets + n_val_sets
@@ -274,30 +240,24 @@ def make_splits(ds, rng, n_train_sets=10, n_val_sets=5, set_size=5,
         )
 
     perm = rng.permutation(normal_idx)
-    pool_tr = list(perm[:n_tr])
-    pool_va = list(perm[n_tr:n_tr + n_va])
-    pool_te = list(perm[n_tr + n_va:])
-
     set_anoms = rng.permutation(eligible)[:n_sets]
-    test_anoms = sorted(set(anomaly_idx.tolist()) - set(set_anoms.tolist()))
 
     def build_sets(anoms, pool):
-        sets = []
-        for a in anoms:
-            members = [int(a)] + [int(pool.pop()) for _ in range(set_size - 1)]
-            sets.append(InexactAnomalySet(members))
-        return sets
+        """Each anomaly with the next set_size-1 normals taken off the end of
+        pool; returns (sets, what is left of pool)."""
+        left = len(pool) - len(anoms) * (set_size - 1)
+        taken = pool[left:][::-1].reshape(len(anoms), set_size - 1)
+        return np.column_stack([anoms, taken]), pool[:left]
 
-    train_sets = build_sets(set_anoms[:n_train_sets], pool_tr)
-    val_sets = build_sets(set_anoms[n_train_sets:], pool_va)
-
+    train_sets, train_normals = build_sets(set_anoms[:n_train_sets], perm[:n_tr])
+    val_sets, val_normals = build_sets(set_anoms[n_train_sets:], perm[n_tr:n_tr + n_va])
     return SplitSpec(
-        train_normals=[int(i) for i in pool_tr],
-        val_normals=[int(i) for i in pool_va],
-        test_normals=[int(i) for i in pool_te],
+        train_normals=train_normals,
+        val_normals=val_normals,
+        test_normals=perm[n_tr + n_va:],
         train_sets=train_sets,
         val_sets=val_sets,
-        test_anomalies=[int(i) for i in test_anoms],
+        test_anomalies=np.setdiff1d(anomaly_idx, set_anoms),
     )
 
 
@@ -344,10 +304,12 @@ def gen_synthetic(rng):
 
 @dataclass
 class TrainData:
-    """Materialized training or validation half of a split.
+    """Weakly labeled sets and normals: the one set format of training,
+    validation and the objective.
 
-    The weakly labeled sets are stored once: set_rows stacks every set's
-    members in set order, and set k is the next lengths[k] of its rows.
+    The sets are stored once: set_rows stacks every set's members in set
+    order, and set k is the next lengths[k] of its rows.  set_rows and
+    normals are 2-d and of one width; set_rows may have no rows.
     """
 
     set_rows: np.ndarray  # (sum of lengths, D)
@@ -358,6 +320,12 @@ class TrainData:
         self.set_rows = np.asarray(self.set_rows, dtype=np.float64)
         self.lengths = np.asarray(self.lengths, dtype=np.intp)
         self.normals = np.asarray(self.normals, dtype=np.float64)
+        for name in ("set_rows", "normals"):
+            if getattr(self, name).ndim != 2:
+                raise ShapeError(f"{name} must be 2-d, got {getattr(self, name).ndim}-d")
+        if self.set_rows.shape[1] != self.normals.shape[1]:
+            raise ShapeError(f"set rows have {self.set_rows.shape[1]} features but "
+                             f"normals have {self.normals.shape[1]}")
         empty = np.flatnonzero(self.lengths < 1)
         if empty.size:
             raise DataError(f"set {empty[0]} is empty")
@@ -375,13 +343,10 @@ class TestData:
 def materialize(ds, split):
     """Resolve a SplitSpec into instance arrays: (train, val, test)."""
     def weak(sets, normals):
-        return TrainData(set_rows=ds.X[[i for s in sets for i in s.member_indices]],
-                         lengths=[len(s.member_indices) for s in sets],
+        return TrainData(set_rows=ds.X[sets.ravel()],
+                         lengths=np.full(len(sets), sets.shape[1]),
                          normals=ds.X[normals])
 
-    test = TestData(
-        anomalies=ds.X[split.test_anomalies],
-        normals=ds.X[split.test_normals],
-    )
+    test = TestData(anomalies=ds.X[split.test_anomalies], normals=ds.X[split.test_normals])
     return (weak(split.train_sets, split.train_normals),
             weak(split.val_sets, split.val_normals), test)

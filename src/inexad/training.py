@@ -14,13 +14,11 @@ Four mode variants share the machinery:
     sae       both terms, but every set member is treated as an
               individual anomaly instead of taking the set max
 
-Training and validation data are data.TrainData: each weakly labeled
-set's members are rows of one stacked matrix, and a set is a run of
-rows given by its length.  make_batches draws each epoch's minibatches
-as indices, set ids and normal row ids, and the kernel copies the rows
-they name into one step buffer.  The allocating functions
-mode_objective, objective_grad and validation_metric take the sets as a
-list of arrays instead.
+Every function here that takes weakly labeled sets takes them as a
+data.TrainData: each set's members are rows of one stacked matrix, and
+a set is a run of rows given by its length.  make_batches draws each
+epoch's minibatches as indices, set ids and normal row ids, and the
+kernel copies the rows they name into one step buffer.
 
 train() and grid_search() share one training kernel that advances
 several models ("members") together.  Members share the initialisation
@@ -188,20 +186,19 @@ def _objective(mode, lam, a_n, set_scores, starts, pair=None):
     return first - lam * pair_mean
 
 
-def mode_objective(mode, params, sets, normals, lam):
-    """Exact objective of one mode over the given sets and normals."""
+def mode_objective(mode, params, data, lam):
+    """Exact objective of one mode over a TrainData's sets and normals."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    normals = np.asarray(normals, dtype=np.float64)
-    if normals.shape[0] == 0:
+    if data.normals.shape[0] == 0:
         raise ValueError("normals must be nonempty")
-    a_n = score_batch(params, normals)
+    a_n = score_batch(params, data.normals)
     if _is_plain(mode, lam):
         return _objective(mode, lam, a_n, None, None)
-    if not sets:
+    if not len(data.lengths):
         raise ValueError(f"mode {mode!r} needs at least one weakly labeled set")
-    set_scores = score_batch(params, np.concatenate(sets))
-    return _objective(mode, lam, a_n, set_scores, _set_starts(mode, [len(s) for s in sets]))
+    return _objective(mode, lam, a_n, score_batch(params, data.set_rows),
+                      _set_starts(mode, data.lengths))
 
 
 def _first_argmax(scores, maxima, starts, lengths):
@@ -258,27 +255,26 @@ def _upstream(mode, lams, scores, j, lengths, out=None, pair=None):
     return out
 
 
-def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
-    """Exact gradient of the batch objective, laid out like params.theta.
+def objective_grad(params, batch, lam, mode="proposed"):
+    """Exact gradient of the objective over a TrainData batch, laid out like
+    params.theta.
 
     Runs a training step's passes (forward, _upstream, backward) on a
     one-model AutoencoderStack over the normal rows followed by the set rows.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    normals = check_batch(params, normal_batch)
+    normals = check_batch(params, batch.normals)  # TrainData gives set_rows this width
     j = normals.shape[0]
     if j == 0:
         raise ValueError("normal batch must be nonempty")
-    plain = _is_plain(mode, lam)
-    if not plain and not set_batch:
-        raise ValueError(f"mode {mode!r} needs a nonempty set batch")
-    if plain:
+    if _is_plain(mode, lam):
         X, lengths, ranked = normals, None, 0
+    elif not len(batch.lengths):
+        raise ValueError(f"mode {mode!r} needs a nonempty set batch")
     else:
-        sets = [check_batch(params, s) for s in set_batch]
-        X, lengths = np.concatenate([normals] + sets), [len(s) for s in sets]
-        ranked = len(X) - j if mode == "sae" else len(sets)
+        X, lengths = np.concatenate([normals, batch.set_rows]), batch.lengths
+        ranked = len(X) - j if mode == "sae" else len(lengths)
     stack = AutoencoderStack(params, 1, AutoencoderStack.pool_size(
         params.dims, 1, step_rows=len(X), step_spare=2 * ranked * j))
     scores = stack.forward(1, X, np.empty((1, len(X))))
@@ -368,18 +364,17 @@ def _metric(normal_scores, set_scores, starts):
     return empirical_auc(set_scores, normal_scores)
 
 
-def validation_metric(mode, params, val_sets, val_normals):
-    """Model-selection metric on validation data.
+def validation_metric(mode, params, data):
+    """Model-selection metric on a TrainData of validation sets and normals.
 
     Modes that understand weak labels (proposed, mil) use the set-level
     AUC; ae and sae score every set member as an individual anomaly and
     use the plain AUC, matching how those baselines are tuned.
     """
-    if not val_sets:
+    if not len(data.lengths):
         raise ValueError("validation needs at least one weakly labeled set")
-    n_scores = score_batch(params, np.asarray(val_normals, dtype=np.float64))
-    set_scores = score_batch(params, np.concatenate(val_sets))
-    return _metric(n_scores, set_scores, _set_starts(mode, [len(s) for s in val_sets]))
+    return _metric(score_batch(params, data.normals), score_batch(params, data.set_rows),
+                   _set_starts(mode, data.lengths))
 
 
 def _usable_cpus():

@@ -69,7 +69,7 @@ def weak_data(sets, normals):
 
 
 def set_list(data):
-    """The sets of a TrainData as a list of arrays, as the allocating functions take them."""
+    """The sets of a TrainData as a list of arrays, as tests/reference.py takes them."""
     ends = np.cumsum(data.lengths)
     return [data.set_rows[end - n:end] for end, n in zip(ends, data.lengths)]
 

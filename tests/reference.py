@@ -53,7 +53,8 @@ def score_batch_grad(params, X, upstream):
 
 
 def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
-    """training.objective_grad on the 2-d path; inputs are not checked."""
+    """training.objective_grad on the 2-d path, the batch given as a list of sets
+    and the normals; inputs are not checked."""
     normals = np.asarray(normal_batch, dtype=np.float64)
     plain = _is_plain(mode, lam)
     sets = [] if plain else [np.asarray(s, dtype=np.float64) for s in set_batch]

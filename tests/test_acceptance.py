@@ -19,7 +19,7 @@ from inexad.metrics import empirical_auc, empirical_inexact_auc
 from inexad.network import finite_diff_grad
 from inexad.scorer import ae_from_vector, score_batch
 from inexad.training import TrainConfig, mode_objective, objective_grad, train
-from .conftest import KINK_MARGIN, REL_TOL, ABS_TOL, min_preactivation, small_ae
+from .conftest import KINK_MARGIN, REL_TOL, ABS_TOL, min_preactivation, small_ae, weak_data
 
 _reporter = None
 
@@ -81,12 +81,13 @@ def test_criterion_1_gradient_correctness():
     for _ in range(22):
         params, sets, normals, lam = _draw_grad_config(rng)
         dims = params.dims
+        batch = weak_data(sets, normals)
 
         def loss(theta):
             p = ae_from_vector(theta, dims)
-            return mode_objective("proposed", p, sets, normals, lam)
+            return mode_objective("proposed", p, batch, lam)
 
-        analytic = objective_grad(params, sets, normals, lam)
+        analytic = objective_grad(params, batch, lam)
         numeric = finite_diff_grad(loss, params.theta)
         tol = np.maximum(ABS_TOL, REL_TOL * np.abs(numeric))
         gap = np.abs(analytic - numeric)

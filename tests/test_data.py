@@ -1,7 +1,9 @@
 """Unit tests for CSV ingestion, preprocessing, splits, and the synthetic generator."""
 
 import csv
+import hashlib
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from inexad.data import (
     SYNTH_NORMAL_MEANS,
     DataError,
     Dataset,
-    InexactAnomalySet,
     SplitSpec,
     TrainData,
     gen_synthetic,
@@ -23,6 +24,7 @@ from inexad.data import (
     materialize,
     preprocess,
 )
+from inexad.network import ShapeError
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -246,16 +248,6 @@ class TestPreprocess:
             preprocess(Dataset(X=[[1.0]], is_anomaly=[False]))
 
 
-class TestInexactAnomalySet:
-    def test_empty_rejected(self):
-        with pytest.raises(DataError, match="nonempty"):
-            InexactAnomalySet([])
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(DataError, match="duplicate"):
-            InexactAnomalySet([1, 1, 2])
-
-
 def toy_dataset(rng, n_normals=100, n_anoms=20):
     X = rng.normal(size=(n_normals + n_anoms, 2))
     flags = np.zeros(n_normals + n_anoms, dtype=bool)
@@ -285,9 +277,9 @@ class TestMakeSplits:
         rng = np.random.default_rng(63)
         ds = toy_dataset(rng, n_normals=400, n_anoms=40)
         split = make_splits(ds, rng)
-        for s in split.train_sets + split.val_sets:
-            flags = ds.is_anomaly[s.member_indices]
-            assert len(s.member_indices) == 5
+        assert split.train_sets.shape == (10, 5) and split.val_sets.shape == (5, 5)
+        for s in np.vstack([split.train_sets, split.val_sets]):
+            flags = ds.is_anomaly[s]
             assert flags.sum() == 1
             assert flags[0]  # anomaly listed first by construction
 
@@ -297,11 +289,8 @@ class TestMakeSplits:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             split = make_splits(ds, rng)
-            groups = [split.train_normals, split.val_normals, split.test_normals,
-                      split.test_anomalies]
-            groups += [s.member_indices for s in split.train_sets + split.val_sets]
-            flat = [i for g in groups for i in g]
-            assert len(flat) == len(set(flat))
+            flat = np.concatenate([getattr(split, f.name).ravel() for f in fields(split)])
+            assert len(flat) == len(set(flat.tolist()))
             assert len(flat) == ds.n  # every instance lands in exactly one role
 
     def test_insufficient_anomalies(self):
@@ -317,19 +306,47 @@ class TestMakeSplits:
         b = make_splits(ds, np.random.default_rng(2))
         assert len(a.train_normals) == len(b.train_normals)
         assert len(a.test_anomalies) == len(b.test_anomalies)
-        assert a.train_normals != b.train_normals
+        assert not np.array_equal(a.train_normals, b.train_normals)
 
-
-class TestSplitSpecJson:
-    def test_round_trip(self):
+    def test_fields_are_intp_arrays(self):
         rng = np.random.default_rng(67)
-        ds = toy_dataset(rng, n_normals=400, n_anoms=40)
-        split = make_splits(ds, rng)
-        back = SplitSpec.from_json(split.to_json())
-        assert back.train_normals == split.train_normals
-        assert back.test_anomalies == split.test_anomalies
-        assert [s.member_indices for s in back.val_sets] == [
-            s.member_indices for s in split.val_sets]
+        split = make_splits(toy_dataset(rng, n_normals=400, n_anoms=40), rng,
+                            n_train_sets=0, set_size=1)
+        for f in fields(SplitSpec):
+            assert getattr(split, f.name).dtype == np.intp, f.name
+        assert split.train_sets.shape == (0, 1) and split.val_sets.shape == (5, 1)
+
+
+def split_digest(split):
+    """sha256 of a split's index arrays: each field's shape and int64 values, in field order."""
+    digest = hashlib.sha256()
+    for f in fields(split):
+        values = np.asarray(getattr(split, f.name), dtype="<i8")
+        digest.update(repr(values.shape).encode())
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+class TestSplitsArePinned:
+    """Splits keep their bits: each digest was computed with the split code
+    that built lists of indices, before the index arrays."""
+
+    @pytest.mark.parametrize("seed, want", [
+        (0, "09094363a0299041806de576a6599f027686b694f9c7f653a517adaa6417e087"),
+        (1, "9117fa71bf34f11d8697d8afea76e9e5095bdd7dd299c959df3edf90cee91763"),
+        (2, "3be4a9e2d754feb850028e7e172a2740d8a5567e8f142b671cea9f6071fc314d"),
+    ])
+    def test_make_splits(self, seed, want):
+        ds = toy_dataset(np.random.default_rng(64), n_normals=400, n_anoms=40)
+        assert split_digest(make_splits(ds, np.random.default_rng(seed))) == want
+
+    @pytest.mark.parametrize("seed, want", [
+        (0, "15ae7b03dea6ea26eb35a42ea6e442524adfa319d7b5430f913e537173f952f3"),
+        (1, "f5e2d9233bbb8179f95569ec938f0a4c78ff7c0fdac97cbca9067df77d280c68"),
+        (2, "47d59805f445c8248130c6395387b0c0d882d2524d9e3dcbcbd9800416fb788f"),
+    ])
+    def test_gen_synthetic(self, seed, want):
+        assert split_digest(gen_synthetic(np.random.default_rng(seed))[1]) == want
 
 
 class TestSynthetic:
@@ -356,11 +373,10 @@ class TestSynthetic:
     def test_wide_component_only_in_test(self):
         ds, split = gen_synthetic(np.random.default_rng(2))
         wide_start = SYNTH_N_NORMAL + 100
-        planted = {i for s in split.train_sets + split.val_sets
-                   for i in s.member_indices if ds.is_anomaly[i]}
-        assert all(i < wide_start for i in planted)
+        planted = np.vstack([split.train_sets, split.val_sets])[:, 0]
+        assert ds.is_anomaly[planted].all() and (planted < wide_start).all()
         # the test pool holds anomalies from both components
-        test_anoms = np.array(split.test_anomalies)
+        test_anoms = split.test_anomalies
         assert (test_anoms < wide_start).any()
         assert (test_anoms >= wide_start).any()
 
@@ -368,7 +384,8 @@ class TestSynthetic:
         a_ds, a_split = gen_synthetic(np.random.default_rng(3))
         b_ds, b_split = gen_synthetic(np.random.default_rng(3))
         np.testing.assert_array_equal(a_ds.X, b_ds.X)
-        assert a_split.to_json() == b_split.to_json()
+        for f in fields(SplitSpec):
+            np.testing.assert_array_equal(getattr(a_split, f.name), getattr(b_split, f.name))
 
     def test_materialize_shapes(self):
         ds, split = gen_synthetic(np.random.default_rng(4))
@@ -379,8 +396,7 @@ class TestSynthetic:
         assert test.anomalies.shape[0] == len(split.test_anomalies)
         # the sets are stacked in set order
         for k, s in enumerate(split.train_sets):
-            np.testing.assert_array_equal(train.set_rows[5 * k:5 * k + 5],
-                                          ds.X[s.member_indices])
+            np.testing.assert_array_equal(train.set_rows[5 * k:5 * k + 5], ds.X[s])
 
 
 class TestTrainData:
@@ -391,3 +407,15 @@ class TestTrainData:
     def test_empty_set_rejected(self):
         with pytest.raises(DataError, match="set 1 is empty"):
             TrainData(set_rows=np.zeros((3, 2)), lengths=[3, 0], normals=np.zeros((1, 2)))
+
+    def test_set_rows_of_another_width_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="set rows have 3 features but normals have 2"):
+            TrainData(set_rows=np.ones((4, 3)), lengths=[2, 2], normals=np.ones((4, 2)))
+
+    @pytest.mark.parametrize("set_rows, normals", [
+        pytest.param(np.ones(4), np.ones((4, 2)), id="1-d-set-rows"),
+        pytest.param(np.ones((4, 2)), np.ones((1, 4, 2)), id="3-d-normals"),
+    ])
+    def test_rows_must_be_2d(self, set_rows, normals):
+        with pytest.raises(ShapeError, match="must be 2-d"):
+            TrainData(set_rows=set_rows, lengths=[4], normals=normals)

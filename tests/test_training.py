@@ -14,7 +14,7 @@ import pytest
 from inexad.network import ShapeError, finite_diff_grad, sigmoid_stable
 from inexad.scorer import ae_from_vector, ae_init, score_batch
 from inexad import blas, training
-from inexad.data import gen_synthetic, materialize
+from inexad.data import TrainData, gen_synthetic, materialize
 from inexad.training import (
     AdamState,
     TrainConfig,
@@ -128,7 +128,7 @@ class TestObjectiveValue:
         normals = rng.uniform(-1, 1, size=(7, 2))
         sets = [rng.uniform(-1, 1, size=(3, 2))]
         expected = float(score_batch(params, normals).mean())
-        assert mode_objective("proposed", params, sets, normals, 0.0) == expected
+        assert mode_objective("proposed", params, weak_data(sets, normals), 0.0) == expected
 
     def test_hand_value(self):
         # zero-parameter scorer: a(x) = ||x||^2.  One normal scoring 0.2,
@@ -137,7 +137,7 @@ class TestObjectiveValue:
         params = zero_ae()
         normals = np.array([[np.sqrt(0.2), 0.0]])
         sets = [np.array([[np.sqrt(0.6), 0.0], [0.1, 0.0]])]
-        val = mode_objective("proposed", params, sets, normals, 1.0)
+        val = mode_objective("proposed", params, weak_data(sets, normals), 1.0)
         assert val == pytest.approx(0.2 - 0.598687660112, abs=1e-9)
         assert val == pytest.approx(0.2 - sigmoid_stable(0.4), abs=1e-12)
 
@@ -151,12 +151,12 @@ class TestObjectiveValue:
         maxima = [max(float(x @ x) for x in s) for s in sets]
         pairs = [sigmoid_stable(m - a) for m in maxima for a in a_n]
         expected = a_n.mean() - 0.5 * np.mean(pairs)
-        assert mode_objective("proposed", params, sets, normals, 0.5) == pytest.approx(
+        assert mode_objective("proposed", params, weak_data(sets, normals), 0.5) == pytest.approx(
             expected, rel=1e-12)
 
     def test_empty_normals_raises(self):
         with pytest.raises(ValueError, match="normals"):
-            mode_objective("proposed", zero_ae(), [], np.zeros((0, 2)), 1.0)
+            mode_objective("proposed", zero_ae(), weak_data([], np.zeros((0, 2))), 1.0)
 
 
 class TestModeObjective:
@@ -165,14 +165,15 @@ class TestModeObjective:
         params = small_ae(rng, dim=2)
         normals = rng.uniform(-1, 1, size=(6, 2))
         sets = [rng.uniform(-1, 1, size=(3, 2))]
-        assert mode_objective("ae", params, sets, normals, 7.0) == mode_objective(
-            "proposed", params, sets, normals, 0.0)
+        data = weak_data(sets, normals)
+        assert mode_objective("ae", params, data, 7.0) == mode_objective(
+            "proposed", params, data, 0.0)
 
     def test_mil_is_negated_pair_mean(self):
         params = zero_ae()
         normals = np.array([[np.sqrt(0.2), 0.0]])
         sets = [np.array([[np.sqrt(0.6), 0.0]])]
-        assert mode_objective("mil", params, sets, normals, 123.0) == pytest.approx(
+        assert mode_objective("mil", params, weak_data(sets, normals), 123.0) == pytest.approx(
             -sigmoid_stable(0.4), abs=1e-12)
 
     def test_sae_on_singletons_equals_proposed(self):
@@ -180,16 +181,17 @@ class TestModeObjective:
         params = small_ae(rng, dim=2)
         normals = rng.uniform(-1, 1, size=(6, 2))
         sets = [rng.uniform(-1, 1, size=(1, 2)) for _ in range(4)]
-        assert mode_objective("sae", params, sets, normals, 2.0) == mode_objective(
-            "proposed", params, sets, normals, 2.0)
+        data = weak_data(sets, normals)
+        assert mode_objective("sae", params, data, 2.0) == mode_objective(
+            "proposed", params, data, 2.0)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            mode_objective("svm", zero_ae(), [], np.zeros((1, 2)), 1.0)
+            mode_objective("svm", zero_ae(), weak_data([], np.zeros((1, 2))), 1.0)
 
     def test_sets_required(self):
         with pytest.raises(ValueError, match="set"):
-            mode_objective("mil", zero_ae(), [], np.ones((2, 2)), 1.0)
+            mode_objective("mil", zero_ae(), weak_data([], np.ones((2, 2))), 1.0)
 
 
 class TestObjectiveGrad:
@@ -197,20 +199,20 @@ class TestObjectiveGrad:
         rng = np.random.default_rng(45)
         params = small_ae(rng, dim=2)
         normals = rng.uniform(-1, 1, size=(5, 2))
-        g = objective_grad(params, [], normals, 0.0)
+        g = objective_grad(params, weak_data([], normals), 0.0)
         _, expected = reference.score_batch_grad(params, normals, np.full(5, 1.0 / 5))
         np.testing.assert_allclose(g, expected, atol=1e-12)
 
     def test_modes_need_sets(self):
         with pytest.raises(ValueError, match="set"):
-            objective_grad(zero_ae(), [], np.ones((2, 2)), 1.0, mode="mil")
+            objective_grad(zero_ae(), weak_data([], np.ones((2, 2))), 1.0, mode="mil")
 
     def test_tied_set_max_flows_through_first_member(self):
         # zero parameters score ||x||^2, so both set members score 1.0;
         # only the output bias then has a gradient, sum_i upstream_i * -2 x_i
         normal = np.array([[np.sqrt(0.2), 0.0]])
         first, second = np.array([0.6, 0.8]), np.array([0.8, 0.6])
-        g = objective_grad(zero_ae(), [np.array([first, second])], normal, 1.0)
+        g = objective_grad(zero_ae(), weak_data([np.array([first, second])], normal), 1.0)
         s = sigmoid_stable(0.8)
         ds = s * (1.0 - s)
         expected = (1.0 + ds) * -2.0 * normal[0] + (-ds) * -2.0 * first
@@ -222,8 +224,8 @@ class TestObjectiveGrad:
         params = small_ae(rng, dim=2)
         sets = [rng.uniform(-1, 1, size=(3, 2))]
         normals = rng.uniform(-1, 1, size=(4, 2))
-        g1 = objective_grad(params, sets, normals, 1.0)
-        g2 = objective_grad(params, sets, normals, 1.0)
+        g1 = objective_grad(params, weak_data(sets, normals), 1.0)
+        g2 = objective_grad(params, weak_data(sets, normals), 1.0)
         np.testing.assert_array_equal(g1, g2)
 
     @pytest.mark.parametrize("normals", [
@@ -233,18 +235,20 @@ class TestObjectiveGrad:
     ])
     @pytest.mark.parametrize("mode", ["proposed", "ae"])
     def test_batch_of_another_shape_is_a_shape_error(self, normals, mode):
+        # a 1-d batch is refused when the TrainData is built, a wrong width
+        # by objective_grad
         params = small_ae(np.random.default_rng(47), dim=2)
         with pytest.raises(ShapeError, match="1-d|features"):
-            objective_grad(params, [normals], normals, 1.0, mode=mode)
+            objective_grad(params, TrainData(normals, [len(normals)], normals), 1.0, mode=mode)
 
-    @pytest.mark.parametrize("bad_set", [
-        pytest.param(np.ones(2), id="1-d"),
-        pytest.param(np.ones((2, 3)), id="too-wide"),
+    @pytest.mark.parametrize("bad_rows", [
+        pytest.param(np.ones(4), id="1-d"),
+        pytest.param(np.ones((4, 3)), id="too-wide"),
     ])
-    def test_set_of_another_shape_is_a_shape_error(self, bad_set):
+    def test_set_of_another_shape_is_a_shape_error(self, bad_rows):
         params = small_ae(np.random.default_rng(48), dim=2)
         with pytest.raises(ShapeError, match="1-d|features"):
-            objective_grad(params, [np.ones((2, 2)), bad_set], np.ones((3, 2)), 1.0)
+            objective_grad(params, TrainData(bad_rows, [2, 2], np.ones((3, 2))), 1.0)
 
 
 class TestObjectiveGradMatchesReference:
@@ -264,7 +268,7 @@ class TestObjectiveGradMatchesReference:
                     for _ in range(n_sets)]
             for mode in training.MODES:
                 for lam in (0.0, 0.7):
-                    got = objective_grad(params, sets, normals, lam, mode=mode)
+                    got = objective_grad(params, weak_data(sets, normals), lam, mode=mode)
                     want = reference.objective_grad(params, sets, normals, lam, mode=mode)
                     assert got.tobytes() == want.tobytes(), (mode, lam, n_normals)
 
@@ -276,7 +280,7 @@ class TestObjectiveGradMatchesReference:
         params.theta += rng.normal(scale=0.1, size=params.theta.shape)
         X = rng.normal(size=(300, 9))
         for normals in (X[::2], np.asfortranarray(X)[::3], X[::-1]):
-            got = objective_grad(params, [], normals, 0.0, mode="ae")
+            got = objective_grad(params, weak_data([], normals), 0.0, mode="ae")
             want = reference.objective_grad(params, [], normals, 0.0, mode="ae")
             assert got.tobytes() == want.tobytes()
 
@@ -313,12 +317,13 @@ class TestObjectiveGradFiniteDifferences:
             params, sets, normals = _draw_smooth_point(rng, mode, activation)
             lam = float(rng.choice([1e-1, 1.0, 10.0]))
             dims = params.dims
+            batch = weak_data(sets, normals)
 
             def loss(theta):
                 p = ae_from_vector(theta, dims, activation=activation)
-                return mode_objective(mode, p, sets, normals, lam)
+                return mode_objective(mode, p, batch, lam)
 
-            analytic = objective_grad(params, sets, normals, lam, mode=mode)
+            analytic = objective_grad(params, batch, lam, mode=mode)
             assert_grad_close(analytic, finite_diff_grad(loss, params.theta))
 
 
@@ -444,8 +449,7 @@ class TestTrain:
         rng = np.random.default_rng(52)
         train_data, val_data = tiny_problem(rng)
         res = train(train_data, val_data, quick_config(lam=1.0, max_epochs=8))
-        metric = validation_metric("proposed", res.best_params,
-                                   set_list(val_data), val_data.normals)
+        metric = validation_metric("proposed", res.best_params, val_data)
         assert metric == res.best_val_metric
 
     def test_only_the_step_stack_holds_a_gradient(self, monkeypatch):
@@ -483,10 +487,8 @@ class TestTrain:
         config = quick_config(mode="mil", max_epochs=30, patience=None)
         res = train(train_data, val_data, config)
         init = ae_init(2, config.rng_seed, hidden=8, code=2)
-        before = -mode_objective("mil", init, set_list(train_data),
-                                 train_data.normals, 1.0)
-        after = -mode_objective("mil", res.best_params, set_list(train_data),
-                                train_data.normals, 1.0)
+        before = -mode_objective("mil", init, train_data, 1.0)
+        after = -mode_objective("mil", res.best_params, train_data, 1.0)
         assert after >= before
 
     def test_empty_training_normals_raise(self):
@@ -526,12 +528,12 @@ def reference_train(train_data, val_data, config):
     reference gradient in place of objective_grad's stacked passes.
 
     Every pass gets fresh arrays and a fresh parameter object, and Adam
-    returns a new flat vector.  The sets are a list of arrays, and each
-    minibatch is built from make_batches' indices.  Returns (history,
-    best_theta, stopped_epoch).
+    returns a new flat vector.  Each minibatch is a list of sets built
+    from make_batches' indices.  Returns (history, best_theta,
+    stopped_epoch).
     """
     normals = train_data.normals
-    sets, val_sets = set_list(train_data), set_list(val_data)
+    sets = set_list(train_data)
     init = ae_init(normals.shape[1], config.rng_seed, hidden=config.hidden_dim,
                    code=config.code_dim, activation=config.activation)
     dims = init.dims
@@ -545,8 +547,8 @@ def reference_train(train_data, val_data, config):
     def evaluate(epoch, theta):
         p = params_of(theta)
         return (epoch,
-                mode_objective(config.mode, p, sets, normals, config.lam),
-                validation_metric(config.mode, p, val_sets, val_data.normals))
+                mode_objective(config.mode, p, train_data, config.lam),
+                validation_metric(config.mode, p, val_data))
 
     history = [evaluate(0, theta)]
     best_metric, best_theta, best_epoch = history[0][2], theta.copy(), 0
@@ -803,14 +805,11 @@ class TestValidationMetric:
         from inexad.metrics import empirical_auc, empirical_inexact_auc
 
         n_scores = score_batch(params, val_data.normals)
-        val_sets = set_list(val_data)
-        per_set = [score_batch(params, s) for s in val_sets]
-        assert validation_metric("proposed", params, val_sets,
-                                 val_data.normals) == empirical_inexact_auc(
-                                     per_set, n_scores)
-        assert validation_metric("ae", params, val_sets,
-                                 val_data.normals) == empirical_auc(
-                                     np.concatenate(per_set), n_scores)
+        per_set = [score_batch(params, s) for s in set_list(val_data)]
+        assert validation_metric("proposed", params, val_data) == empirical_inexact_auc(
+            per_set, n_scores)
+        assert validation_metric("ae", params, val_data) == empirical_auc(
+            np.concatenate(per_set), n_scores)
 
 
 class TestLambdaSelection:

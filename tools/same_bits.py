@@ -11,7 +11,9 @@ tree's src/:
 
 - hashes: one sha256 per function of score_batch, objective_grad
   (λ 0 and 1) and mode_objective (λ 0 and 1) over 4 modes × relu/tanh ×
-  D ∈ {2, 32} × widths 128/16 and 7/3;
+  D ∈ {2, 32} × widths 128/16 and 7/3.  The sets and normals reach the
+  two objective functions as a data.TrainData, or as a list of arrays
+  and the normals on trees whose functions took them that way;
 - cli-4-mode: `--mode proposed --mode ae --mode mil --mode sae
   --repeats 2 --seed 5 --epochs 300 --patience 20` on the synthetic
   data;
@@ -55,6 +57,8 @@ CLI_ARGS = {
 # --- probes: each runs in a subprocess whose PYTHONPATH is one tree's src/ ---
 
 def _probe_hashes():
+    import inspect
+
     import numpy as np
 
     from inexad.scorer import ae_init, score_batch
@@ -62,6 +66,14 @@ def _probe_hashes():
 
     digests = {name: hashlib.sha256() for name in
                ("score_batch", "objective_grad", "mode_objective")}
+    if "set_batch" in inspect.signature(objective_grad).parameters:
+        def batch(sets, normals):  # the arguments of trees that took a list of sets
+            return sets, normals
+    else:
+        from inexad.data import TrainData
+
+        def batch(sets, normals):
+            return (TrainData(np.concatenate(sets), [len(s) for s in sets], normals),)
     for activation in ("relu", "tanh"):
         for dim in (2, 32):
             for hidden, code in ((128, 16), (7, 3)):
@@ -77,11 +89,12 @@ def _probe_hashes():
                         for _ in range(6)]
                 digests["score_batch"].update(
                     score_batch(params, np.concatenate([normals] + sets)).tobytes())
+                args = batch(sets, normals)
                 for mode in MODES:
                     for lam in (0.0, 1.0):
                         digests["objective_grad"].update(
-                            objective_grad(params, sets, normals, lam, mode=mode).tobytes())
-                        value = mode_objective(mode, params, sets, normals, lam)
+                            objective_grad(params, *args, lam, mode=mode).tobytes())
+                        value = mode_objective(mode, params, *args, lam)
                         digests["mode_objective"].update(np.float64(value).tobytes())
     return {name: d.hexdigest() for name, d in digests.items()}
 

@@ -208,6 +208,22 @@ def preprocess(ds):
                    name=ds.name, feature_names=list(ds.feature_names))
 
 
+def _check_anomaly_pool(pool, is_anomaly):
+    """DataError at pool's first entry that is not a distinct anomaly's row index."""
+    seen = set()
+    for k, idx in enumerate(pool.tolist()):
+        if not 0 <= idx < len(is_anomaly):
+            problem = f"is out of range for {len(is_anomaly)} rows"
+        elif not is_anomaly[idx]:
+            problem = "is not an anomaly"
+        elif idx in seen:
+            problem = "repeats an earlier entry"
+        else:
+            seen.add(idx)
+            continue
+        raise DataError(f"set_anomaly_pool[{k}] = {idx} {problem}")
+
+
 def make_splits(ds, rng, n_train_sets=10, n_val_sets=5, set_size=5,
                 set_anomaly_pool=None):
     """Build a 70/15/15 normal split plus planted weakly labeled sets.
@@ -215,12 +231,17 @@ def make_splits(ds, rng, n_train_sets=10, n_val_sets=5, set_size=5,
     Each train/val set gets one distinct anomaly and set_size-1 normals
     taken out of that split's normal pool.  Anomalies not planted in any
     set become exact test anomalies.  set_anomaly_pool optionally
-    restricts which anomaly indices may be planted in train/val sets.
+    restricts which anomaly indices may be planted in train/val sets;
+    DataError names its first entry that is out of range, not an
+    anomaly, or a repeat.
     """
     normal_idx = np.flatnonzero(~ds.is_anomaly)
     anomaly_idx = np.flatnonzero(ds.is_anomaly)
-    eligible = (np.asarray(set_anomaly_pool, dtype=np.intp)
-                if set_anomaly_pool is not None else anomaly_idx)
+    if set_anomaly_pool is None:
+        eligible = anomaly_idx
+    else:
+        eligible = np.asarray(set_anomaly_pool, dtype=np.intp)
+        _check_anomaly_pool(eligible, ds.is_anomaly)
 
     n_sets = n_train_sets + n_val_sets
     if eligible.size < n_sets or anomaly_idx.size < n_sets + 1:

@@ -165,12 +165,25 @@ def _worker_count(n_tasks):
     return min(n_tasks, _usable_cpus())
 
 
+def _one_blas_thread():
+    """Pool worker initializer: BLAS on one thread in this worker only.
+
+    The workers already fill the CPUs, and BLAS threads on top of them
+    slowed a 4-mode run several-fold.  The caller's process keeps its
+    own setting; with no known setter, nothing changes.
+    """
+    from . import blas  # imported here: ctypes is not needed at import time
+
+    blas.set_num_threads(1)
+
+
 def _map_tasks(tasks):
     """_train_task over tuples of its arguments, results in task order.
 
     Tasks are seeded on their own, so the results do not depend on how
     many workers run them.  Workers are forked, so they inherit the
-    imported package instead of importing it again.
+    imported package instead of importing it again, and each runs its
+    BLAS on one thread (see _one_blas_thread).
     """
     workers = _worker_count(len(tasks))
     if workers <= 1:
@@ -179,7 +192,8 @@ def _map_tasks(tasks):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_one_blas_thread)
     try:
         # the workers fill the CPUs, so no training overlaps its evaluation
         return list(pool.map(_train_task, *zip(*tasks), itertools.repeat(False)))

@@ -1,14 +1,15 @@
 """Minimal dense feed-forward network machinery with exact analytic gradients.
 
 Everything here operates on plain float64 numpy arrays.  Layers are
-affine maps with ReLU (or tanh) on hidden layers and a linear final
-layer.  Inputs are (n, D) batches, one row per instance; a lone 1-d
-vector is rejected with ShapeError.  A model's parameters are one flat
-vector holding, per layer, the weight in row-major order and then the
-bias.  layer_views is the one place that knows this layout: every
-reader and writer of a layer goes through its views.  A central
-finite-difference estimator is provided as an independent oracle for
-the analytic backward pass.
+affine maps with ReLU (or tanh) on hidden layers.  forward_pass and
+backward_pass are the package's only layer loops, on one model's 2-d
+weights or a stack's (L, out, in) weights; mlp_forward and
+mlp_backward adapt them to a chain with a linear last layer on an
+(n, D) batch, rejecting a lone 1-d vector with ShapeError.  A model's
+parameters are one flat vector holding, per layer, the weight in
+row-major order and then the bias.  layer_views is the one place that
+knows this layout.  A central finite-difference estimator is provided
+as an independent oracle for the analytic backward pass.
 """
 
 from typing import NamedTuple
@@ -25,19 +26,6 @@ class Layer(NamedTuple):
 
     weight: np.ndarray
     bias: np.ndarray
-
-
-def affine_forward(layer, x):
-    """x @ weight.T + bias for an (n, in_dim) batch x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"expected an (n, D) batch, got {x.ndim}-d")
-    in_dim = layer.weight.shape[1]
-    if x.shape[1] != in_dim:
-        raise ShapeError(f"input has {x.shape[1]} features but layer expects {in_dim}")
-    out = np.matmul(x, layer.weight.T)
-    out += layer.bias
-    return out
 
 
 # Smallest positive subnormal / largest double below 1; sigmoid output is
@@ -95,48 +83,95 @@ def _activation_grad(act, activation, out=None):
     return np.subtract(1.0, np.square(act, out=out), out=out)
 
 
-def mlp_forward(layers, x, activation="relu", cache=True):
-    """Run affine+activation layers (linear final layer) on an (n, D) batch.
+def forward_pass(layers, x, activation, hidden, outs=None):
+    """The list of outputs of affine layers run on x, layer i's activated
+    in place when hidden[i] is true, each in outs[i] or a new array.
 
-    Returns (output, tape).  Each layer's output takes its activation in
-    place.  With cache=True the tape is the list [x, output of layer 0,
-    ..., output of the last layer], so tape[i] is the input of layer i;
-    mlp_backward reads it.  With cache=False the tape is None and each
-    layer output is dropped once the next layer has read it, so at most
-    two are alive at a time.
+    Weights are (..., out, in) and biases (..., out); x is (..., n, in)
+    and broadcasts as in np.matmul, so a stack of models can share x.
     """
-    h = np.asarray(x, dtype=np.float64)
-    tape = [h] if cache else None
-    for i, layer in enumerate(layers):
-        h = affine_forward(layer, h)
-        if i < len(layers) - 1:
+    h, result = x, []
+    for i, (weight, bias) in enumerate(layers):
+        h = np.matmul(h, weight.mT, out=None if outs is None else outs[i])
+        h += bias[..., None, :]
+        if hidden[i]:
             _activate(h, activation, out=h)
-        if cache:
-            tape.append(h)
-    return h, tape
+        result.append(h)
+    return result
+
+
+def backward_pass(layers, tape, g, activation, hidden, grads, spare=None):
+    """Backpropagate g, the loss gradient at the last output, through a
+    forward_pass whose input and outputs are tape[0] and tape[1:].
+
+    Writes each layer's weight and bias gradients, summed over the rows,
+    into grads[i].  Without spare it changes no tape entry and returns
+    the input's gradient.  With spare, a flat buffer of one layer
+    output's size, it consumes the tape instead (a hidden output becomes
+    its activation's derivative and the gradient through it goes to
+    spare; a linear output becomes the gradient through it) and returns
+    None, skipping the input's gradient, which has no buffer.
+    """
+    for i in range(len(layers) - 1, -1, -1):
+        h = tape[i]
+        dweight, dbias = grads[i]
+        np.matmul(g.mT, h, out=dweight)
+        np.sum(g, axis=-2, out=dbias)
+        if spare is None:
+            g = np.matmul(g, layers[i].weight)
+            if i > 0 and hidden[i - 1]:
+                g *= _activation_grad(h, activation)
+        elif i == 0:
+            return None
+        elif hidden[i - 1]:
+            g = np.matmul(g, layers[i].weight, out=spare[:h.size].reshape(h.shape))
+            g *= _activation_grad(h, activation, out=h)
+        else:
+            g = np.matmul(g, layers[i].weight, out=h)
+    return g
+
+
+def squared_error(x, recon, out=None):
+    """Row sums of (x - recon) ** 2 over the last axis; recon becomes the difference."""
+    diff = np.subtract(x, recon, out=recon)
+    return np.einsum("...ij,...ij->...i", diff, diff, out=out)
+
+
+def check_batch(x, width):
+    """x as a float64 array; ShapeError unless it is an (n, width) batch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"expected an (n, D) batch, got {x.ndim}-d")
+    if x.shape[1] != width:
+        raise ShapeError(f"batch has {x.shape[1]} features but the first layer expects {width}")
+    return x
+
+
+def mlp_forward(layers, x, activation="relu", cache=True):
+    """forward_pass of a chain with a linear last layer on an (n, D) batch.
+
+    Returns (output, tape): with cache=True the tape is [x, output of
+    layer 0, ..., output], which mlp_backward reads, else None.
+    """
+    x = check_batch(x, layers[0].weight.shape[1])
+    outs = forward_pass(layers, x, activation, [True] * (len(layers) - 1) + [False])
+    return outs[-1], [x] + outs if cache else None
 
 
 def mlp_backward(layers, tape, output_grad, activation="relu"):
-    """Backpropagate through the tape of an mlp_forward pass.
+    """backward_pass through the tape of an mlp_forward pass.
 
-    output_grad is dLoss/dOutput, shaped like the (n, out) forward output.
-    Returns ([(dweight, dbias) per layer], input_grad).  No caller in the
-    package: training backpropagates through scorer.AutoencoderStack.  It
-    stays because perfbench/tracing.py wraps it by name and the tests'
-    2-d reference gradient uses it.
+    output_grad is dLoss/dOutput, shaped like the (n, out) output.
+    Returns ([(dweight, dbias) per layer], input_grad), all new arrays.
+    No caller in the package; perfbench/tracing.py wraps it by name.
     """
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != tape[-1].shape:
-        raise ShapeError(
-            f"output_grad shape {g.shape} does not match the output {tape[-1].shape}"
-        )
-    param_grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        param_grads[i] = (np.matmul(g.T, tape[i]), np.sum(g, axis=0))
-        g = np.matmul(g, layers[i].weight)
-        if i > 0:
-            g *= _activation_grad(tape[i], activation)
-    return param_grads, g
+        raise ShapeError(f"output_grad shape {g.shape} does not match the output "
+                         f"{tape[-1].shape}")
+    grads = [Layer(np.empty(weight.shape), np.empty(bias.shape)) for weight, bias in layers]
+    hidden = [True] * (len(layers) - 1) + [False]
+    return grads, backward_pass(layers, tape, g, activation, hidden, grads)
 
 
 def finite_diff_grad(loss_fn, params, step=1e-5):

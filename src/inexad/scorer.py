@@ -7,10 +7,11 @@ its reconstruction; higher means more anomalous.
 
 AutoencoderStack holds several models of one architecture and runs them
 together on shared input rows, which is how training advances the
-members of a lambda grid in lockstep.  Its backward pass is the
-package's only one: training.objective_grad runs it on a one-model
-stack.  score_batch scores through network.mlp_forward, which gives
-the same bits.
+members of a lambda grid in lockstep; training.objective_grad runs it
+on a one-model stack.  score_batch scores one model through
+network.mlp_forward.  Every pass here is network.forward_pass or
+backward_pass, and every score network.squared_error, so a one-model
+stack and score_batch give the same bits.
 """
 
 import functools
@@ -22,12 +23,15 @@ import numpy as np
 
 from .network import (
     ACTIVATIONS,
+    Layer,
     ShapeError,
-    _activate,
-    _activation_grad,
+    backward_pass,
+    check_batch,
+    forward_pass,
     init_params,
     layer_views,
     mlp_forward,
+    squared_error,
 )
 
 DEFAULT_HIDDEN = 128
@@ -99,40 +103,21 @@ def ae_from_vector(vec, dims, activation="relu"):
 def reconstruct(params, X):
     """Decoder(encoder(X)) for an (n, D) batch, with both halves' tapes.
 
-    No caller in the package: it stays because perfbench/tracing.py wraps
-    it by name, and the tests' 2-d reference gradient builds on it.
-    """
+    No caller in the package; perfbench/tracing.py wraps it by name."""
     code, enc_tape = mlp_forward(params.encoder, X, activation=params.activation)
     recon, dec_tape = mlp_forward(params.decoder, code, activation=params.activation)
     return recon, enc_tape, dec_tape
 
 
-def check_batch(params, X):
-    """X as a float64 array; ShapeError unless it is an (n, D) batch of the model's width."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"expected an (n, D) batch, got {X.ndim}-d")
-    if X.shape[1] != params.input_dim:
-        raise ShapeError(
-            f"batch has {X.shape[1]} features but the model expects "
-            f"{params.input_dim}"
-        )
-    return X
-
-
 def score_batch(params, X):
-    """Scores for a batch of instances; order preserving.
-
-    Forward only: no layer output outlives the layer that reads it, and
-    the reconstruction is overwritten by the error.
-    """
-    X = check_batch(params, X)
+    """Scores for a batch of instances; order preserving.  Forward only:
+    no tape is kept, and the reconstruction becomes the error."""
+    X = check_batch(X, params.input_dim)
     code, _ = mlp_forward(params.encoder, X, activation=params.activation,
                           cache=False)
     recon, _ = mlp_forward(params.decoder, code, activation=params.activation,
                            cache=False)
-    diff = np.subtract(X, recon, out=recon)
-    return np.einsum("ij,ij->i", diff, diff)
+    return squared_error(X, recon)
 
 
 def carve(pool, *shapes):
@@ -151,11 +136,10 @@ class AutoencoderStack:
     theta holds one model's parameter vector per row,
     and grad their gradients; each layer's weights are (L, out, in) views
     into them.  A pass runs the leading `a` models on one shared (n, D)
-    batch with batched matmuls, which give each model the bits of the
-    2-d call.  Layer outputs are carved from one flat pool for each pass,
-    so a pass allocates nothing of the batch's size.  The stacked weights
-    never go through network.mlp_forward/mlp_backward, whose callers
-    expect 2-d weights.
+    batch through network.forward_pass and backward_pass, whose batched
+    matmuls give each model the bits of the 2-d call.  Layer outputs
+    are carved from one flat pool for each pass, so a pass allocates
+    nothing of the batch's size.
     """
 
     def __init__(self, params, count, pool_size):
@@ -188,41 +172,29 @@ class AutoencoderStack:
                    count * step_rows * sum(widths)
                    + max(count * step_rows * max(widths), step_spare))
 
-    def _layer(self, i, h, a, out):
-        weight, bias = self.layers[i]
-        np.matmul(h, weight[:a].transpose(0, 2, 1), out=out)
-        out += bias[:a, None, :]
-        if self.hidden[i]:
-            _activate(out, self.activation, out=out)
-        return out
-
-    @staticmethod
-    def _squared_error(X, recon, out):
-        diff = np.subtract(X, recon, out=recon)
-        return np.einsum("lij,lij->li", diff, diff, out=out)
+    def _run(self, a, X, bufs, out):
+        """Scores of the leading a models on the rows X into out (a, n), with
+        layer i's output in bufs[i]."""
+        outs = forward_pass(self._leading(self.layers, a), X, self.activation, self.hidden, bufs)
+        squared_error(X, outs[-1], out)
+        return outs
 
     def scores(self, a, X, out):
         """Scores of the leading a models on the rows X, into out (a, n).
 
         Forward only: layer outputs alternate between two pool buffers.
         """
-        n = len(X)
-        widths = self.dims[1:]
+        n, widths = len(X), self.dims[1:]
         second = a * n * max(widths[0::2])
-        h = X
-        for i, width in enumerate(widths):
-            start = 0 if i % 2 == 0 else second
-            h = self._layer(i, h, a,
-                            self.pool[start:start + a * n * width].reshape(a, n, width))
-        return self._squared_error(X, h, out)
+        self._run(a, X, [self.pool[second * (i % 2):][:a * n * w].reshape(a, n, w)
+                         for i, w in enumerate(widths)], out)
+        return out
 
     def forward(self, a, X, out):
         """Scores like scores(), keeping every layer output for backward()."""
-        self.tape = carve(self.pool, *[(a, len(X), w) for w in self.dims[1:]])
-        h = X
-        for i, buf in enumerate(self.tape):
-            h = self._layer(i, h, a, buf)
-        return self._squared_error(X, h, out)
+        self.tape = self._run(a, X, carve(self.pool, *[(a, len(X), w) for w in self.dims[1:]]),
+                              out)
+        return out
 
     def spare(self):
         """The pool beyond the tape, free until backward() runs."""
@@ -230,24 +202,17 @@ class AutoencoderStack:
 
     def backward(self, a, X, upstream):
         """grad[:a] = sum_i upstream[:, i] * d score(x_i) / d theta; consumes the tape."""
-        tape, spare = self.tape, self.spare()
-        g = np.multiply(-2.0, tape[-1], out=tape[-1])
+        g = np.multiply(-2.0, self.tape[-1], out=self.tape[-1])
         g *= upstream[:, :, None]
-        for i in range(len(tape) - 1, -1, -1):
-            a_prev = X if i == 0 else tape[i - 1]
-            dweight, dbias = self.grads[i]
-            np.matmul(g.transpose(0, 2, 1), a_prev, out=dweight[:a])
-            np.sum(g, axis=1, out=dbias[:a])
-            if i == 0:
-                break  # the gradient at the input rows is never used
-            weight = self.layers[i][0][:a]
-            if self.hidden[i - 1]:
-                g = np.matmul(g, weight, out=spare[:a_prev.size].reshape(a_prev.shape))
-                g *= _activation_grad(a_prev, self.activation, out=a_prev)
-            else:
-                # a linear layer's output is not read again: reuse its buffer
-                g = np.matmul(g, weight, out=a_prev)
+        backward_pass(self._leading(self.layers, a), [X] + self.tape, g, self.activation,
+                      self.hidden, self._leading(self.grads, a), spare=self.spare())
         self.tape = []
+
+    def _leading(self, layers, a):
+        """The leading a models' views of stacked layers (layers itself when a is all)."""
+        if a == len(self.theta):
+            return layers
+        return [Layer(weight[:a], bias[:a]) for weight, bias in layers]
 
 
 def save_params(path, params, rng_seed=-1):

@@ -24,14 +24,13 @@ train() and grid_search() share one training kernel that advances
 several models ("members") together.  Members share the initialisation
 and the minibatch stream, since both are seeded from rng_seed, and
 differ only in lambda, so every pass runs all of them on the same rows
-with batched matmuls.  A batched matmul gives each member the bits of
-the 2-d call, so each member's results equal, bit for bit, those of
-training it alone with the public allocating functions (mode_objective,
-validation_metric, adam_step) and a gradient from 2-d passes through
-network.mlp_forward/mlp_backward, which the tests keep as their
-reference.  objective_grad is no such second path: it runs one step's
-passes (forward, _upstream, backward) on a one-model AutoencoderStack,
-so the gradient it returns is the one training follows.
+with batched matmuls, which give each member the bits of the 2-d call.
+Each member's results therefore equal, bit for bit, those of training
+it alone with the public allocating functions (mode_objective,
+validation_metric, adam_step) and the 2-d gradient of the tests' own
+reference passes.  objective_grad runs a training step's passes
+(_step_grad) on a one-model stack, so the gradient it returns is the
+one training follows.
 
 After each epoch's steps the kernel evaluates every member: it scores
 all train and validation rows, then computes the exact objective and
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import empirical_auc, segment_max, segment_starts
-from .network import ACTIVATIONS, _sigmoid_into
+from .network import ACTIVATIONS, _sigmoid_into, check_batch
 from .scorer import (
     DEFAULT_CODE,
     DEFAULT_HIDDEN,
@@ -60,7 +59,6 @@ from .scorer import (
     ae_from_vector,
     ae_init,
     carve,
-    check_batch,
     score_batch,
 )
 
@@ -165,6 +163,17 @@ def _set_starts(kind, lengths):
     return segment_starts(lengths) if kind in ("proposed", "mil", "val_set_auc") else None
 
 
+def _pair_sigmoid(ref, a_n, pair=None):
+    """(sigmoid(ref[..., k] - a_n[..., j]) as (..., K, J), a scratch of that shape),
+    carved from the flat scratch pair or new; ref holds the ranking term's
+    reference scores, the set maxima or (sae) every set row."""
+    shape = ref.shape + a_n.shape[-1:]
+    s, scratch = carve(np.empty(2 * math.prod(shape)) if pair is None else pair,
+                       shape, shape)
+    np.subtract(ref[..., :, None], a_n[..., None, :], out=s)
+    return _sigmoid_into(s, s, scratch), scratch
+
+
 def _objective(mode, lam, a_n, set_scores, starts, pair=None):
     """Exact objective of one model from its scores.
 
@@ -176,11 +185,7 @@ def _objective(mode, lam, a_n, set_scores, starts, pair=None):
     if set_scores is None:
         return first
     ref = set_scores if mode == "sae" else segment_max(set_scores, starts)
-    shape = (ref.size, a_n.size)
-    z, scratch = carve(np.empty(2 * math.prod(shape)) if pair is None else pair,
-                        shape, shape)
-    np.subtract(ref[:, None], a_n[None, :], out=z)
-    pair_mean = float(_sigmoid_into(z, z, scratch).mean())
+    pair_mean = float(_pair_sigmoid(ref, a_n, pair)[0].mean())
     if mode == "mil":
         return -pair_mean
     return first - lam * pair_mean
@@ -229,17 +234,10 @@ def _upstream(mode, lams, scores, j, lengths, out=None, pair=None):
         out[:] = 1.0 / j
         return out
     a_n, set_scores = scores[:, :j], scores[:, j:]
-    if mode == "sae":
-        ref = set_scores
-    else:
-        starts = segment_starts(lengths)
-        ref = segment_max(set_scores, starts)
+    starts = None if mode == "sae" else segment_starts(lengths)
+    ref = set_scores if starts is None else segment_max(set_scores, starts)
     a, k = ref.shape
-    shape = (a, k, j)
-    ds, scratch = carve(np.empty(2 * math.prod(shape)) if pair is None else pair,
-                         shape, shape)
-    np.subtract(ref[:, :, None], a_n[:, None, :], out=ds)
-    _sigmoid_into(ds, ds, scratch)
+    ds, scratch = _pair_sigmoid(ref, a_n, pair)
     ds *= np.subtract(1.0, ds, out=scratch)
     coeff = ((np.ones(a) if mode == "mil" else lams) / (k * j))[:, None]
     np.multiply(coeff, ds.sum(axis=1), out=out[:, :j])
@@ -257,14 +255,10 @@ def _upstream(mode, lams, scores, j, lengths, out=None, pair=None):
 
 def objective_grad(params, batch, lam, mode="proposed"):
     """Exact gradient of the objective over a TrainData batch, laid out like
-    params.theta.
-
-    Runs a training step's passes (forward, _upstream, backward) on a
-    one-model AutoencoderStack over the normal rows followed by the set rows.
-    """
+    params.theta: a training step's _step_grad on a one-model stack."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    normals = check_batch(params, batch.normals)  # TrainData gives set_rows this width
+    normals = check_batch(batch.normals, params.input_dim)  # TrainData gives set_rows this width
     j = normals.shape[0]
     if j == 0:
         raise ValueError("normal batch must be nonempty")
@@ -277,11 +271,20 @@ def objective_grad(params, batch, lam, mode="proposed"):
         ranked = len(X) - j if mode == "sae" else len(lengths)
     stack = AutoencoderStack(params, 1, AutoencoderStack.pool_size(
         params.dims, 1, step_rows=len(X), step_spare=2 * ranked * j))
-    scores = stack.forward(1, X, np.empty((1, len(X))))
-    upstream = _upstream(mode, np.array([lam], dtype=np.float64), scores, j, lengths,
-                         pair=stack.spare())
-    stack.backward(1, X, upstream)
+    _step_grad(stack, mode, np.array([lam], dtype=np.float64), X, j, lengths,
+               np.empty(2 * len(X)))
     return stack.grad[0]
+
+
+def _step_grad(stack, mode, lams, X, j, lengths, buf):
+    """stack.grad[:a] = the gradient of each of the a = len(lams) leading
+    members' objectives over the rows X: j normals, then the sets of the
+    given lengths.  buf is a flat scratch of at least 2 * a * len(X)."""
+    shape = (len(lams), len(X))
+    scores, upstream = carve(buf, shape, shape)
+    stack.forward(len(lams), X, scores)
+    _upstream(mode, lams, scores, j, lengths, out=upstream, pair=stack.spare())
+    stack.backward(len(lams), X, upstream)
 
 
 def _adam_update(theta, grad, m, v, t, config, tmp, denom):
@@ -494,7 +497,7 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     val_normal_scores = np.empty((count, len(val_normals)))
     val_set_scores = np.empty((count, len(val_rows)))
     step_x = np.empty((step_rows, normals.shape[1]))
-    step_scores, step_upstream = np.empty(count * step_rows), np.empty(count * step_rows)
+    step_buf = np.empty(2 * count * step_rows)
 
     slots = list(range(count))  # the member in each row of the stacked arrays
     slot_lams = np.array(lams, dtype=np.float64)
@@ -574,11 +577,7 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
                     X = step_x[:j + cuts[q] - cuts[p]]
                     np.take(set_rows, rows[cuts[p]:cuts[q]], axis=0, out=X[j:], mode="clip")
                     batch_lens, p = lens[p:q], q
-                shape = (active, len(X))
-                step = stack.forward(active, X, carve(step_scores, shape)[0])
-                upstream = _upstream(mode, slot_lams[:active], step, j, batch_lens,
-                                     out=carve(step_upstream, shape)[0], pair=stack.spare())
-                stack.backward(active, X, upstream)
+                _step_grad(stack, mode, slot_lams[:active], X, j, batch_lens, step_buf)
                 t += 1
                 _adam_update(theta[:active], grad[:active], adam_m[:active],
                              adam_v[:active], t, config,

@@ -13,8 +13,10 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from inexad.data import TrainData  # noqa: E402
-from inexad.network import affine_forward, param_count  # noqa: E402
-from inexad.scorer import AutoencoderParams, ae_init, reconstruct  # noqa: E402
+from inexad.network import param_count  # noqa: E402
+from inexad.scorer import AutoencoderParams, ae_init  # noqa: E402
+
+from .reference import affine, layers_forward  # noqa: E402
 
 # Central finite differences in float64 resolve gradients to roughly
 # this relative precision away from ReLU kinks.
@@ -76,8 +78,9 @@ def set_list(data):
 
 def min_preactivation(params, X):
     """Smallest |pre-activation| over the hidden layers for the batch X."""
-    _, enc_tape, dec_tape = reconstruct(params, np.atleast_2d(X))
-    margins = [np.min(np.abs(affine_forward(half[0], tape[0])))
+    enc_tape = layers_forward(params.encoder, np.atleast_2d(X), params.activation)
+    dec_tape = layers_forward(params.decoder, enc_tape[-1], params.activation)
+    margins = [np.min(np.abs(affine(half[0], tape[0])))
                for half, tape in ((params.encoder, enc_tape), (params.decoder, dec_tape))]
     return min(margins)
 

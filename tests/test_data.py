@@ -308,6 +308,20 @@ class TestMakeSplits:
         assert len(a.test_anomalies) == len(b.test_anomalies)
         assert not np.array_equal(a.train_normals, b.train_normals)
 
+    @pytest.mark.parametrize("bad, message", [
+        (440, r"set_anomaly_pool\[15\] = 440 is out of range for 440 rows"),
+        (-1, r"set_anomaly_pool\[15\] = -1 is out of range"),
+        (7, r"set_anomaly_pool\[15\] = 7 is not an anomaly"),
+        (402, r"set_anomaly_pool\[15\] = 402 repeats an earlier entry"),
+    ], ids=["past-the-end", "negative", "normal-row", "repeat"])
+    def test_bad_anomaly_pool_rejected(self, bad, message):
+        rng = np.random.default_rng(69)
+        ds = toy_dataset(rng, n_normals=400, n_anoms=40)
+        # 15 good entries, enough for every set, then the bad one and a later bad one
+        pool = list(range(400, 415)) + [bad, 3]
+        with pytest.raises(DataError, match=message):
+            make_splits(ds, rng, set_anomaly_pool=pool)
+
     def test_fields_are_intp_arrays(self):
         rng = np.random.default_rng(67)
         split = make_splits(toy_dataset(rng, n_normals=400, n_anoms=40), rng,

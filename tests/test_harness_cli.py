@@ -3,6 +3,9 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
 from dataclasses import fields, replace
 
@@ -227,6 +230,35 @@ class TestParallelRounds:
         monkeypatch.setattr(harness, "_worker_count", lambda n: 1)
         serial = harness._map_tasks(tasks)
         assert [out["val_auc"][1.0].history for out, _ in serial] == [[None]] * 3
+
+    @needs_fork
+    def test_pool_workers_run_blas_on_one_thread(self):
+        # OpenBLAS reads its thread count from the environment when it loads,
+        # so the run needs a fresh interpreter without the pin conftest sets
+        code = textwrap.dedent("""
+            import json
+            from inexad import blas, harness
+
+            def report(*args):
+                return blas.num_threads()
+
+            harness._train_task = report  # forked workers inherit the patch
+            harness._worker_count = lambda n: 2
+            before = blas.num_threads()
+            workers = harness._map_tasks([(None,)] * 4)
+            print(json.dumps([before, workers, blas.num_threads()]))
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(harness.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env, timeout=120)
+        before, workers, after = json.loads(out.stdout)
+        if before is None:
+            pytest.skip("no OpenBLAS thread count to read")
+        assert workers == [1] * 4
+        # the caller's process keeps the library's default
+        assert after == before
 
     def test_no_modes_trains_nothing(self):
         assert run_experiment(tiny_config(modes=())).modes == {}

@@ -9,15 +9,18 @@ from inexad.network import (
     Layer,
     ShapeError,
     _sigmoid_into,
-    affine_forward,
+    backward_pass,
     finite_diff_grad,
+    forward_pass,
     init_params,
     layer_views,
     mlp_backward,
     mlp_forward,
     param_count,
     sigmoid_stable,
+    squared_error,
 )
+from . import reference
 from .conftest import KINK_MARGIN, assert_grad_close
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -26,6 +29,11 @@ finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 def init_layers(dims, seed):
     """The layers of init_params(dims, seed), as views into its vector."""
     return layer_views(init_params(dims, seed), dims)
+
+
+def affine_forward(layer, x):
+    """One affine layer on the batch x: mlp_forward of a one-layer chain."""
+    return mlp_forward([layer], x)[0]
 
 
 class TestAffineForward:
@@ -226,16 +234,16 @@ class TestMlpForward:
         rng = np.random.default_rng(11)
         layers = init_layers([3, 4, 2], 11)
         x = rng.normal(size=(1, 3))
-        h = np.maximum(0.0, affine_forward(layers[0], x))
-        expected = affine_forward(layers[1], h)
+        h = np.maximum(0.0, reference.affine(layers[0], x))
+        expected = reference.affine(layers[1], h)
         out, _ = mlp_forward(layers, x)
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_tanh_activation(self):
         layers = init_layers([3, 4, 2], 12)
         x = np.array([[0.3, -0.2, 0.1]])
-        h = np.tanh(affine_forward(layers[0], x))
-        expected = affine_forward(layers[1], h)
+        h = np.tanh(reference.affine(layers[0], x))
+        expected = reference.affine(layers[1], h)
         out, _ = mlp_forward(layers, x, activation="tanh")
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
@@ -247,7 +255,7 @@ class TestMlpForward:
             assert len(tape) == len(layers) + 1
             assert tape[0] is x and tape[-1] is out
             for i, layer in enumerate(layers):
-                want = affine_forward(layer, tape[i])
+                want = reference.affine(layer, tape[i])
                 if i < len(layers) - 1:
                     want = act(want)
                 assert tape[i + 1].tobytes() == want.tobytes()
@@ -300,7 +308,7 @@ class TestMlpBackward:
                 x = rng.uniform(-1, 1, size=(1, 3))
                 _, tape = mlp_forward(layers, x, activation=activation)
                 if activation == "tanh" or all(
-                    np.min(np.abs(affine_forward(layer, h))) >= KINK_MARGIN
+                    np.min(np.abs(reference.affine(layer, h))) >= KINK_MARGIN
                     for layer, h in zip(layers[:-1], tape)
                 ):
                     break
@@ -324,13 +332,119 @@ class TestMlpBackward:
             mlp_backward(layers, tape, np.zeros((1, 3)))
 
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_leaves_the_tape_and_output_grad_alone(self, activation):
+        layers = init_layers([3, 6, 2, 4], 18)
+        x = np.random.default_rng(18).normal(size=(9, 3))
+        _, tape = mlp_forward(layers, x, activation)
+        before = [h.copy() for h in tape]
+        g = np.random.default_rng(19).normal(size=(9, 4))
+        g_before = g.copy()
+        mlp_backward(layers, tape, g, activation)
+        for h, want in zip(tape, before):
+            assert h.tobytes() == want.tobytes()
+        assert g.tobytes() == g_before.tobytes()
+
+
+STACK_DIMS = [3, 7, 2, 7, 3]
+STACK_HIDDEN = [True, False, True, False]
+
+
+def stacked(count, seed):
+    """count models' parameter vectors as rows, and their (count, out, in) layer views."""
+    theta = np.stack([init_params(STACK_DIMS, seed + m) for m in range(count)])
+    theta += np.random.default_rng(seed).normal(scale=0.1, size=theta.shape)
+    return theta, layer_views(theta, STACK_DIMS)
+
+
+class TestForwardPass:
+    """The one forward loop against the tests' own 2-d copy, per model."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_stacked_weights_on_a_shared_batch_match_each_model(self, activation):
+        theta, layers = stacked(3, 40)
+        X = np.random.default_rng(40).normal(size=(11, 3))
+        outs = forward_pass(layers, X, activation, STACK_HIDDEN)
+        assert [h.shape for h in outs] == [(3, 11, w) for w in STACK_DIMS[1:]]
+        for m in range(3):
+            model = layer_views(theta[m], STACK_DIMS)
+            enc = reference.layers_forward(model[:2], X, activation)
+            dec = reference.layers_forward(model[2:], enc[-1], activation)
+            for got, want in zip(outs, enc[1:] + dec[1:]):
+                assert got[m].tobytes() == want.tobytes()
+
+    def test_writes_into_the_buffers_given(self):
+        _, layers = stacked(2, 41)
+        X = np.random.default_rng(41).normal(size=(5, 3))
+        bufs = [np.full((2, 5, w), np.nan) for w in STACK_DIMS[1:]]
+        outs = forward_pass(layers, X, "relu", STACK_HIDDEN, bufs)
+        assert all(got is buf for got, buf in zip(outs, bufs))
+        fresh = forward_pass(layers, X, "relu", STACK_HIDDEN)
+        for got, want in zip(outs, fresh):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestBackwardPass:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_spare_gives_the_allocating_bits_and_keeps_the_input(self, activation):
+        theta, layers = stacked(3, 42)
+        rng = np.random.default_rng(42)
+        X = rng.normal(size=(8, 3))
+        X_before = X.copy()
+        g = rng.normal(size=(3, 8, 3))
+        grads = []
+        for spare in (None, np.empty(3 * 8 * 7)):
+            outs = forward_pass(layers, X, activation, STACK_HIDDEN)
+            grad = np.empty_like(theta)
+            input_grad = backward_pass(layers, [X] + outs, g.copy(), activation,
+                                       STACK_HIDDEN, layer_views(grad, STACK_DIMS), spare)
+            assert (input_grad is None) == (spare is not None)
+            grads.append(grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+        np.testing.assert_array_equal(X, X_before)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_each_model_matches_the_2d_copy(self, activation):
+        theta, layers = stacked(2, 43)
+        rng = np.random.default_rng(43)
+        X = rng.normal(size=(6, 3))
+        g = rng.normal(size=(2, 6, 3))
+        grad = np.empty_like(theta)
+        outs = forward_pass(layers, X, activation, STACK_HIDDEN)
+        backward_pass(layers, [X] + outs, g, activation, STACK_HIDDEN,
+                      layer_views(grad, STACK_DIMS))
+        for m in range(2):
+            model = layer_views(theta[m], STACK_DIMS)
+            enc = reference.layers_forward(model[:2], X, activation)
+            dec = reference.layers_forward(model[2:], enc[-1], activation)
+            dec_grads, g_code = reference.layers_backward(model[2:], dec, g[m], activation)
+            enc_grads, _ = reference.layers_backward(model[:2], enc, g_code, activation)
+            for (dw, db), (want_w, want_b) in zip(layer_views(grad[m], STACK_DIMS),
+                                                  enc_grads + dec_grads):
+                assert dw.tobytes() == want_w.tobytes()
+                assert db.tobytes() == want_b.tobytes()
+
+
+class TestSquaredError:
+    def test_row_sums_and_the_difference_left_in_recon(self):
+        x = np.array([[1.0, 2.0], [0.0, -1.0]])
+        recon = np.array([[1.0, 0.0], [3.0, -1.0]])
+        np.testing.assert_array_equal(squared_error(x, recon), [4.0, 9.0])
+        np.testing.assert_array_equal(recon, [[0.0, 2.0], [-3.0, 0.0]])
+
+    def test_stacked_rows_match_each_model(self):
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(37, 5))
+        recon = rng.normal(size=(3, 37, 5))
+        out = np.empty((3, 37))
+        want = [np.einsum("ij,ij->i", x - r, x - r) for r in recon]
+        assert squared_error(x, recon, out) is out
+        for m in range(3):
+            assert out[m].tobytes() == want[m].tobytes()
+
+
 class TestBatchesOnly:
     """A lone 1-d vector is rejected, not read as a one-row batch."""
-
-    def test_affine_forward(self):
-        (layer,) = init_layers([3, 2], 19)
-        with pytest.raises(ShapeError, match="1-d"):
-            affine_forward(layer, np.zeros(3))
 
     def test_mlp_forward(self):
         layers = init_layers([3, 4, 2], 19)

@@ -5,10 +5,10 @@ import pickle
 import numpy as np
 import pytest
 
+from inexad import network, scorer
 from inexad.network import (
     ACTIVATIONS,
     ShapeError,
-    affine_forward,
     finite_diff_grad,
     param_count,
 )
@@ -23,6 +23,7 @@ from inexad.scorer import (
     score_batch,
 )
 from .conftest import assert_grad_close, draw_kink_free, small_ae, zero_ae
+from . import reference
 from .reference import score_batch_grad, score_forward
 
 
@@ -62,10 +63,10 @@ class TestScore:
         rng = np.random.default_rng(21)
         params = small_ae(rng)
         x = rng.uniform(-1, 1, size=3)
-        h = np.maximum(0.0, affine_forward(params.encoder[0], [x]))
-        code = affine_forward(params.encoder[1], h)
-        h2 = np.maximum(0.0, affine_forward(params.decoder[0], code))
-        (recon,) = affine_forward(params.decoder[1], h2)
+        h = np.maximum(0.0, reference.affine(params.encoder[0], [x]))
+        code = reference.affine(params.encoder[1], h)
+        h2 = np.maximum(0.0, reference.affine(params.decoder[0], code))
+        (recon,) = reference.affine(params.decoder[1], h2)
         expected = float((x - recon) @ (x - recon))
         assert score_one(params, x) == pytest.approx(expected, rel=1e-14)
 
@@ -200,6 +201,26 @@ class TestAutoencoderStack:
                 np.testing.assert_array_equal(scores[m], want_scores)
                 np.testing.assert_array_equal(stepped[m], want_scores)
                 np.testing.assert_array_equal(members.grad[m], want_grad)
+
+
+class TestReferenceIsIndependent:
+    """tests/reference.py is the oracle for every pass in the package, so it
+    must not run one of them."""
+
+    PASSES = {
+        network: ("forward_pass", "backward_pass", "squared_error", "mlp_forward",
+                  "mlp_backward", "_activate", "_activation_grad"),
+        scorer: ("reconstruct", "score_batch", "AutoencoderStack"),
+    }
+
+    def test_binds_no_forward_or_backward_pass(self):
+        passes = {id(getattr(module, name)): f"{module.__name__}.{name}"
+                  for module, names in self.PASSES.items() for name in names
+                  if hasattr(module, name)}
+        for attr, value in vars(reference).items():
+            assert all(value is not module for module in self.PASSES), f"reference.{attr}"
+            name = passes.get(id(value))
+            assert name is None, f"reference.{attr} is {name}"
 
 
 class TestStructure:

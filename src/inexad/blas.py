@@ -38,7 +38,7 @@ def _threads_api():
             paths = {fields[5].strip() for fields in (line.split(None, 5) for line in fh)
                      if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()}
     except OSError:  # no /proc: not Linux
-        return None
+        return None, None
     for path in sorted(paths):
         try:
             # RTLD_NOLOAD: only a library that is already loaded

@@ -77,10 +77,11 @@ def _parse_label(raw, row_num):
 def load_csv(path, label_column="label"):
     """Read a numeric CSV with one label column into a Dataset named str(path).
 
-    label_column may be a header name or a 0-based column index.  A
-    header row is detected by attempting to parse the first row's
-    attribute cells as numbers.  The file is read as UTF-8, with or
-    without a byte-order mark; blank lines are skipped.
+    label_column may be a header name or a 0-based column index; a
+    number that is not integral is a DataError.  A header row is
+    detected by attempting to parse the first row's attribute cells as
+    numbers.  The file is read as UTF-8, with or without a byte-order
+    mark; blank lines are skipped.
 
     Rows are streamed: each row's feature cells go straight into one
     float64 buffer that becomes X, so no row's text outlives its turn.
@@ -88,6 +89,9 @@ def load_csv(path, label_column="label"):
     row fails at once, but a non-finite cell is reported only after
     every row has parsed.
     """
+    if not isinstance(label_column, str) and _integral(label_column) is None:
+        raise DataError(f"label column {label_column!r} is neither a header name "
+                        "nor an integer index")
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -208,20 +212,34 @@ def preprocess(ds):
                    name=ds.name, feature_names=list(ds.feature_names))
 
 
-def _check_anomaly_pool(pool, is_anomaly):
-    """DataError at pool's first entry that is not a distinct anomaly's row index."""
-    seen = set()
-    for k, idx in enumerate(pool.tolist()):
-        if not 0 <= idx < len(is_anomaly):
+def _integral(value):
+    """value as an int if it is an integral number, else None."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
+def _anomaly_pool(pool, is_anomaly):
+    """pool as an np.intp array; DataError at its first entry that is not a
+    distinct anomaly's row index."""
+    seen = {}  # the checked indices, in pool order
+    for k, entry in enumerate(pool):
+        idx = _integral(entry)
+        if idx is None:
+            problem = "is not an integer"
+        elif not 0 <= idx < len(is_anomaly):
             problem = f"is out of range for {len(is_anomaly)} rows"
         elif not is_anomaly[idx]:
             problem = "is not an anomaly"
         elif idx in seen:
             problem = "repeats an earlier entry"
         else:
-            seen.add(idx)
+            seen[idx] = None
             continue
-        raise DataError(f"set_anomaly_pool[{k}] = {idx} {problem}")
+        raise DataError(f"set_anomaly_pool[{k}] = {entry} {problem}")
+    return np.fromiter(seen, dtype=np.intp, count=len(seen))
 
 
 def make_splits(ds, rng, n_train_sets=10, n_val_sets=5, set_size=5,
@@ -232,16 +250,15 @@ def make_splits(ds, rng, n_train_sets=10, n_val_sets=5, set_size=5,
     taken out of that split's normal pool.  Anomalies not planted in any
     set become exact test anomalies.  set_anomaly_pool optionally
     restricts which anomaly indices may be planted in train/val sets;
-    DataError names its first entry that is out of range, not an
-    anomaly, or a repeat.
+    DataError names its first entry that is not an integer, out of range,
+    not an anomaly, or a repeat.
     """
     normal_idx = np.flatnonzero(~ds.is_anomaly)
     anomaly_idx = np.flatnonzero(ds.is_anomaly)
     if set_anomaly_pool is None:
         eligible = anomaly_idx
     else:
-        eligible = np.asarray(set_anomaly_pool, dtype=np.intp)
-        _check_anomaly_pool(eligible, ds.is_anomaly)
+        eligible = _anomaly_pool(set_anomaly_pool, ds.is_anomaly)
 
     n_sets = n_train_sets + n_val_sets
     if eligible.size < n_sets or anomaly_idx.size < n_sets + 1:

@@ -184,7 +184,7 @@ def _objective(mode, lam, a_n, set_scores, starts, pair=None):
     first = float(a_n.mean())
     if set_scores is None:
         return first
-    ref = set_scores if mode == "sae" else segment_max(set_scores, starts)
+    ref = set_scores if starts is None else segment_max(set_scores, starts)
     pair_mean = float(_pair_sigmoid(ref, a_n, pair)[0].mean())
     if mode == "mil":
         return -pair_mean
@@ -234,7 +234,7 @@ def _upstream(mode, lams, scores, j, lengths, out=None, pair=None):
         out[:] = 1.0 / j
         return out
     a_n, set_scores = scores[:, :j], scores[:, j:]
-    starts = None if mode == "sae" else segment_starts(lengths)
+    starts = _set_starts(mode, lengths)
     ref = set_scores if starts is None else segment_max(set_scores, starts)
     a, k = ref.shape
     ds, scratch = _pair_sigmoid(ref, a_n, pair)
@@ -245,7 +245,7 @@ def _upstream(mode, lams, scores, j, lengths, out=None, pair=None):
         out[:, :j] += 1.0 / j
     per_ref = ds.sum(axis=2)
     per_ref *= -coeff
-    if mode == "sae":
+    if starts is None:
         out[:, j:] = per_ref
     else:
         out[:, j:] = 0.0
@@ -268,7 +268,7 @@ def objective_grad(params, batch, lam, mode="proposed"):
         raise ValueError(f"mode {mode!r} needs a nonempty set batch")
     else:
         X, lengths = np.concatenate([normals, batch.set_rows]), batch.lengths
-        ranked = len(X) - j if mode == "sae" else len(lengths)
+        ranked = len(X) - j if _set_starts(mode, lengths) is None else len(lengths)
     stack = AutoencoderStack(params, 1, AutoencoderStack.pool_size(
         params.dims, 1, step_rows=len(X), step_spare=2 * ranked * j))
     _step_grad(stack, mode, np.array([lam], dtype=np.float64), X, j, lengths,
@@ -411,16 +411,6 @@ def _overlap_pays(work):
     return blas.num_threads() == 1
 
 
-class _Ran:
-    """A call made at once, with the result() of a concurrent.futures.Future."""
-
-    def __init__(self, fn, *args):
-        self.value = fn(*args)
-
-    def result(self):
-        return self.value
-
-
 def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None):
     """Train one model per value in lams, in lockstep.
 
@@ -428,10 +418,11 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     rows, so either every lam makes the objective plain or none does.
     tracks names the validation metrics (VAL_METRIC values) to stop on,
     by default config.mode's.  Each member keeps, per track, its own
-    history, best snapshot and early stopping; a member whose tracks
-    have all stopped is swapped behind the active ones, and passes run
-    on the leading rows only.  Returns one list of TrainResults per
-    track, in lams order.
+    TrainResult, which each epoch's evaluation is booked in as it is
+    decided (history, best metric and epoch, early stopping); a member
+    whose tracks have all stopped is swapped behind the active ones, and
+    passes run on the leading rows only.  Returns those TrainResults as
+    one list per track, in lams order.
 
     Each epoch's evaluation (scoring every train and validation row, the
     exact objective and the metrics) reads a copy of the parameters in a
@@ -475,7 +466,7 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     # reference scores per ranking term: set maxima, or every set row for sae
     if plain:
         ranked = ranked_all = 0
-    elif mode == "sae":
+    elif set_starts is None:
         ranked, ranked_all = batch_set_rows, len(set_rows)
     else:
         ranked, ranked_all = min(config.batch_sets, len(lengths)), len(lengths)
@@ -501,13 +492,11 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
 
     slots = list(range(count))  # the member in each row of the stacked arrays
     slot_lams = np.array(lams, dtype=np.float64)
-    # per track, one entry per member (not per slot)
-    histories = [[[] for _ in lams] for _ in tracks]
-    best = np.empty((len(tracks),) + theta.shape)
-    best_metric = [[-math.inf] * count for _ in tracks]
-    best_epoch = [[0] * count for _ in tracks]
-    # (stop epoch, TrainResult.stop_reason), or None while the track runs
-    stopped = [[None] * count for _ in tracks]
+    # per track, one run per member (not per slot); stopped_epoch is None while it runs
+    runs = [[TrainResult(best_params=None, best_val_metric=-math.inf, history=[],
+                         stopped_epoch=None, chosen_lambda=lam, stop_reason=None)
+             for lam in lams] for _ in tracks]
+    best = np.empty((len(tracks),) + theta.shape)  # best_params' snapshots
 
     def evaluate(a, lams_now, running):
         """(objective, [metric or None per track]) of each of ev's leading a
@@ -523,9 +512,11 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
                   for run, starts in zip(running[s], val_starts)])
                 for s, lam in enumerate(lams_now)]
 
-    def record(epoch, results):
-        """Book one epoch's evaluation; returns the slots whose tracks have
-        all stopped, in descending order."""
+    def record(epoch, pending):
+        """Book one epoch's evaluation (evaluate's result, or its future on the
+        helper thread) in the runs; returns the slots whose tracks have all
+        stopped, in descending order."""
+        results = pending.result() if helper else pending
         leaving = []
         for s in range(len(results) - 1, -1, -1):
             m = slots[s]
@@ -533,18 +524,19 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
             for k, metric in enumerate(metrics):
                 if metric is None:
                     continue
-                histories[k][m].append((epoch, obj, metric))
-                if metric >= best_metric[k][m]:
-                    if metric > best_metric[k][m]:
-                        best_metric[k][m], best_epoch[k][m] = metric, epoch
+                run = runs[k][m]
+                run.history.append((epoch, obj, metric))
+                if metric >= run.best_val_metric:
+                    if metric > run.best_val_metric:
+                        run.best_val_metric, run.best_epoch = metric, epoch
                     # equally good on validation: keep the most-trained snapshot
                     # (patience still counts from the last strict improvement)
                     best[k, m] = ev.theta[s]
-                if epoch - best_epoch[k][m] >= patience:
-                    stopped[k][m] = (epoch, "patience")
+                if epoch - run.best_epoch >= patience:
+                    run.stopped_epoch, run.stop_reason = epoch, "patience"
                 elif epoch == config.max_epochs:
-                    stopped[k][m] = (epoch, "max_epochs")
-            if all(done[m] is not None for done in stopped):
+                    run.stopped_epoch, run.stop_reason = epoch, "max_epochs"
+            if all(track[m].stopped_epoch is not None for track in runs):
                 leaving.append(s)
         return leaving
 
@@ -583,7 +575,7 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
                              adam_v[:active], t, config,
                              *carve(stack.pool, *[theta[:active].shape] * 2))
             if pending is not None:
-                for s in record(epoch - 1, pending.result()):
+                for s in record(epoch - 1, pending):
                     # leave the stack: swap behind the members still training
                     active -= 1
                     for arr in (theta, adam_m, adam_v, slot_lams):
@@ -592,24 +584,20 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
                 if active == 0:
                     break  # this epoch's steps are discarded
             ev.theta[:active] = theta[:active]
-            args = (evaluate, active, slot_lams[:active].tolist(),
-                    [[done[m] is None for done in stopped] for m in slots[:active]])
-            pending = helper.submit(*args) if helper else _Ran(*args)
+            args = (active, slot_lams[:active].tolist(),
+                    [[track[m].stopped_epoch is None for track in runs] for m in slots[:active]])
+            pending = helper.submit(evaluate, *args) if helper else evaluate(*args)
         else:
-            record(config.max_epochs, pending.result())
+            record(config.max_epochs, pending)
     finally:
         if helper is not None:
             helper.shutdown()
 
-    return [[TrainResult(
-        best_params=ae_from_vector(best[k, m].copy(), init.dims, activation=config.activation),
-        best_val_metric=best_metric[k][m],
-        history=histories[k][m],
-        stopped_epoch=stopped[k][m][0],
-        chosen_lambda=lams[m],
-        best_epoch=best_epoch[k][m],
-        stop_reason=stopped[k][m][1],
-    ) for m in range(count)] for k in range(len(tracks))]
+    for k, track in enumerate(runs):
+        for m, run in enumerate(track):
+            run.best_params = ae_from_vector(best[k, m].copy(), init.dims,
+                                             activation=config.activation)
+    return runs
 
 
 def train(train_data, val_data, config):

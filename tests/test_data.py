@@ -100,6 +100,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not found"):
             load_csv(path, label_column="target")
 
+    @pytest.mark.parametrize("column", [1.7, float("nan"), float("inf"), None])
+    def test_non_integral_label_column_rejected(self, tmp_path, column):
+        # column 1 holds valid labels, so reading it as column 1 would succeed
+        path = write(tmp_path, "1,0,1\n3,1,0\n")
+        with pytest.raises(DataError, match="is neither a header name nor an integer index"):
+            load_csv(path, label_column=column)
+
+    def test_integral_label_column_of_any_number_type(self, tmp_path):
+        path = write(tmp_path, "1,0,1\n3,1,0\n")
+        want = load_csv(path, label_column=2).is_anomaly
+        for column in (2.0, np.int64(2)):
+            np.testing.assert_array_equal(load_csv(path, label_column=column).is_anomaly, want)
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "1,2,0\n3,1\n")
         with pytest.raises(DataError, match="expected 3 cells"):
@@ -313,7 +326,8 @@ class TestMakeSplits:
         (-1, r"set_anomaly_pool\[15\] = -1 is out of range"),
         (7, r"set_anomaly_pool\[15\] = 7 is not an anomaly"),
         (402, r"set_anomaly_pool\[15\] = 402 repeats an earlier entry"),
-    ], ids=["past-the-end", "negative", "normal-row", "repeat"])
+        (400.9, r"set_anomaly_pool\[15\] = 400.9 is not an integer"),
+    ], ids=["past-the-end", "negative", "normal-row", "repeat", "fraction"])
     def test_bad_anomaly_pool_rejected(self, bad, message):
         rng = np.random.default_rng(69)
         ds = toy_dataset(rng, n_normals=400, n_anoms=40)
@@ -321,6 +335,20 @@ class TestMakeSplits:
         pool = list(range(400, 415)) + [bad, 3]
         with pytest.raises(DataError, match=message):
             make_splits(ds, rng, set_anomaly_pool=pool)
+
+    def test_fractional_pool_array_rejected_at_its_first_entry(self):
+        rng = np.random.default_rng(69)
+        ds = toy_dataset(rng, n_normals=400, n_anoms=40)
+        with pytest.raises(DataError, match=r"set_anomaly_pool\[0\] = 400.9 is not an integer"):
+            make_splits(ds, rng, set_anomaly_pool=np.arange(400, 415) + 0.9)
+
+    def test_integral_float_pool_plants_the_same_rows(self):
+        ds = toy_dataset(np.random.default_rng(69), n_normals=400, n_anoms=40)
+        pool = np.arange(400, 420)
+        want = make_splits(ds, np.random.default_rng(3), set_anomaly_pool=pool)
+        got = make_splits(ds, np.random.default_rng(3), set_anomaly_pool=pool.astype(float))
+        for f in fields(SplitSpec):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
 
     def test_fields_are_intp_arrays(self):
         rng = np.random.default_rng(67)

@@ -26,7 +26,6 @@ from .metrics import (
 )
 from .network import (
     Layer,
-    finite_diff_grad,
     init_params,
     mlp_backward,
     mlp_forward,
@@ -40,10 +39,8 @@ from .scorer import (
     score_batch,
 )
 from .training import (
-    AdamState,
     TrainConfig,
     TrainResult,
-    adam_step,
     make_batches,
     mode_objective,
     objective_grad,

@@ -54,6 +54,9 @@ class ExperimentConfig:
         if self.csv_path is None and self.label_col != "label":
             raise ValueError(f"label_col {self.label_col!r} needs csv_path: the "
                              "synthetic data has no label column")
+        if isinstance(self.modes, str):
+            raise ValueError(f"modes takes a sequence of mode names, got the string "
+                             f"{self.modes!r}")
         for i, m in enumerate(self.modes):
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")

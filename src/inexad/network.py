@@ -8,8 +8,7 @@ mlp_backward adapt them to a chain with a linear last layer on an
 (n, D) batch, rejecting a lone 1-d vector with ShapeError.  A model's
 parameters are one flat vector holding, per layer, the weight in
 row-major order and then the bias.  layer_views is the one place that
-knows this layout.  A central finite-difference estimator is provided
-as an independent oracle for the analytic backward pass.
+knows this layout.
 """
 
 from typing import NamedTuple
@@ -172,23 +171,6 @@ def mlp_backward(layers, tape, output_grad, activation="relu"):
     grads = [Layer(np.empty(weight.shape), np.empty(bias.shape)) for weight, bias in layers]
     hidden = [True] * (len(layers) - 1) + [False]
     return grads, backward_pass(layers, tape, g, activation, hidden, grads)
-
-
-def finite_diff_grad(loss_fn, params, step=1e-5):
-    """Central-difference gradient of a scalar loss over a flat parameter vector."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    theta = np.atleast_1d(np.asarray(params, dtype=np.float64)).copy()
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + step
-        up = loss_fn(theta)
-        theta[i] = orig - step
-        down = loss_fn(theta)
-        theta[i] = orig
-        grad[i] = (up - down) / (2.0 * step)
-    return grad
 
 
 def init_params(layer_dims, rng_seed):

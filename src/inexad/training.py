@@ -27,10 +27,10 @@ differ only in lambda, so every pass runs all of them on the same rows
 with batched matmuls, which give each member the bits of the 2-d call.
 Each member's results therefore equal, bit for bit, those of training
 it alone with the public allocating functions (mode_objective,
-validation_metric, adam_step) and the 2-d gradient of the tests' own
-reference passes.  objective_grad runs a training step's passes
-(_step_grad) on a one-model stack, so the gradient it returns is the
-one training follows.
+validation_metric) and the tests' own reference gradient and Adam.
+objective_grad runs a training step's passes (_step_grad) on a
+one-model stack, so the gradient it returns is the one training
+follows.
 
 After each epoch's steps the kernel evaluates every member: it scores
 all train and validation rows, then computes the exact objective and
@@ -123,17 +123,6 @@ class TrainConfig:
         if self.patience is not None and not (
                 isinstance(self.patience, numbers.Integral) and self.patience >= 1):
             raise ValueError(f"patience must be an integer >= 1 or None, got {self.patience!r}")
-
-
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, n):
-        return cls(m=np.zeros(n), v=np.zeros(n), t=0)
 
 
 @dataclass
@@ -309,21 +298,6 @@ def _adam_update(theta, grad, m, v, t, config, tmp, denom):
     denom += config.adam_eps
     tmp /= denom
     theta -= tmp
-
-
-def adam_step(theta, grad, state, config):
-    """One bias-corrected Adam update of a flat parameter vector.
-
-    Returns the new vector and the new AdamState; the inputs are not changed.
-    """
-    theta = np.array(theta, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if theta.shape != grad.shape:
-        raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
-    state = AdamState(m=state.m.copy(), v=state.v.copy(), t=int(state.t) + 1)
-    _adam_update(theta, grad, state.m, state.v, state.t, config,
-                 np.empty_like(theta), np.empty_like(theta))
-    return theta, state
 
 
 def make_batches(n_sets, n_normals, config, rng):

@@ -1,12 +1,16 @@
-"""The 2-d gradient path: an independent oracle for the package's passes.
+"""Independent oracles for the package's passes, its Adam and its gradients.
 
-One model and one (n, D) batch at a time, through this module's own
-copies of a 2-d affine forward pass and backward pass, with a fresh
-array for each layer output and each gradient.  It shares no pass with
-inexad.network.forward_pass/backward_pass, which every forward and
-backward pass in the package runs, so a test that compares the two
-checks them bit for bit.  Only the upstream gradient of the objective,
-training._upstream, is shared.
+The 2-d gradient path runs one model and one (n, D) batch at a time,
+through this module's own copies of a 2-d affine forward pass and
+backward pass, with a fresh array for each layer output and each
+gradient.  It shares no pass with inexad.network.forward_pass/
+backward_pass, which every forward and backward pass in the package
+runs, so a test that compares the two checks them bit for bit.  Only
+the upstream gradient of the objective, training._upstream, is shared.
+
+adam is the textbook update that training._adam_update computes in
+place, and finite_diff_grad a central-difference estimate of any
+scalar loss's gradient.
 """
 
 import numpy as np
@@ -99,3 +103,31 @@ def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
     upstream = _upstream(mode, np.array([lam], dtype=np.float64), scores[None],
                          normals.shape[0], None if plain else [len(s) for s in sets])
     return score_backward(params, tape, upstream[0])
+
+
+def adam(theta, grad, m, v, t, config):
+    """One bias-corrected Adam step at step count t (a Python int), as the
+    textbook writes it; returns new (theta, m, v)."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    m = b1 * m + (1 - b1) * grad
+    v = b2 * v + (1 - b2) * grad * grad
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    return theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps), m, v
+
+
+def finite_diff_grad(loss_fn, params, step=1e-5):
+    """Central-difference gradient of a scalar loss over a flat parameter vector."""
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    theta = np.atleast_1d(np.asarray(params, dtype=np.float64)).copy()
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        up = loss_fn(theta)
+        theta[i] = orig - step
+        down = loss_fn(theta)
+        theta[i] = orig
+        grad[i] = (up - down) / (2.0 * step)
+    return grad

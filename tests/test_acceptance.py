@@ -16,10 +16,10 @@ import pytest
 from inexad.data import gen_synthetic, materialize
 from inexad.harness import ExperimentConfig, run_experiment
 from inexad.metrics import empirical_auc, empirical_inexact_auc
-from inexad.network import finite_diff_grad
 from inexad.scorer import ae_from_vector, score_batch
 from inexad.training import TrainConfig, mode_objective, objective_grad, train
 from .conftest import KINK_MARGIN, REL_TOL, ABS_TOL, min_preactivation, small_ae, weak_data
+from .reference import finite_diff_grad
 
 _reporter = None
 

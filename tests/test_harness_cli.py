@@ -57,6 +57,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="'ae' is given more than once"):
             ExperimentConfig(modes=("ae", "mil", "ae"))
 
+    def test_bare_string_modes(self):
+        # a string is a sequence too, of one-letter "modes"
+        with pytest.raises(ValueError, match="modes takes a sequence of mode names"):
+            ExperimentConfig(modes="proposed")
+
     def test_bad_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
             ExperimentConfig(n_repeats=0)

@@ -10,7 +10,6 @@ from inexad.network import (
     ShapeError,
     _sigmoid_into,
     backward_pass,
-    finite_diff_grad,
     forward_pass,
     init_params,
     layer_views,
@@ -21,6 +20,7 @@ from inexad.network import (
     squared_error,
 )
 from . import reference
+from .reference import finite_diff_grad
 from .conftest import KINK_MARGIN, assert_grad_close
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)

@@ -5,11 +5,10 @@ import pickle
 import numpy as np
 import pytest
 
-from inexad import network, scorer
+from inexad import network, scorer, training
 from inexad.network import (
     ACTIVATIONS,
     ShapeError,
-    finite_diff_grad,
     param_count,
 )
 from inexad.scorer import (
@@ -24,7 +23,7 @@ from inexad.scorer import (
 )
 from .conftest import assert_grad_close, draw_kink_free, small_ae, zero_ae
 from . import reference
-from .reference import score_batch_grad, score_forward
+from .reference import finite_diff_grad, score_batch_grad, score_forward
 
 
 def identity_ae(dim=3):
@@ -204,13 +203,14 @@ class TestAutoencoderStack:
 
 
 class TestReferenceIsIndependent:
-    """tests/reference.py is the oracle for every pass in the package, so it
-    must not run one of them."""
+    """tests/reference.py is the oracle for every pass in the package and for
+    the kernel's Adam, so it must not run one of them."""
 
     PASSES = {
         network: ("forward_pass", "backward_pass", "squared_error", "mlp_forward",
                   "mlp_backward", "_activate", "_activation_grad"),
         scorer: ("reconstruct", "score_batch", "AutoencoderStack"),
+        training: ("_adam_update",),
     }
 
     def test_binds_no_forward_or_backward_pass(self):

@@ -11,15 +11,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inexad.network import ShapeError, finite_diff_grad, sigmoid_stable
+from inexad.network import ShapeError, sigmoid_stable
 from inexad.scorer import ae_from_vector, ae_init, score_batch
 from inexad import blas, training
 from inexad.data import TrainData, gen_synthetic, materialize
 from inexad.training import (
-    AdamState,
     TrainConfig,
     TrainResult,
-    adam_step,
     best_of_grid,
     grid_search,
     make_batches,
@@ -324,35 +322,40 @@ class TestObjectiveGradFiniteDifferences:
                 return mode_objective(mode, p, batch, lam)
 
             analytic = objective_grad(params, batch, lam, mode=mode)
-            assert_grad_close(analytic, finite_diff_grad(loss, params.theta))
+            assert_grad_close(analytic, reference.finite_diff_grad(loss, params.theta))
+
+
+def kernel_adam(theta, grad, m, v, t, config):
+    """training._adam_update on copies of theta, m and v; returns them."""
+    theta, m, v = (np.array(a, dtype=np.float64) for a in (theta, m, v))
+    training._adam_update(theta, grad, m, v, t, config,
+                          np.empty_like(theta), np.empty_like(theta))
+    return theta, m, v
 
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         theta0 = ae_init(2, 0, hidden=3, code=2).theta
-        state = AdamState.zeros(theta0.size)
-        new, _ = adam_step(theta0, np.zeros_like(theta0), state, TrainConfig())
+        zeros = np.zeros_like(theta0)
+        new, m, v = kernel_adam(theta0, zeros, zeros, zeros, 1, TrainConfig())
         np.testing.assert_array_equal(new, theta0)
-        assert new is not theta0
+        np.testing.assert_array_equal(m, zeros)
+        np.testing.assert_array_equal(v, zeros)
 
     def test_first_step_scalar(self):
-        theta = np.array([0.0])
-        state = AdamState.zeros(1)
-        config = TrainConfig()
-        new, state = adam_step(theta, np.array([1.0]), state, config)
-        assert state.t == 1
-        assert state.m[0] == pytest.approx(0.1)
-        assert state.v[0] == pytest.approx(0.001)
+        zero = np.array([0.0])
+        new, m, v = kernel_adam(zero, np.array([1.0]), zero, zero, 1, TrainConfig())
+        assert m[0] == pytest.approx(0.1)
+        assert v[0] == pytest.approx(0.001)
         # bias correction makes m_hat = v_hat = 1 on the first step
         assert new[0] == pytest.approx(-1e-3 / (1 + 1e-8), rel=1e-12)
 
     def test_constant_gradient_step_size_approaches_lr(self):
         config = TrainConfig()
-        theta = np.array([0.0])
-        state = AdamState.zeros(1)
-        for _ in range(500):
-            prev = theta.copy()
-            theta, state = adam_step(theta, np.array([2.0]), state, config)
+        theta, m, v = np.array([0.0]), np.array([0.0]), np.array([0.0])
+        for t in range(1, 501):
+            prev = theta
+            theta, m, v = kernel_adam(theta, np.array([2.0]), m, v, t, config)
         assert abs(theta[0] - prev[0]) == pytest.approx(config.learning_rate,
                                                         rel=1e-3)
 
@@ -360,26 +363,16 @@ class TestAdam:
         # the in-place update must keep the textbook expression's operation order
         rng = np.random.default_rng(62)
         config = TrainConfig()
-        b1, b2, lr, eps = (config.adam_beta1, config.adam_beta2,
-                           config.learning_rate, config.adam_eps)
-        theta = rng.normal(size=50)
-        state = AdamState.zeros(50)
-        m, v, ref = np.zeros(50), np.zeros(50), theta.copy()
+        theta, m, v = rng.normal(size=50), np.zeros(50), np.zeros(50)
+        ref, ref_m, ref_v = theta.copy(), m.copy(), v.copy()
+        tmp, denom = np.empty(50), np.empty(50)
         for t in range(1, 30):
             grad = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=50)
-            theta, state = adam_step(theta, grad, state, config)
-            m = b1 * m + (1 - b1) * grad
-            v = b2 * v + (1 - b2) * grad * grad
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
+            training._adam_update(theta, grad, m, v, t, config, tmp, denom)
+            ref, ref_m, ref_v = reference.adam(ref, grad, ref_m, ref_v, t, config)
             np.testing.assert_array_equal(theta, ref)
-            np.testing.assert_array_equal(state.m, m)
-            np.testing.assert_array_equal(state.v, v)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            adam_step(np.zeros(3), np.zeros(2), AdamState.zeros(3), TrainConfig())
+            np.testing.assert_array_equal(m, ref_m)
+            np.testing.assert_array_equal(v, ref_v)
 
 
 class TestMakeBatches:
@@ -525,10 +518,11 @@ def ragged_problem(rng, dim=3, shift=2.5):
 
 def reference_train(train_data, val_data, config):
     """train() restated with the allocating public functions, and the 2-d
-    reference gradient in place of objective_grad's stacked passes.
+    reference gradient and the textbook Adam in place of the kernel's
+    stacked passes and in-place update.
 
     Every pass gets fresh arrays and a fresh parameter object, and Adam
-    returns a new flat vector.  Each minibatch is a list of sets built
+    returns new vectors.  Each minibatch is a list of sets built
     from make_batches' indices.  Returns (history, best_theta,
     stopped_epoch).
     """
@@ -538,7 +532,7 @@ def reference_train(train_data, val_data, config):
                    code=config.code_dim, activation=config.activation)
     dims = init.dims
     theta = init.theta
-    state = AdamState.zeros(theta.size)
+    m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
     rng = np.random.default_rng(config.rng_seed)
 
     def params_of(theta):
@@ -556,7 +550,8 @@ def reference_train(train_data, val_data, config):
         for set_ids, normal_ids in make_batches(len(sets), len(normals), config, rng):
             grad = reference.objective_grad(params_of(theta), [sets[i] for i in set_ids],
                                             normals[normal_ids], config.lam, mode=config.mode)
-            theta, state = adam_step(theta, grad, state, config)
+            t += 1
+            theta, m, v = reference.adam(theta, grad, m, v, t, config)
         history.append(evaluate(epoch, theta))
         metric = history[-1][2]
         if metric >= best_metric:

@@ -25,7 +25,10 @@ tree's src/:
 The CLI probes compare their output directories file by file, as
 `diff -r` would, after removing every `seconds` field from
 summary.json.  The tool prints one JSON verdict that names the first
-probe, function or file that differs.  Exit code: 0 when every probe
+probe, function or file that differs.  For each probe it also names
+the OpenBLAS kernel set each side ran (`blas_core`, read by this
+tree's inexad.blas), since equal bits are expected only within one
+kernel set.  Exit code: 0 when every probe
 is equal, 1 when one differs or fails, 2 on a usage error such as an
 unknown <rev>.  The tool itself uses the standard library only; the
 probes import numpy and the package.
@@ -33,6 +36,7 @@ probes import numpy and the package.
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -135,6 +139,16 @@ def _run_cli(name):
     return {"overlapped": any(overlapped)}
 
 
+def _blas_core():
+    """The loaded OpenBLAS's kernel set, read by this tree's inexad.blas, which
+    older trees lack; None where unknown."""
+    spec = importlib.util.spec_from_file_location("_tree_blas",
+                                                  ROOT / "src" / "inexad" / "blas.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.core_name()
+
+
 def _run_probe(name, out_dir):
     """Body of the probe subprocess: run one probe in out_dir, write its result
     there as JSON."""
@@ -145,6 +159,7 @@ def _run_probe(name, out_dir):
         raise RuntimeError(f"imported {inexad.__file__}, not the package under {src}")
     os.chdir(out_dir)
     result = _probe_hashes() if name == "hashes" else _run_cli(name)
+    result["blas_core"] = _blas_core()
     Path("result.json").write_text(json.dumps(result))
 
 
@@ -224,7 +239,7 @@ def compare(rev, work):
             status, difference = "error", {"probe": name, "error": errors}
         elif name == "hashes":
             a, b = results["against"][0], results["tree"][0]
-            differing = [fn for fn in a if a[fn] != b.get(fn)]
+            differing = [fn for fn in a if fn != "blas_core" and a[fn] != b.get(fn)]
             status = "differs" if differing else "equal"
             difference = {"probe": name, "function": differing[0]} if differing else None
         else:
@@ -233,8 +248,10 @@ def compare(rev, work):
             status = "equal" if rel is None else "differs"
             difference = None if rel is None else {"probe": name, "file": rel}
         entry = {"status": status, "seconds": round(time.perf_counter() - started, 1)}
-        if name == "cli-csv-32" and not errors:
-            entry["overlapped"] = {side: r[0]["overlapped"] for side, r in results.items()}
+        if not errors:
+            entry["blas_core"] = {side: r[0]["blas_core"] for side, r in results.items()}
+            if name == "cli-csv-32":
+                entry["overlapped"] = {side: r[0]["overlapped"] for side, r in results.items()}
         verdict["probes"][name] = entry
         if difference is not None and verdict["equal"]:
             verdict["equal"], verdict["first_difference"] = False, difference

@@ -356,7 +356,10 @@ class TrainData:
 
     def __post_init__(self):
         self.set_rows = np.asarray(self.set_rows, dtype=np.float64)
-        self.lengths = np.asarray(self.lengths, dtype=np.intp)
+        lengths = np.asarray(self.lengths)
+        if lengths.ndim != 1 or (lengths.size and lengths.dtype.kind not in "iu"):
+            raise DataError(f"lengths must be a 1-d sequence of integers, got {self.lengths!r}")
+        self.lengths = lengths.astype(np.intp, copy=False)
         self.normals = np.asarray(self.normals, dtype=np.float64)
         for name in ("set_rows", "normals"):
             if getattr(self, name).ndim != 2:

@@ -57,6 +57,8 @@ class ExperimentConfig:
         if isinstance(self.modes, str):
             raise ValueError(f"modes takes a sequence of mode names, got the string "
                              f"{self.modes!r}")
+        if not self.modes:
+            raise ValueError("modes must name at least one mode")
         for i, m in enumerate(self.modes):
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")

@@ -102,11 +102,17 @@ class TrainConfig:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}, "
                              f"expected one of {ACTIVATIONS}")
+        if isinstance(self.lambda_grid, str):
+            raise ValueError(f"lambda_grid takes a sequence of numbers, got the string "
+                             f"{self.lambda_grid!r}")
         if not self.lambda_grid:
             raise ValueError("lambda_grid must be nonempty")
-        for lam in (self.lam, *self.lambda_grid):
-            if not (math.isfinite(lam) and lam >= 0):
-                raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+        for name, values in (("lam", [self.lam]), ("lambda_grid", self.lambda_grid)):
+            for lam in values:
+                if not isinstance(lam, numbers.Real):
+                    raise ValueError(f"{name} takes numbers, got {lam!r}")
+                if not (math.isfinite(lam) and lam >= 0):
+                    raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
         for name in ("learning_rate", "adam_eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -152,32 +158,49 @@ def _set_starts(kind, lengths):
     return segment_starts(lengths) if kind in ("proposed", "mil", "val_set_auc") else None
 
 
-def _pair_sigmoid(ref, a_n, pair=None):
-    """(sigmoid(ref[..., k] - a_n[..., j]) as (..., K, J), a scratch of that shape),
-    carved from the flat scratch pair or new; ref holds the ranking term's
-    reference scores, the set maxima or (sae) every set row."""
-    shape = ref.shape + a_n.shape[-1:]
-    s, scratch = carve(np.empty(2 * math.prod(shape)) if pair is None else pair,
-                       shape, shape)
-    np.subtract(ref[..., :, None], a_n[..., None, :], out=s)
-    return _sigmoid_into(s, s, scratch), scratch
+def _objective(mode, lams, a_n, set_scores, lengths, pair=None, grad=None):
+    """Exact objective of each model from its scores; leading axes index models.
 
+    a_n scores the normals and set_scores the stacked set rows, set k
+    having lengths[k] rows; lengths is None when the objective is plain.
+    lams holds each model's lambda.  pair, if given, is a flat scratch of
+    at least 2 * models * ranked * normals entries, ranked counting the
+    ranking term's reference scores: the set maxima, or (sae) every set
+    row.
 
-def _objective(mode, lam, a_n, set_scores, starts, pair=None):
-    """Exact objective of one model from its scores.
-
-    a_n scores the normals; set_scores scores the stacked set rows, or is
-    None when the objective is plain.  pair, if given, is a flat scratch
-    of at least 2 * ranked * normals entries.
+    Given grad, an (a, J + R) array for a models' J normal and R set
+    scores, it also writes d objective / d score there.  The gradient of
+    a set's max flows entirely through its first argmax row; the sigmoid
+    contributes s*(1-s) per ranking pair.
     """
-    first = float(a_n.mean())
-    if set_scores is None:
+    first = a_n.mean(axis=-1)
+    j = a_n.shape[-1]
+    if lengths is None:
+        if grad is not None:
+            grad[:] = 1.0 / j
         return first
+    starts = _set_starts(mode, lengths)
     ref = set_scores if starts is None else segment_max(set_scores, starts)
-    pair_mean = float(_pair_sigmoid(ref, a_n, pair)[0].mean())
-    if mode == "mil":
-        return -pair_mean
-    return first - lam * pair_mean
+    shape = ref.shape + (j,)
+    s, scratch = carve(np.empty(2 * math.prod(shape)) if pair is None else pair, shape, shape)
+    np.subtract(ref[..., :, None], a_n[..., None, :], out=s)
+    pair_mean = _sigmoid_into(s, s, scratch).mean(axis=(-2, -1))
+    if grad is not None:
+        a, k = ref.shape
+        s *= np.subtract(1.0, s, out=scratch)
+        coeff = ((np.ones(a) if mode == "mil" else lams) / (k * j))[:, None]
+        np.multiply(coeff, s.sum(axis=1), out=grad[:, :j])
+        if mode != "mil":
+            grad[:, :j] += 1.0 / j
+        per_ref = s.sum(axis=2)
+        per_ref *= -coeff
+        if starts is None:
+            grad[:, j:] = per_ref
+        else:
+            grad[:, j:] = 0.0
+            grad[np.arange(a)[:, None],
+                 j + _first_argmax(set_scores, ref, starts, lengths)] = per_ref
+    return -pair_mean if mode == "mil" else first - lams * pair_mean
 
 
 def mode_objective(mode, params, data, lam):
@@ -188,11 +211,10 @@ def mode_objective(mode, params, data, lam):
         raise ValueError("normals must be nonempty")
     a_n = score_batch(params, data.normals)
     if _is_plain(mode, lam):
-        return _objective(mode, lam, a_n, None, None)
+        return float(_objective(mode, lam, a_n, None, None))
     if not len(data.lengths):
         raise ValueError(f"mode {mode!r} needs at least one weakly labeled set")
-    return _objective(mode, lam, a_n, score_batch(params, data.set_rows),
-                      _set_starts(mode, data.lengths))
+    return float(_objective(mode, lam, a_n, score_batch(params, data.set_rows), data.lengths))
 
 
 def _first_argmax(scores, maxima, starts, lengths):
@@ -205,41 +227,6 @@ def _first_argmax(scores, maxima, starts, lengths):
     hit |= np.isnan(scores)
     index = np.where(hit, np.arange(scores.shape[-1]), scores.shape[-1])
     return np.minimum.reduceat(index, starts, axis=-1)
-
-
-def _upstream(mode, lams, scores, j, lengths, out=None, pair=None):
-    """d objective / d score of each batch row, for each member.
-
-    scores is (members, rows): the first j columns score the normal
-    batch and the rest the set rows, set k having lengths[k] rows
-    (lengths is None when the objective is plain).  lams holds each
-    member's lambda.  pair, if given, is a flat scratch of at least
-    2 * members * ranked * j entries.  The gradient of a set's max flows
-    entirely through its first argmax member; the sigmoid contributes
-    s*(1-s) per ranking pair.
-    """
-    out = np.empty_like(scores) if out is None else out
-    if lengths is None:
-        out[:] = 1.0 / j
-        return out
-    a_n, set_scores = scores[:, :j], scores[:, j:]
-    starts = _set_starts(mode, lengths)
-    ref = set_scores if starts is None else segment_max(set_scores, starts)
-    a, k = ref.shape
-    ds, scratch = _pair_sigmoid(ref, a_n, pair)
-    ds *= np.subtract(1.0, ds, out=scratch)
-    coeff = ((np.ones(a) if mode == "mil" else lams) / (k * j))[:, None]
-    np.multiply(coeff, ds.sum(axis=1), out=out[:, :j])
-    if mode != "mil":
-        out[:, :j] += 1.0 / j
-    per_ref = ds.sum(axis=2)
-    per_ref *= -coeff
-    if starts is None:
-        out[:, j:] = per_ref
-    else:
-        out[:, j:] = 0.0
-        out[np.arange(a)[:, None], j + _first_argmax(set_scores, ref, starts, lengths)] = per_ref
-    return out
 
 
 def objective_grad(params, batch, lam, mode="proposed"):
@@ -268,11 +255,12 @@ def objective_grad(params, batch, lam, mode="proposed"):
 def _step_grad(stack, mode, lams, X, j, lengths, buf):
     """stack.grad[:a] = the gradient of each of the a = len(lams) leading
     members' objectives over the rows X: j normals, then the sets of the
-    given lengths.  buf is a flat scratch of at least 2 * a * len(X)."""
+    given lengths (None when the objective is plain).  buf is a flat
+    scratch of at least 2 * a * len(X)."""
     shape = (len(lams), len(X))
     scores, upstream = carve(buf, shape, shape)
     stack.forward(len(lams), X, scores)
-    _upstream(mode, lams, scores, j, lengths, out=upstream, pair=stack.spare())
+    _objective(mode, lams, scores[:, :j], scores[:, j:], lengths, stack.spare(), upstream)
     stack.backward(len(lams), X, upstream)
 
 
@@ -433,14 +421,13 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     val_starts = [_set_starts(track, val_data.lengths) for track in tracks]
     set_rows = train_data.set_rows
     row_starts = segment_starts(lengths)  # where each set's rows begin
-    set_starts = None if plain else _set_starts(mode, lengths)
 
     batch_set_rows = 0 if plain else int(np.sort(lengths)[-config.batch_sets:].sum())
     step_rows = config.batch_normals + batch_set_rows
     # reference scores per ranking term: set maxima, or every set row for sae
     if plain:
         ranked = ranked_all = 0
-    elif set_starts is None:
+    elif _set_starts(mode, lengths) is None:
         ranked, ranked_all = batch_set_rows, len(set_rows)
     else:
         ranked, ranked_all = min(config.batch_sets, len(lengths)), len(lengths)
@@ -480,8 +467,8 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
             ev.scores(a, set_rows, set_scores[:a])
         ev.scores(a, val_normals, val_normal_scores[:a])
         ev.scores(a, val_rows, val_set_scores[:a])
-        return [(_objective(mode, lam, normal_scores[s], None if plain else set_scores[s],
-                            set_starts, ev.pool),
+        return [(float(_objective(mode, lam, normal_scores[s], None if plain else set_scores[s],
+                                  None if plain else lengths, ev.pool)),
                  [_metric(val_normal_scores[s], val_set_scores[s], starts) if run else None
                   for run, starts in zip(running[s], val_starts)])
                 for s, lam in enumerate(lams_now)]

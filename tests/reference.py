@@ -6,7 +6,8 @@ backward pass, with a fresh array for each layer output and each
 gradient.  It shares no pass with inexad.network.forward_pass/
 backward_pass, which every forward and backward pass in the package
 runs, so a test that compares the two checks them bit for bit.  Only
-the upstream gradient of the objective, training._upstream, is shared.
+the objective's gradient with respect to the scores, written by
+training._objective, is shared.
 
 adam is the textbook update that training._adam_update computes in
 place, and finite_diff_grad a central-difference estimate of any
@@ -16,7 +17,7 @@ scalar loss's gradient.
 import numpy as np
 
 from inexad.network import layer_views
-from inexad.training import _is_plain, _upstream
+from inexad.training import _is_plain, _objective
 
 
 def _act(z, activation):
@@ -100,8 +101,9 @@ def objective_grad(params, set_batch, normal_batch, lam, mode="proposed"):
     sets = [] if plain else [np.asarray(s, dtype=np.float64) for s in set_batch]
     all_x = np.concatenate([normals] + sets) if sets else normals
     scores, tape = score_forward(params, all_x)
-    upstream = _upstream(mode, np.array([lam], dtype=np.float64), scores[None],
-                         normals.shape[0], None if plain else [len(s) for s in sets])
+    j, upstream = normals.shape[0], np.empty((1, len(scores)))
+    _objective(mode, np.array([lam], dtype=np.float64), scores[None, :j], scores[None, j:],
+               None if plain else [len(s) for s in sets], grad=upstream)
     return score_backward(params, tape, upstream[0])
 
 

@@ -450,6 +450,24 @@ class TestTrainData:
         with pytest.raises(DataError, match="set 1 is empty"):
             TrainData(set_rows=np.zeros((3, 2)), lengths=[3, 0], normals=np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("lengths", [
+        pytest.param([2.7, 3.2], id="fractional"),  # was read as [2, 3]
+        pytest.param([2.0, 3.0], id="float"),
+        pytest.param([[2], [3]], id="2-d"),  # failed later, inside segment_starts
+        pytest.param(5, id="scalar"),
+        pytest.param(["2", "3"], id="strings"),
+        pytest.param([True, True], id="booleans"),
+    ])
+    def test_lengths_must_be_a_1d_sequence_of_integers(self, lengths):
+        with pytest.raises(DataError, match="lengths must be a 1-d sequence of integers"):
+            TrainData(set_rows=np.zeros((5, 2)), lengths=lengths, normals=np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("lengths", [[], np.array([2, 3], dtype=np.uint8), (np.int32(5),)])
+    def test_integer_lengths_of_any_kind_accepted(self, lengths):
+        rows = sum(int(n) for n in lengths)
+        data = TrainData(set_rows=np.zeros((rows, 2)), lengths=lengths, normals=np.zeros((1, 2)))
+        assert data.lengths.dtype == np.intp and data.lengths.tolist() == list(map(int, lengths))
+
     def test_set_rows_of_another_width_is_a_shape_error(self):
         with pytest.raises(ShapeError, match="set rows have 3 features but normals have 2"):
             TrainData(set_rows=np.ones((4, 3)), lengths=[2, 2], normals=np.ones((4, 2)))

@@ -62,6 +62,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="modes takes a sequence of mode names"):
             ExperimentConfig(modes="proposed")
 
+    def test_no_modes(self):
+        # there would be nothing to train, yet every split would be drawn
+        with pytest.raises(ValueError, match="modes must name at least one mode"):
+            ExperimentConfig(modes=())
+
     def test_bad_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
             ExperimentConfig(n_repeats=0)
@@ -264,9 +269,6 @@ class TestParallelRounds:
         assert workers == [1] * 4
         # the caller's process keeps the library's default
         assert after == before
-
-    def test_no_modes_trains_nothing(self):
-        assert run_experiment(tiny_config(modes=())).modes == {}
 
     def test_worker_count_bounded_by_rounds_and_cpus(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \

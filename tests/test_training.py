@@ -111,6 +111,9 @@ class TestConfig:
         dict(max_epochs=2.5),
         dict(batch_sets=2.5),
         dict(rng_seed=1.5),
+        dict(lambda_grid="1"),
+        dict(lambda_grid=(0.0, "1")),
+        dict(lambda_grid=(0.0, None)),
     ])
     def test_bad_setting_rejected_when_built(self, kw):
         # each of these used to fail only once training ran, or not at all
@@ -190,6 +193,56 @@ class TestModeObjective:
     def test_sets_required(self):
         with pytest.raises(ValueError, match="set"):
             mode_objective("mil", zero_ae(), weak_data([], np.ones((2, 2))), 1.0)
+
+
+class TestObjectiveKernel:
+    """training._objective on a stack of members against one 1-d call per member."""
+
+    LAMS = np.array([0.0, 1e-3, 1.0, 1e3])
+
+    @staticmethod
+    def draw(rng):
+        """(normal scores, set scores, ragged lengths) of the LAMS members; scores
+        are rounded so that some sets hold tied maxima."""
+        lengths = rng.integers(1, 5, size=int(rng.integers(1, 6)))
+        a_n = np.round(rng.gamma(2.0, size=(len(TestObjectiveKernel.LAMS),
+                                            int(rng.integers(1, 9)))), 1)
+        set_scores = np.round(rng.gamma(2.0, size=(len(a_n), int(lengths.sum()))), 1)
+        return a_n, set_scores, lengths
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stack_equals_one_call_per_member(self, mode, seed):
+        a_n, set_scores, lengths = self.draw(np.random.default_rng(seed))
+        grad = np.empty((len(a_n), a_n.shape[1] + set_scores.shape[1]))
+        stacked = training._objective(mode, self.LAMS, a_n, set_scores, lengths)
+        with_grad = training._objective(mode, self.LAMS, a_n, set_scores, lengths, grad=grad)
+        for m, lam in enumerate(self.LAMS.tolist()):
+            one = training._objective(mode, lam, a_n[m], set_scores[m], lengths)
+            assert stacked[m].tobytes() == with_grad[m].tobytes() == one.tobytes()
+            # each member's gradient is the bits of a one-member stack's
+            alone = np.empty((1, grad.shape[1]))
+            training._objective(mode, self.LAMS[m:m + 1], a_n[m:m + 1], set_scores[m:m + 1],
+                                lengths, grad=alone)
+            assert grad[m].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_plain_stack_equals_one_call_per_member(self, seed):
+        a_n = self.draw(np.random.default_rng(seed))[0]
+        grad = np.empty((len(a_n), a_n.shape[1]))
+        stacked = training._objective("ae", self.LAMS, a_n, None, None, grad=grad)
+        for m, lam in enumerate(self.LAMS.tolist()):
+            assert stacked[m].tobytes() == training._objective("ae", lam, a_n[m], None,
+                                                               None).tobytes()
+        assert (grad == 1.0 / a_n.shape[1]).all()
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_mode_objective_and_history_hand_out_python_floats(self, mode):
+        train_data, val_data = tiny_problem(np.random.default_rng(5))
+        params = small_ae(np.random.default_rng(6), dim=2)
+        assert type(mode_objective(mode, params, train_data, 1.0)) is float
+        result = train(train_data, val_data, quick_config(mode=mode, max_epochs=2))
+        assert all(type(obj) is float for _, obj, _ in result.history)
 
 
 class TestObjectiveGrad:

@@ -213,7 +213,9 @@ def preprocess(ds):
 
 
 def _integral(value):
-    """value as an int if it is an integral number, else None."""
+    """value as an int if it is an integral number other than a bool, else None."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):

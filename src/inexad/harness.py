@@ -26,6 +26,7 @@ from .training import (
     MODES,
     VAL_METRIC,
     TrainConfig,
+    _is_number,
     _is_plain,
     _lambda_groups,
     _train_members,
@@ -49,7 +50,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, low in (("n_repeats", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
+            if not (_is_number(value, numbers.Integral) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.csv_path is None and self.label_col != "label":
             raise ValueError(f"label_col {self.label_col!r} needs csv_path: the "

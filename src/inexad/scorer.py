@@ -62,7 +62,8 @@ class AutoencoderParams:
             )
         dims = list(self.dims) if np.ndim(self.dims) == 1 else []
         if (len(dims) < 3 or len(dims) % 2 == 0 or dims[0] != dims[-1]
-                or not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims)):
+                or not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
+                           and d >= 1 for d in dims)):
             raise ShapeError(
                 "dims must be an odd number (at least 3) of positive integers "
                 f"that starts and ends at the input width, got {self.dims!r}"
@@ -138,18 +139,19 @@ class AutoencoderStack:
     into them.  A pass runs the leading `a` models on one shared (n, D)
     batch through network.forward_pass and backward_pass, whose batched
     matmuls give each model the bits of the 2-d call.  Layer outputs
-    are carved from one flat pool for each pass, so a pass allocates
-    nothing of the batch's size.
+    and spare() scratch are carved from one flat pool, which starts
+    empty and grows to the largest pass run so far, so a pass no larger
+    than an earlier one allocates nothing of the batch's size.
     """
 
-    def __init__(self, params, count, pool_size):
+    def __init__(self, params, count):
         self.dims = params.dims
         self.activation = params.activation
         self.theta = np.tile(params.theta, (count, 1))
         self.layers = layer_views(self.theta, self.dims)
         half = len(self.layers) // 2
         self.hidden = [i % half != half - 1 for i in range(len(self.layers))]
-        self.pool = np.empty(pool_size)
+        self.pool = np.empty(0)
         self.tape = []
 
     @functools.cached_property
@@ -162,15 +164,13 @@ class AutoencoderStack:
     def grads(self):
         return layer_views(self.grad, self.dims)
 
-    @staticmethod
-    def pool_size(dims, count, score_rows=0, step_rows=0, step_spare=0):
-        """Pool entries for scores() over score_rows rows, and for forward()
-        and backward() over step_rows rows with step_spare entries of
-        spare() in use between them."""
-        widths = dims[1:]
-        return max(count * score_rows * (max(widths[0::2]) + max(widths[1::2])),
-                   count * step_rows * sum(widths)
-                   + max(count * step_rows * max(widths), step_spare))
+    def _grow(self, size):
+        """The pool, regrown to at least size entries.  The outgrown pool is
+        dropped first: freed before the new one is allocated, unless a view holds it."""
+        if size > self.pool.size:
+            self.pool = None
+            self.pool = np.empty(size)
+        return self.pool
 
     def _run(self, a, X, bufs, out):
         """Scores of the leading a models on the rows X into out (a, n), with
@@ -186,26 +186,31 @@ class AutoencoderStack:
         """
         n, widths = len(X), self.dims[1:]
         second = a * n * max(widths[0::2])
-        self._run(a, X, [self.pool[second * (i % 2):][:a * n * w].reshape(a, n, w)
+        pool = self._grow(second + a * n * max(widths[1::2]))
+        self._run(a, X, [pool[second * (i % 2):][:a * n * w].reshape(a, n, w)
                          for i, w in enumerate(widths)], out)
         return out
 
     def forward(self, a, X, out):
-        """Scores like scores(), keeping every layer output for backward()."""
-        self.tape = self._run(a, X, carve(self.pool, *[(a, len(X), w) for w in self.dims[1:]]),
-                              out)
+        """Scores like scores(), keeping every layer output for backward(), whose
+        scratch the pool makes room for too: it need not regrow under the tape."""
+        shapes = [(a, len(X), w) for w in self.dims[1:]]
+        sizes = [math.prod(shape) for shape in shapes]
+        self.tape = self._run(a, X, carve(self._grow(sum(sizes) + max(sizes)), *shapes), out)
         return out
 
-    def spare(self):
-        """The pool beyond the tape, free until backward() runs."""
-        return self.pool[sum(buf.size for buf in self.tape):]
+    def spare(self, size):
+        """size entries of the pool beyond the tape, free until the next pass."""
+        used = sum(buf.size for buf in self.tape)
+        return self._grow(used + size)[used:used + size]
 
     def backward(self, a, X, upstream):
         """grad[:a] = sum_i upstream[:, i] * d score(x_i) / d theta; consumes the tape."""
         g = np.multiply(-2.0, self.tape[-1], out=self.tape[-1])
         g *= upstream[:, :, None]
         backward_pass(self._leading(self.layers, a), [X] + self.tape, g, self.activation,
-                      self.hidden, self._leading(self.grads, a), spare=self.spare())
+                      self.hidden, self._leading(self.grads, a),
+                      spare=self.spare(max(buf.size for buf in self.tape)))
         self.tape = []
 
     def _leading(self, layers, a):

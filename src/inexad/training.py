@@ -102,33 +102,37 @@ class TrainConfig:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}, "
                              f"expected one of {ACTIVATIONS}")
-        if isinstance(self.lambda_grid, str):
-            raise ValueError(f"lambda_grid takes a sequence of numbers, got the string "
-                             f"{self.lambda_grid!r}")
-        if not self.lambda_grid:
+        if isinstance(self.lambda_grid, (str, bytes)) or not hasattr(self.lambda_grid, "__len__"):
+            raise ValueError(f"lambda_grid takes a sequence of numbers, got {self.lambda_grid!r}")
+        if not len(self.lambda_grid):
             raise ValueError("lambda_grid must be nonempty")
         for name, values in (("lam", [self.lam]), ("lambda_grid", self.lambda_grid)):
             for lam in values:
-                if not isinstance(lam, numbers.Real):
+                if not _is_number(lam):
                     raise ValueError(f"{name} takes numbers, got {lam!r}")
                 if not (math.isfinite(lam) and lam >= 0):
                     raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
         for name in ("learning_rate", "adam_eps"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         for name in ("adam_beta1", "adam_beta2"):
             value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
+            if not (_is_number(value) and 0 <= value < 1):
+                raise ValueError(f"{name} must be a number in [0, 1), got {value!r}")
         for name, low in (("batch_sets", 1), ("batch_normals", 1), ("max_epochs", 0),
                           ("rng_seed", 0), ("hidden_dim", 1), ("code_dim", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
+            if not (_is_number(value, numbers.Integral) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.patience is not None and not (
-                isinstance(self.patience, numbers.Integral) and self.patience >= 1):
+                _is_number(self.patience, numbers.Integral) and self.patience >= 1):
             raise ValueError(f"patience must be an integer >= 1 or None, got {self.patience!r}")
+
+
+def _is_number(value, kind=numbers.Real):
+    """Whether value is a number of the given kind other than a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -158,15 +162,14 @@ def _set_starts(kind, lengths):
     return segment_starts(lengths) if kind in ("proposed", "mil", "val_set_auc") else None
 
 
-def _objective(mode, lams, a_n, set_scores, lengths, pair=None, grad=None):
+def _objective(mode, lams, a_n, set_scores, lengths, take=np.empty, grad=None):
     """Exact objective of each model from its scores; leading axes index models.
 
     a_n scores the normals and set_scores the stacked set rows, set k
     having lengths[k] rows; lengths is None when the objective is plain.
-    lams holds each model's lambda.  pair, if given, is a flat scratch of
-    at least 2 * models * ranked * normals entries, ranked counting the
-    ranking term's reference scores: the set maxima, or (sae) every set
-    row.
+    lams holds each model's lambda.  take(size) gives the flat scratch
+    of size entries that the ranking term's pairwise sigmoid is built in
+    (a new array by default; AutoencoderStack.spare lends its pool).
 
     Given grad, an (a, J + R) array for a models' J normal and R set
     scores, it also writes d objective / d score there.  The gradient of
@@ -182,7 +185,7 @@ def _objective(mode, lams, a_n, set_scores, lengths, pair=None, grad=None):
     starts = _set_starts(mode, lengths)
     ref = set_scores if starts is None else segment_max(set_scores, starts)
     shape = ref.shape + (j,)
-    s, scratch = carve(np.empty(2 * math.prod(shape)) if pair is None else pair, shape, shape)
+    s, scratch = carve(take(2 * math.prod(shape)), shape, shape)
     np.subtract(ref[..., :, None], a_n[..., None, :], out=s)
     pair_mean = _sigmoid_into(s, s, scratch).mean(axis=(-2, -1))
     if grad is not None:
@@ -239,14 +242,12 @@ def objective_grad(params, batch, lam, mode="proposed"):
     if j == 0:
         raise ValueError("normal batch must be nonempty")
     if _is_plain(mode, lam):
-        X, lengths, ranked = normals, None, 0
+        X, lengths = normals, None
     elif not len(batch.lengths):
         raise ValueError(f"mode {mode!r} needs a nonempty set batch")
     else:
         X, lengths = np.concatenate([normals, batch.set_rows]), batch.lengths
-        ranked = len(X) - j if _set_starts(mode, lengths) is None else len(lengths)
-    stack = AutoencoderStack(params, 1, AutoencoderStack.pool_size(
-        params.dims, 1, step_rows=len(X), step_spare=2 * ranked * j))
+    stack = AutoencoderStack(params, 1)
     _step_grad(stack, mode, np.array([lam], dtype=np.float64), X, j, lengths,
                np.empty(2 * len(X)))
     return stack.grad[0]
@@ -260,7 +261,7 @@ def _step_grad(stack, mode, lams, X, j, lengths, buf):
     shape = (len(lams), len(X))
     scores, upstream = carve(buf, shape, shape)
     stack.forward(len(lams), X, scores)
-    _objective(mode, lams, scores[:, :j], scores[:, j:], lengths, stack.spare(), upstream)
+    _objective(mode, lams, scores[:, :j], scores[:, j:], lengths, stack.spare, upstream)
     stack.backward(len(lams), X, upstream)
 
 
@@ -424,25 +425,10 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
 
     batch_set_rows = 0 if plain else int(np.sort(lengths)[-config.batch_sets:].sum())
     step_rows = config.batch_normals + batch_set_rows
-    # reference scores per ranking term: set maxima, or every set row for sae
-    if plain:
-        ranked = ranked_all = 0
-    elif _set_starts(mode, lengths) is None:
-        ranked, ranked_all = batch_set_rows, len(set_rows)
-    else:
-        ranked, ranked_all = min(config.batch_sets, len(lengths)), len(lengths)
-    stack = AutoencoderStack(init, count, max(
-        AutoencoderStack.pool_size(init.dims, count, step_rows=step_rows,
-                                   step_spare=2 * count * ranked * config.batch_normals),
-        2 * count * init.theta.size,  # Adam's scratch
-    ))
+    stack = AutoencoderStack(init, count)
     theta, grad = stack.theta, stack.grad
     # the evaluation's copy of the parameters, with a pool of its own
-    ev = AutoencoderStack(init, count, max(
-        AutoencoderStack.pool_size(init.dims, count, score_rows=max(
-            len(normals), len(val_normals), len(val_rows), 0 if plain else len(set_rows))),
-        2 * ranked_all * len(normals),  # one member's objective
-    ))
+    ev = AutoencoderStack(init, count)
     adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     normal_scores = np.empty((count, len(normals)))
     set_scores = None if plain else np.empty((count, len(set_rows)))
@@ -468,7 +454,7 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
         ev.scores(a, val_normals, val_normal_scores[:a])
         ev.scores(a, val_rows, val_set_scores[:a])
         return [(float(_objective(mode, lam, normal_scores[s], None if plain else set_scores[s],
-                                  None if plain else lengths, ev.pool)),
+                                  None if plain else lengths, ev.spare)),
                  [_metric(val_normal_scores[s], val_set_scores[s], starts) if run else None
                   for run, starts in zip(running[s], val_starts)])
                 for s, lam in enumerate(lams_now)]
@@ -534,7 +520,8 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
                 t += 1
                 _adam_update(theta[:active], grad[:active], adam_m[:active],
                              adam_v[:active], t, config,
-                             *carve(stack.pool, *[theta[:active].shape] * 2))
+                             *carve(stack.spare(2 * theta[:active].size),
+                                    *[theta[:active].shape] * 2))
             if pending is not None:
                 for s in record(epoch - 1, pending):
                     # leave the stack: swap behind the members still training

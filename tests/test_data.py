@@ -100,7 +100,7 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not found"):
             load_csv(path, label_column="target")
 
-    @pytest.mark.parametrize("column", [1.7, float("nan"), float("inf"), None])
+    @pytest.mark.parametrize("column", [1.7, float("nan"), float("inf"), None, True, np.True_])
     def test_non_integral_label_column_rejected(self, tmp_path, column):
         # column 1 holds valid labels, so reading it as column 1 would succeed
         path = write(tmp_path, "1,0,1\n3,1,0\n")
@@ -327,7 +327,8 @@ class TestMakeSplits:
         (7, r"set_anomaly_pool\[15\] = 7 is not an anomaly"),
         (402, r"set_anomaly_pool\[15\] = 402 repeats an earlier entry"),
         (400.9, r"set_anomaly_pool\[15\] = 400.9 is not an integer"),
-    ], ids=["past-the-end", "negative", "normal-row", "repeat", "fraction"])
+        (True, r"set_anomaly_pool\[15\] = True is not an integer"),
+    ], ids=["past-the-end", "negative", "normal-row", "repeat", "fraction", "bool"])
     def test_bad_anomaly_pool_rejected(self, bad, message):
         rng = np.random.default_rng(69)
         ds = toy_dataset(rng, n_normals=400, n_anoms=40)

@@ -79,6 +79,8 @@ class TestExperimentConfig:
         (dict(patience=0), "patience"),
         (dict(seed=2.5), "seed"),
         (dict(n_repeats=1.5), "n_repeats"),
+        (dict(n_repeats=True), "n_repeats"),
+        (dict(seed=False), "seed"),
     ])
     def test_bad_training_settings(self, kw, message):
         with pytest.raises(ValueError, match=message):

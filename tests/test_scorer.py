@@ -21,7 +21,7 @@ from inexad.scorer import (
     save_params,
     score_batch,
 )
-from .conftest import assert_grad_close, draw_kink_free, small_ae, zero_ae
+from .conftest import assert_grad_close, draw_kink_free, small_ae, weak_data, zero_ae
 from . import reference
 from .reference import finite_diff_grad, score_batch_grad, score_forward
 
@@ -184,12 +184,14 @@ class TestAutoencoderStack:
     def test_passes_smaller_than_the_pool_match_allocating(self, activation):
         rng = np.random.default_rng(65)
         init = ae_init(3, 5, hidden=128, code=16, activation=activation)
-        members = AutoencoderStack(init, 4, 100_000)
+        members = AutoencoderStack(init, 4)
+        members.spare(100_000)
+        pool = members.pool
         members.theta += rng.normal(scale=0.1, size=members.theta.shape)
         params = [ae_from_vector(row.copy(), init.dims, activation=activation)
                   for row in members.theta]
         for a, n in ((4, 37), (2, 9), (3, 1)):  # fewer members and rows than room for
-            members.pool[:] = np.nan
+            pool[:] = np.nan
             X = rng.uniform(-1, 1, size=(n, 3))
             upstream = rng.normal(size=(a, n))
             scores = members.scores(a, X, np.empty((a, n)))
@@ -200,6 +202,65 @@ class TestAutoencoderStack:
                 np.testing.assert_array_equal(scores[m], want_scores)
                 np.testing.assert_array_equal(stepped[m], want_scores)
                 np.testing.assert_array_equal(members.grad[m], want_grad)
+        assert members.pool is pool
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_passes_larger_than_the_pool_match_allocating(self, activation):
+        rng = np.random.default_rng(66)
+        init = ae_init(3, 6, hidden=32, code=4, activation=activation)
+        members = AutoencoderStack(init, 3)
+        assert members.pool.size == 0
+        members.theta += rng.normal(scale=0.1, size=members.theta.shape)
+        params = [ae_from_vector(row.copy(), init.dims, activation=activation)
+                  for row in members.theta]
+        for a, n in ((2, 5), (3, 40), (3, 300)):  # each pass outgrows the pool
+            X = rng.uniform(-1, 1, size=(n, 3))
+            upstream = rng.normal(size=(a, n))
+            small = members.pool.size
+            scores = members.scores(a, X, np.empty((a, n)))
+            assert members.pool.size > small
+            stepped = members.forward(a, X, np.empty((a, n)))
+            tape = members.pool
+            # regrow while the tape is live: the tape keeps the old pool
+            members.spare(members.pool.size)[:] = np.nan
+            assert members.pool is not tape
+            members.pool[:] = np.nan
+            members.backward(a, X, upstream)
+            for m in range(a):
+                want_scores, want_grad = score_batch_grad(params[m], X, upstream[m])
+                np.testing.assert_array_equal(scores[m], want_scores)
+                np.testing.assert_array_equal(stepped[m], want_scores)
+                np.testing.assert_array_equal(members.grad[m], want_grad)
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_training_regrows_its_pools_in_the_first_epoch_only(self, mode, monkeypatch):
+        # equally long sets make every epoch's batches the same sizes, so
+        # each stack meets its largest pass in the first epoch and evaluation
+        rng = np.random.default_rng(67)
+        train_data, val_data = (
+            weak_data([rng.normal(size=(3, 2)) for _ in range(k)], rng.normal(size=(n, 2)))
+            for k, n in ((5, 20), (2, 10)))
+
+        class Counted(AutoencoderStack):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.regrows = 0
+                stacks.append(self)
+
+            def _grow(self, size):
+                self.regrows += size > self.pool.size
+                return super()._grow(size)
+
+        monkeypatch.setattr(training, "AutoencoderStack", Counted)
+        counts = []
+        for epochs in (2, 12):
+            stacks = []
+            training.train(train_data, val_data, training.TrainConfig(
+                mode=mode, hidden_dim=8, code_dim=2, max_epochs=epochs, patience=None,
+                batch_sets=2, batch_normals=8))
+            counts.append([stack.regrows for stack in stacks])
+        assert counts[0] == counts[1]
+        assert len(counts[0]) == 2 and 0 not in counts[0]  # the step and evaluation stacks
 
 
 class TestReferenceIsIndependent:
@@ -312,6 +373,12 @@ class TestMalformedModel:
     def test_rejected_when_built(self, dims, theta_shape):
         with pytest.raises(ShapeError):
             AutoencoderParams(dims, np.zeros(theta_shape))
+
+    @pytest.mark.parametrize("dims", [[2, True, 2], [True, 1, True]])
+    def test_bool_width_rejected(self, dims):
+        # a bool is an Integral, but not a width
+        with pytest.raises(ShapeError):
+            AutoencoderParams(dims, np.zeros(param_count([int(d) for d in dims])))
 
     @pytest.mark.parametrize("dims, theta_shape", MALFORMED)
     def test_rejected_on_load(self, tmp_path, dims, theta_shape):

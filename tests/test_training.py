@@ -114,6 +114,17 @@ class TestConfig:
         dict(lambda_grid="1"),
         dict(lambda_grid=(0.0, "1")),
         dict(lambda_grid=(0.0, None)),
+        dict(lambda_grid=5),
+        dict(lambda_grid=b"1"),
+        dict(lambda_grid=(True,)),
+        dict(lam=True),
+        dict(learning_rate=True),
+        dict(learning_rate="0.1"),
+        dict(adam_beta1=False),
+        dict(adam_beta1="0.9"),
+        dict(max_epochs=True),
+        dict(patience=True),
+        dict(batch_sets=True),
     ])
     def test_bad_setting_rejected_when_built(self, kw):
         # each of these used to fail only once training ran, or not at all

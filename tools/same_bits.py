@@ -11,9 +11,8 @@ tree's src/:
 
 - hashes: one sha256 per function of score_batch, objective_grad
   (λ 0 and 1) and mode_objective (λ 0 and 1) over 4 modes × relu/tanh ×
-  D ∈ {2, 32} × widths 128/16 and 7/3.  The sets and normals reach the
-  two objective functions as a data.TrainData, or as a list of arrays
-  and the normals on trees whose functions took them that way;
+  D ∈ {2, 32} × widths 128/16 and 7/3, the sets and normals reaching
+  the two objective functions as a data.TrainData;
 - cli-4-mode: `--mode proposed --mode ae --mode mil --mode sae
   --repeats 2 --seed 5 --epochs 300 --patience 20` on the synthetic
   data;
@@ -26,9 +25,10 @@ The CLI probes compare their output directories file by file, as
 `diff -r` would, after removing every `seconds` field from
 summary.json.  The tool prints one JSON verdict that names the first
 probe, function or file that differs.  For each probe it also names
-the OpenBLAS kernel set each side ran (`blas_core`, read by this
-tree's inexad.blas), since equal bits are expected only within one
-kernel set.  Exit code: 0 when every probe
+the OpenBLAS kernel set each side ran (`blas_core`, read by that
+side's inexad.blas), since equal bits are expected only within one
+kernel set.  Both trees need the package's current API: CI compares
+only with HEAD and its first parent.  Exit code: 0 when every probe
 is equal, 1 when one differs or fails, 2 on a usage error such as an
 unknown <rev>.  The tool itself uses the standard library only; the
 probes import numpy and the package.
@@ -36,7 +36,6 @@ probes import numpy and the package.
 
 import argparse
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -61,23 +60,14 @@ CLI_ARGS = {
 # --- probes: each runs in a subprocess whose PYTHONPATH is one tree's src/ ---
 
 def _probe_hashes():
-    import inspect
-
     import numpy as np
 
+    from inexad.data import TrainData
     from inexad.scorer import ae_init, score_batch
     from inexad.training import MODES, mode_objective, objective_grad
 
     digests = {name: hashlib.sha256() for name in
                ("score_batch", "objective_grad", "mode_objective")}
-    if "set_batch" in inspect.signature(objective_grad).parameters:
-        def batch(sets, normals):  # the arguments of trees that took a list of sets
-            return sets, normals
-    else:
-        from inexad.data import TrainData
-
-        def batch(sets, normals):
-            return (TrainData(np.concatenate(sets), [len(s) for s in sets], normals),)
     for activation in ("relu", "tanh"):
         for dim in (2, 32):
             for hidden, code in ((128, 16), (7, 3)):
@@ -93,12 +83,12 @@ def _probe_hashes():
                         for _ in range(6)]
                 digests["score_batch"].update(
                     score_batch(params, np.concatenate([normals] + sets)).tobytes())
-                args = batch(sets, normals)
+                data = TrainData(np.concatenate(sets), [len(s) for s in sets], normals)
                 for mode in MODES:
                     for lam in (0.0, 1.0):
                         digests["objective_grad"].update(
-                            objective_grad(params, *args, lam, mode=mode).tobytes())
-                        value = mode_objective(mode, params, *args, lam)
+                            objective_grad(params, data, lam, mode=mode).tobytes())
+                        value = mode_objective(mode, params, data, lam)
                         digests["mode_objective"].update(np.float64(value).tobytes())
     return {name: d.hexdigest() for name, d in digests.items()}
 
@@ -125,41 +115,32 @@ def _run_cli(name):
     if name == "cli-csv-32":
         _write_wide_csv("wide.csv")
         argv += ["--csv", "wide.csv"]
-    # record the kernel's overlap decisions; older trees may not make any
-    decide, overlapped = getattr(training, "_overlap_pays", None), []
-    if decide is not None:
-        def recorded(work):
-            overlapped.append(decide(work))
-            return overlapped[-1]
+    # record the kernel's overlap decisions
+    decide, overlapped = training._overlap_pays, []
 
-        training._overlap_pays = recorded
+    def recorded(work):
+        overlapped.append(decide(work))
+        return overlapped[-1]
+
+    training._overlap_pays = recorded
     code = main(argv)
     if code:
         raise RuntimeError(f"inexad exited with {code}")
     return {"overlapped": any(overlapped)}
 
 
-def _blas_core():
-    """The loaded OpenBLAS's kernel set, read by this tree's inexad.blas, which
-    older trees lack; None where unknown."""
-    spec = importlib.util.spec_from_file_location("_tree_blas",
-                                                  ROOT / "src" / "inexad" / "blas.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.core_name()
-
-
 def _run_probe(name, out_dir):
     """Body of the probe subprocess: run one probe in out_dir, write its result
     there as JSON."""
     import inexad
+    from inexad import blas
 
     src = os.environ["SAME_BITS_SRC"]
     if not Path(inexad.__file__).resolve().is_relative_to(src):
         raise RuntimeError(f"imported {inexad.__file__}, not the package under {src}")
     os.chdir(out_dir)
     result = _probe_hashes() if name == "hashes" else _run_cli(name)
-    result["blas_core"] = _blas_core()
+    result["blas_core"] = blas.core_name()
     Path("result.json").write_text(json.dumps(result))
 
 

@@ -223,6 +223,14 @@ def _integral(value):
     return whole if whole == value else None
 
 
+def _size(name, value, low):
+    """value as an int; DataError naming it unless it is an integer >= low."""
+    whole = _integral(value)
+    if whole is None or whole < low:
+        raise DataError(f"{name} must be an integer >= {low}, got {value!r}")
+    return whole
+
+
 def _anomaly_pool(pool, is_anomaly):
     """pool as an np.intp array; DataError at its first entry that is not a
     distinct anomaly's row index."""
@@ -253,8 +261,12 @@ def make_splits(ds, rng, n_train_sets=10, n_val_sets=5, set_size=5,
     set become exact test anomalies.  set_anomaly_pool optionally
     restricts which anomaly indices may be planted in train/val sets;
     DataError names its first entry that is not an integer, out of range,
-    not an anomaly, or a repeat.
+    not an anomaly, or a repeat.  The sizes must be integers, at least 1
+    (n_train_sets at least 0); DataError names the first that is not.
     """
+    n_train_sets = _size("n_train_sets", n_train_sets, 0)
+    n_val_sets = _size("n_val_sets", n_val_sets, 1)
+    set_size = _size("set_size", set_size, 1)
     normal_idx = np.flatnonzero(~ds.is_anomaly)
     anomaly_idx = np.flatnonzero(ds.is_anomaly)
     if set_anomaly_pool is None:

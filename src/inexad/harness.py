@@ -72,14 +72,13 @@ class ExperimentConfig:
             if getattr(self.train_config, name) != getattr(default, name):
                 raise ValueError(f"train_config.{name} is set per round; "
                                  f"give it as {owner}")
+        # report.histories is keyed by value (0.0 == -0.0) and files by label
         grid = tuple(self.train_config.lambda_grid)
-        first = {}
         for i, lam in enumerate(grid):
-            j = first.setdefault(_history_label(lam), i)
-            if j != i:
-                raise ValueError(
-                    f"lambda grid values {grid[j]!r} and {lam!r} would share the "
-                    f"history file label {_history_label(lam)!r}")
+            for earlier in grid[:i]:
+                if earlier == lam or _history_label(earlier) == _history_label(lam):
+                    raise ValueError(f"lambda grid values {earlier!r} and {lam!r} would "
+                                     "share one history: they are equal or print alike")
 
 
 @dataclass

@@ -34,14 +34,16 @@ follows.
 
 After each epoch's steps the kernel evaluates every member: it scores
 all train and validation rows, then computes the exact objective and
-the validation metrics, on a copy of the parameters in a second stack.
-When a CPU is spare (see _overlap_pays) that evaluation runs on a
-helper thread while the next epoch's steps run on the caller's; it
-makes the same single-threaded numpy and BLAS calls either way, so the
+the validation metrics, on a copy of the parameters in a second stack
+that the next epoch's steps never touch, and collects it after them.
+When a CPU is spare (see _overlap_pays) it runs on a helper thread
+alongside those steps, else on the caller's when collected; it makes
+the same single-threaded numpy and BLAS calls either way, so the
 results do not change.
 """
 
 import csv
+import functools
 import math
 import numbers
 import os
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import empirical_auc, segment_max, segment_starts
-from .network import ACTIVATIONS, _sigmoid_into, check_batch
+from .network import ACTIVATIONS, ShapeError, _sigmoid_into, check_batch
 from .scorer import (
     DEFAULT_CODE,
     DEFAULT_HIDDEN,
@@ -381,17 +383,19 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     rows, so either every lam makes the objective plain or none does.
     tracks names the validation metrics (VAL_METRIC values) to stop on,
     by default config.mode's.  Each member keeps, per track, its own
-    TrainResult, which each epoch's evaluation is booked in as it is
-    decided (history, best metric and epoch, early stopping); a member
-    whose tracks have all stopped is swapped behind the active ones, and
-    passes run on the leading rows only.  Returns those TrainResults as
-    one list per track, in lams order.
+    TrainResult, which each epoch's evaluation, from epoch 0's of the
+    initialisation on, is booked in as it is decided (history, best
+    metric, epoch and snapshot, early stopping); a member whose tracks
+    have all stopped is swapped behind the active ones, and passes run
+    on the leading rows only.  Returns those TrainResults as one list
+    per track, in lams order.
 
     Each epoch's evaluation (scoring every train and validation row, the
-    exact objective and the metrics) reads a copy of the parameters in a
-    second stack, so it can run while the next epoch's steps update the
-    first.  With overlap it runs on a helper thread that lives for this
-    call; without, on the calling thread; None leaves the choice to
+    exact objective and every track's metric) reads a copy of the
+    parameters in a second stack, so it can run while the next epoch's
+    steps update the first; it is collected after them.  With overlap it
+    runs on a helper thread that lives for this call; without, on the
+    calling thread when collected; None leaves the choice to
     _overlap_pays.  Either way a member that stops at epoch e has
     already taken epoch e + 1's steps, which are discarded: a member's
     bits do not depend on which others share the stack.
@@ -406,17 +410,13 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
         raise ValueError(f"mode {mode!r} requires training sets")
     if not len(val_data.lengths) or val_data.normals.shape[0] == 0:
         raise ValueError("validation data needs at least one set and one normal")
+    if val_data.normals.shape[1] != normals.shape[1]:
+        raise ShapeError(f"validation data has {val_data.normals.shape[1]} features but "
+                         f"training data has {normals.shape[1]}")
 
     init = ae_init(normals.shape[1], config.rng_seed,
                    hidden=config.hidden_dim, code=config.code_dim,
                    activation=config.activation)
-    if config.max_epochs == 0:
-        return [[TrainResult(best_params=ae_from_vector(init.theta.copy(), init.dims,
-                                                        activation=config.activation),
-                             best_val_metric=math.nan, history=[], stopped_epoch=0,
-                             chosen_lambda=lam)
-                 for lam in lams] for _ in tracks]
-
     count = len(lams)
     val_normals, val_rows = val_data.normals, val_data.set_rows
     val_starts = [_set_starts(track, val_data.lengths) for track in tracks]
@@ -440,14 +440,15 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     slots = list(range(count))  # the member in each row of the stacked arrays
     slot_lams = np.array(lams, dtype=np.float64)
     # per track, one run per member (not per slot); stopped_epoch is None while it runs
-    runs = [[TrainResult(best_params=None, best_val_metric=-math.inf, history=[],
-                         stopped_epoch=None, chosen_lambda=lam, stop_reason=None)
+    runs = [[TrainResult(best_params=ae_from_vector(init.theta.copy(), init.dims,
+                                                    activation=config.activation),
+                         best_val_metric=-math.inf, history=[], stopped_epoch=None,
+                         chosen_lambda=lam, stop_reason=None)
              for lam in lams] for _ in tracks]
-    best = np.empty((len(tracks),) + theta.shape)  # best_params' snapshots
 
-    def evaluate(a, lams_now, running):
-        """(objective, [metric or None per track]) of each of ev's leading a
-        members; running[s][k] says whether slot s's track k still runs."""
+    def evaluate(lams_now):
+        """(objective, [metric per track]) of each of ev's leading len(lams_now) members."""
+        a = len(lams_now)
         ev.scores(a, normals, normal_scores[:a])
         if not plain:
             ev.scores(a, set_rows, set_scores[:a])
@@ -455,30 +456,30 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
         ev.scores(a, val_rows, val_set_scores[:a])
         return [(float(_objective(mode, lam, normal_scores[s], None if plain else set_scores[s],
                                   None if plain else lengths, ev.spare)),
-                 [_metric(val_normal_scores[s], val_set_scores[s], starts) if run else None
-                  for run, starts in zip(running[s], val_starts)])
+                 [_metric(val_normal_scores[s], val_set_scores[s], starts)
+                  for starts in val_starts])
                 for s, lam in enumerate(lams_now)]
 
     def record(epoch, pending):
-        """Book one epoch's evaluation (evaluate's result, or its future on the
-        helper thread) in the runs; returns the slots whose tracks have all
+        """Book one epoch's evaluation (pending() gives evaluate's result) in
+        the runs still going; returns the slots whose tracks have all
         stopped, in descending order."""
-        results = pending.result() if helper else pending
+        results = pending()
         leaving = []
         for s in range(len(results) - 1, -1, -1):
             m = slots[s]
             obj, metrics = results[s]
-            for k, metric in enumerate(metrics):
-                if metric is None:
+            for track, metric in zip(runs, metrics):
+                run = track[m]
+                if run.stopped_epoch is not None:
                     continue
-                run = runs[k][m]
                 run.history.append((epoch, obj, metric))
                 if metric >= run.best_val_metric:
                     if metric > run.best_val_metric:
                         run.best_val_metric, run.best_epoch = metric, epoch
                     # equally good on validation: keep the most-trained snapshot
                     # (patience still counts from the last strict improvement)
-                    best[k, m] = ev.theta[s]
+                    run.best_params.theta[:] = ev.theta[s]
                 if epoch - run.best_epoch >= patience:
                     run.stopped_epoch, run.stop_reason = epoch, "patience"
                 elif epoch == config.max_epochs:
@@ -532,19 +533,13 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
                 if active == 0:
                     break  # this epoch's steps are discarded
             ev.theta[:active] = theta[:active]
-            args = (active, slot_lams[:active].tolist(),
-                    [[track[m].stopped_epoch is None for track in runs] for m in slots[:active]])
-            pending = helper.submit(evaluate, *args) if helper else evaluate(*args)
+            pending = functools.partial(evaluate, slot_lams[:active].tolist())
+            pending = helper.submit(pending).result if helper else pending
         else:
             record(config.max_epochs, pending)
     finally:
         if helper is not None:
             helper.shutdown()
-
-    for k, track in enumerate(runs):
-        for m, run in enumerate(track):
-            run.best_params = ae_from_vector(best[k, m].copy(), init.dims,
-                                             activation=config.activation)
     return runs
 
 

@@ -351,6 +351,25 @@ class TestMakeSplits:
         for f in fields(SplitSpec):
             np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
 
+    @pytest.mark.parametrize("kw", [
+        dict(set_size=0), dict(set_size=-1), dict(set_size=True), dict(set_size=2.5),
+        dict(n_train_sets=2.5), dict(n_train_sets=-1), dict(n_train_sets=False),
+        dict(n_val_sets=0), dict(n_val_sets=True), dict(n_val_sets="5"),
+    ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_bad_size_rejected(self, kw):
+        rng = np.random.default_rng(70)
+        ds = toy_dataset(rng, n_normals=400, n_anoms=40)
+        (name, value), = kw.items()
+        with pytest.raises(DataError, match=f"^{name} must be an integer >= .*got {value!r}$"):
+            make_splits(ds, rng, **kw)
+
+    def test_integral_float_sizes_build_the_same_split(self):
+        ds = toy_dataset(np.random.default_rng(70), n_normals=400, n_anoms=40)
+        want = make_splits(ds, np.random.default_rng(4), n_train_sets=6, set_size=3)
+        got = make_splits(ds, np.random.default_rng(4), n_train_sets=6.0, set_size=np.int64(3))
+        for f in fields(SplitSpec):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+
     def test_fields_are_intp_arrays(self):
         rng = np.random.default_rng(67)
         split = make_splits(toy_dataset(rng, n_normals=400, n_anoms=40), rng,

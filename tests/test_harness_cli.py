@@ -107,6 +107,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("grid, values", [
         ((1234567.0, 1234568.0), "1234567.0 and 1234568.0"),  # both print as 1.23457e+06
         ((0.0, 1.0, 1.0), "1.0 and 1.0"),
+        ((0.0, -0.0, 1.0), "0.0 and -0.0"),  # distinct labels, one key in report.histories
     ])
     def test_grid_values_sharing_a_history_file_rejected(self, grid, values):
         with pytest.raises(ValueError, match=values):
@@ -396,6 +397,13 @@ class TestCliParse:
             cli_parse(["--lambda-grid", "1234567,1234568"])
         assert exc.value.code == 2
         assert "1234567.0 and 1234568.0" in capsys.readouterr().err
+
+    def test_grid_values_that_compare_equal_are_usage_errors(self, capsys):
+        # "0" and "-0" label different files, but report.histories keys them as one
+        with pytest.raises(SystemExit) as exc:
+            cli_parse(["--lambda-grid", "0,-0,1"])
+        assert exc.value.code == 2
+        assert "0.0 and -0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out", ["taken", os.path.join("taken", "run")])
     def test_out_blocked_by_a_file_fails_before_training(self, tmp_path, out, capsys):

@@ -479,14 +479,18 @@ class TestMakeBatches:
 
 class TestTrain:
     def test_max_epochs_zero_returns_initial(self):
+        # epoch 0 is booked like any other: the initialisation's objective and metric
         rng = np.random.default_rng(49)
         train_data, val_data = tiny_problem(rng)
         config = quick_config(max_epochs=0)
         res = train(train_data, val_data, config)
         init = ae_init(2, config.rng_seed, hidden=8, code=2)
+        metric = validation_metric("proposed", init, val_data)
+        assert res.history == [(0, mode_objective("proposed", init, train_data, config.lam),
+                                metric)]
+        assert res.best_val_metric == metric
+        assert (res.best_epoch, res.stopped_epoch) == (0, 0)
         np.testing.assert_array_equal(res.best_params.theta, init.theta)
-        assert res.history == []
-        assert math.isnan(res.best_val_metric)
 
     def test_deterministic_histories(self):
         rng = np.random.default_rng(50)
@@ -733,6 +737,44 @@ class TestGridMatchesAllocatingReference(ForcedOverlap):
 
 class TestGridMatchesAllocatingReferenceOverlapped(TestGridMatchesAllocatingReference):
     overlap = True
+
+
+class TestTwoTracks:
+    """The shared plain run stops each validation track on its own."""
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("seed, shift, stops", [(68, 0.6, (11, 3)), (64, 1.0, (3, 6))])
+    def test_each_track_equals_its_standalone_training(self, overlap, seed, shift, stops):
+        train_data, val_data = ragged_problem(np.random.default_rng(seed), shift=shift)
+        config = quick_config(mode="ae", max_epochs=60, patience=3, batch_sets=3,
+                              batch_normals=11, hidden_dim=128, code_dim=16)
+        runs = training._train_members(train_data, val_data, config, [0.0],
+                                       tracks=("val_auc", "val_set_auc"), overlap=overlap)
+        # one track keeps going after the other has stopped
+        assert tuple(run.stopped_epoch for (run,) in runs) == stops
+        for (got,), mode in zip(runs, ("ae", "proposed")):
+            want = train(train_data, val_data, replace(config, mode=mode, lam=0.0))
+            assert got.history == want.history
+            assert (got.best_val_metric, got.best_epoch) == (want.best_val_metric,
+                                                             want.best_epoch)
+            assert (got.stopped_epoch, got.stop_reason) == (want.stopped_epoch, "patience")
+            np.testing.assert_array_equal(got.best_params.theta, want.best_params.theta)
+
+
+class TestValidationWidth:
+    @pytest.mark.parametrize("max_epochs", [0, 3])
+    @pytest.mark.parametrize("entry", [train, grid_search])
+    def test_mismatch_rejected_before_any_step(self, monkeypatch, entry, max_epochs):
+        rng = np.random.default_rng(71)
+        train_data, _ = tiny_problem(rng)
+        _, val_data = ragged_problem(rng)  # 3 features against training's 2
+        steps = []
+        monkeypatch.setattr(training, "_step_grad", lambda *args: steps.append(args))
+        config = quick_config(max_epochs=max_epochs, lambda_grid=(0.0, 1.0))
+        with pytest.raises(ShapeError,
+                           match="validation data has 3 features but training data has 2"):
+            entry(train_data, val_data, config)
+        assert steps == []
 
 
 class TestOverlappedEvaluation:

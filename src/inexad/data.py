@@ -44,10 +44,6 @@ class Dataset:
     def n(self):
         return self.X.shape[0]
 
-    @property
-    def dim(self):
-        return self.X.shape[1]
-
 
 @dataclass
 class SplitSpec:

@@ -100,10 +100,6 @@ class RocCurve:
     tpr: np.ndarray
     auc: float
 
-    @property
-    def points(self):
-        return list(zip(self.fpr, self.tpr))
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

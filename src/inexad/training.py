@@ -145,7 +145,8 @@ class TrainResult:
     stopped_epoch: int
     chosen_lambda: float = None
     best_epoch: int = 0
-    # "patience" when early stopping ended training, else "max_epochs"
+    # "patience" when early stopping ended training, "non-finite" when the
+    # next epoch's steps overflowed the Adam state, else "max_epochs"
     stop_reason: str = "max_epochs"
 
 
@@ -385,9 +386,10 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     by default config.mode's.  Each member keeps, per track, its own
     TrainResult, which each epoch's evaluation, from epoch 0's of the
     initialisation on, is booked in as it is decided (history, best
-    metric, epoch and snapshot, early stopping); a member whose tracks
-    have all stopped is swapped behind the active ones, and passes run
-    on the leading rows only.  Returns those TrainResults as one list
+    metric, epoch and snapshot, early stopping, and a stop at the epoch
+    before the steps that overflowed the member's Adam state); a member
+    whose tracks have all stopped is swapped behind the active ones, and
+    passes run on the leading rows only.  Returns those TrainResults as one list
     per track, in lams order.
 
     Each epoch's evaluation (scoring every train and validation row, the
@@ -469,6 +471,9 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
         for s in range(len(results) - 1, -1, -1):
             m = slots[s]
             obj, metrics = results[s]
+            # the steps that made the Adam state non-finite came after this
+            # evaluation's copy, so it is the member's last booked epoch
+            finite = np.isfinite(adam_v[s]).all()
             for track, metric in zip(runs, metrics):
                 run = track[m]
                 if run.stopped_epoch is not None:
@@ -480,7 +485,9 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
                     # equally good on validation: keep the most-trained snapshot
                     # (patience still counts from the last strict improvement)
                     run.best_params.theta[:] = ev.theta[s]
-                if epoch - run.best_epoch >= patience:
+                if not finite:
+                    run.stopped_epoch, run.stop_reason = epoch, "non-finite"
+                elif epoch - run.best_epoch >= patience:
                     run.stopped_epoch, run.stop_reason = epoch, "patience"
                 elif epoch == config.max_epochs:
                     run.stopped_epoch, run.stop_reason = epoch, "max_epochs"

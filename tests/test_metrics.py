@@ -224,12 +224,18 @@ def midrank_auc(anoms, norms):
     return total / (len(anoms) * len(norms))
 
 
+def roc_points(curve):
+    """The curve's (FPR, TPR) points, in threshold order."""
+    return list(zip(curve.fpr, curve.tpr))
+
+
 class TestRocCurve:
     def test_perfect_separation(self):
         curve = roc_curve([0.9], [0.1])
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
-        assert (0.0, 1.0) in curve.points  # the perfect corner is reached
+        points = roc_points(curve)
+        assert points[0] == (0.0, 0.0)
+        assert points[-1] == (1.0, 1.0)
+        assert (0.0, 1.0) in points  # the perfect corner is reached
         assert curve.auc == 1.0
 
     def test_all_tied(self):

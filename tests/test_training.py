@@ -897,6 +897,25 @@ class TestStopReason:
         res = train(train_data, val_data, quick_config(max_epochs=0))
         assert (res.stopped_epoch, res.stop_reason) == (0, "max_epochs")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_non_finite_adam_state(self, overlap):
+        # at this λ the first step's squared gradient overflows Adam's second moment
+        rng = np.random.default_rng(67)
+        train_data, val_data = tiny_problem(rng)
+        config = quick_config(max_epochs=6)
+        (huge, finite), = training._train_members(train_data, val_data, config,
+                                                  [1e170, 1.0], overlap=overlap)
+        init = ae_init(2, config.rng_seed, hidden=8, code=2)
+        assert [epoch for epoch, _, _ in huge.history] == [0]
+        assert (huge.stopped_epoch, huge.best_epoch, huge.stop_reason) == (0, 0, "non-finite")
+        np.testing.assert_array_equal(huge.best_params.theta, init.theta)
+        # the member beside it trains as it would alone
+        want = train(train_data, val_data, replace(config, lam=1.0))
+        assert finite.history == want.history
+        assert (finite.stopped_epoch, finite.stop_reason) == (6, "max_epochs")
+        np.testing.assert_array_equal(finite.best_params.theta, want.best_params.theta)
+
 
 class TestValidationMetric:
     def test_weak_label_modes_use_set_maxima(self):

@@ -1,4 +1,5 @@
-"""Check that this working tree gives the same bits as another commit.
+"""Check that this working tree gives the same bits as another commit, and
+as itself on one CPU and at the default BLAS thread count.
 
     python tools/same_bits.py --against <rev>
 
@@ -15,26 +16,41 @@ tree's src/:
   the two objective functions as a data.TrainData;
 - cli-4-mode: `--mode proposed --mode ae --mode mil --mode sae
   --repeats 2 --seed 5 --epochs 300 --patience 20` on the synthetic
-  data;
+  data, trained by up to one worker process per usable CPU;
 - cli-csv-32: a generated 4,400 × 32 CSV with `--mode proposed
   --lambda 1 --repeats 1 --epochs 30`, a training that evaluates each
-  epoch on a helper thread when a CPU is spare.  The verdict says
-  whether each side did.
+  epoch on a helper thread when a CPU is spare.
 
-The CLI probes compare their output directories file by file, as
-`diff -r` would, after removing every `seconds` field from
-summary.json.  The tool prints one JSON verdict that names the first
-probe, function or file that differs.  For each probe it also names
-the OpenBLAS kernel set each side ran (`blas_core`, read by that
-side's inexad.blas), since equal bits are expected only within one
-kernel set.  Both trees need the package's current API: CI compares
-only with HEAD and its first parent.  Exit code: 0 when every probe
-is equal, 1 when one differs or fails, 2 on a usage error such as an
+Each CLI probe also runs on this tree under each of two settings:
+
+- one-cpu: the subprocess is pinned to the lowest CPU the tool may
+  run on, as `taskset -c 0` would pin it, so the run has one worker
+  and never overlaps its evaluation.  Where os.sched_setaffinity does
+  not exist, this run is reported as skipped;
+- blas-default: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+  GOTO_NUM_THREADS are removed, so BLAS runs its default thread count
+  (and, with more than one thread, no evaluation overlaps).
+
+Each run is compared with this tree's plain run: the function hashes,
+or the CLI output directories file by file, as `diff -r` would, after
+removing every `seconds` field from summary.json.  The tool prints one
+JSON verdict.  Its `first_difference` names the first probe, the run
+that differs (`setting`: `against`, `one-cpu` or `blas-default`) and
+the function or file.  For every run it records the OpenBLAS kernel set
+(`blas_core`, read by that side's inexad.blas), the number of usable
+CPUs (`cpus`), the BLAS thread count (`blas_threads`) and, for cli-csv-32,
+whether its training overlapped its evaluation (`overlapped`).
+Equal bits are expected only within one kernel set, and a setting
+proves nothing when its run saw the same CPUs, threads and overlap as
+the plain one.  Both trees need the package's current API: CI compares
+only with HEAD and its first parent.  Exit code: 0 when every run is
+equal, 1 when one differs or fails, 2 on a usage error such as an
 unknown <rev>.  The tool itself uses the standard library only; the
 probes import numpy and the package.
 """
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -49,6 +65,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBES = ("hashes", "cli-4-mode", "cli-csv-32")
+SETTINGS = ("one-cpu", "blas-default")
 CLI_ARGS = {
     "cli-4-mode": ["--mode", "proposed", "--mode", "ae", "--mode", "mil", "--mode", "sae",
                    "--repeats", "2", "--seed", "5", "--epochs", "300", "--patience", "20"],
@@ -126,21 +143,22 @@ def _run_cli(name):
     code = main(argv)
     if code:
         raise RuntimeError(f"inexad exited with {code}")
-    return {"overlapped": any(overlapped)}
+    return {"overlapped": any(overlapped)} if name == "cli-csv-32" else {}
 
 
 def _run_probe(name, out_dir):
     """Body of the probe subprocess: run one probe in out_dir, write its result
     there as JSON."""
     import inexad
-    from inexad import blas
+    from inexad import blas, training
 
     src = os.environ["SAME_BITS_SRC"]
     if not Path(inexad.__file__).resolve().is_relative_to(src):
         raise RuntimeError(f"imported {inexad.__file__}, not the package under {src}")
     os.chdir(out_dir)
-    result = _probe_hashes() if name == "hashes" else _run_cli(name)
-    result["blas_core"] = blas.core_name()
+    result = {"hashes": _probe_hashes()} if name == "hashes" else _run_cli(name)
+    result.update(blas_core=blas.core_name(), cpus=training._usable_cpus(),
+                  blas_threads=blas.num_threads())
     Path("result.json").write_text(json.dumps(result))
 
 
@@ -159,13 +177,19 @@ def _extract(rev, dest):
         tar.extractall(dest, **safe)
 
 
-def _probe(tree, name, out_dir):
-    """Run probe `name` on `tree` into out_dir; returns (result, error text or None)."""
+def _probe(tree, name, out_dir, setting=None):
+    """Run probe `name` on `tree` into out_dir, under setting (None or one of
+    SETTINGS); returns (result, error text or None)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"),
                SAME_BITS_SRC=str((tree / "src").resolve()))
+    pin = (functools.partial(os.sched_setaffinity, 0, {min(os.sched_getaffinity(0))})
+           if setting == "one-cpu" else None)
+    if setting == "blas-default":
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS"):
+            env.pop(var, None)
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
                            "--run-probe", name, "--out", str(out_dir)],
-                          env=env, capture_output=True, text=True)
+                          env=env, preexec_fn=pin, capture_output=True, text=True)
     if proc.returncode:
         lines = proc.stderr.strip().splitlines()
         return None, lines[-1] if lines else f"exit code {proc.returncode}"
@@ -200,8 +224,22 @@ def _first_differing_file(a, b):
     return None
 
 
+def _difference(name, work, side, results):
+    """How run `side` of probe `name` differs from this tree's plain run; None if not."""
+    errors = {s: results[s][1] for s in ("tree", side) if results[s][1]}
+    if errors:
+        return {"error": errors}
+    if name == "hashes":
+        ours, theirs = results["tree"][0]["hashes"], results[side][0]["hashes"]
+        differing = [fn for fn in theirs if theirs[fn] != ours.get(fn)]
+        return {"function": differing[0]} if differing else None
+    rel = _first_differing_file(work / f"{name}-{side}" / "run", work / f"{name}-tree" / "run")
+    return None if rel is None else {"file": rel}
+
+
 def compare(rev, work):
-    """Run every probe on the commit rev and on this tree; returns the verdict."""
+    """Run every probe on the commit rev and on this tree, and each CLI probe
+    on this tree under each of SETTINGS; returns the verdict."""
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     base = work / "against"
     base.mkdir()
@@ -210,32 +248,30 @@ def compare(rev, work):
                "probes": {}, "first_difference": None}
     for name in PROBES:
         started = time.perf_counter()
-        results = {}
-        for side, tree in (("against", base), ("tree", ROOT)):
+        runs = [("tree", ROOT, None), ("against", base, None)]
+        if name != "hashes":
+            runs += [(setting, ROOT, setting) for setting in SETTINGS]
+        entry, results = {"status": "equal", "runs": {}}, {}
+        for side, tree, setting in runs:
+            if setting == "one-cpu" and not hasattr(os, "sched_setaffinity"):
+                entry["runs"][side] = "skipped"
+                continue
             out_dir = work / f"{name}-{side}"
             out_dir.mkdir()
-            results[side] = _probe(tree, name, out_dir)
-        errors = {side: err for side, (_, err) in results.items() if err}
-        if errors:
-            status, difference = "error", {"probe": name, "error": errors}
-        elif name == "hashes":
-            a, b = results["against"][0], results["tree"][0]
-            differing = [fn for fn in a if fn != "blas_core" and a[fn] != b.get(fn)]
-            status = "differs" if differing else "equal"
-            difference = {"probe": name, "function": differing[0]} if differing else None
-        else:
-            rel = _first_differing_file(work / f"{name}-against" / "run",
-                                        work / f"{name}-tree" / "run")
-            status = "equal" if rel is None else "differs"
-            difference = None if rel is None else {"probe": name, "file": rel}
-        entry = {"status": status, "seconds": round(time.perf_counter() - started, 1)}
-        if not errors:
-            entry["blas_core"] = {side: r[0]["blas_core"] for side, r in results.items()}
-            if name == "cli-csv-32":
-                entry["overlapped"] = {side: r[0]["overlapped"] for side, r in results.items()}
+            result, error = results[side] = _probe(tree, name, out_dir, setting)
+            entry["runs"][side] = {"error": error} if error else \
+                {key: value for key, value in result.items() if key != "hashes"}
+        for side in list(results)[1:]:
+            difference = _difference(name, work, side, results)
+            if difference is None:
+                continue
+            if entry["status"] != "error":
+                entry["status"] = "error" if "error" in difference else "differs"
+            if verdict["equal"]:
+                verdict["equal"] = False
+                verdict["first_difference"] = {"probe": name, "setting": side, **difference}
+        entry["seconds"] = round(time.perf_counter() - started, 1)
         verdict["probes"][name] = entry
-        if difference is not None and verdict["equal"]:
-            verdict["equal"], verdict["first_difference"] = False, difference
     return verdict
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import gen_synthetic, load_csv, make_splits, materialize, preprocess
-from .metrics import empirical_auc, roc_curve
+from .metrics import RocCurve, empirical_auc, roc_curve
 from .scorer import score_batch
 from .training import (
     MODES,
@@ -32,7 +32,6 @@ from .training import (
     _train_members,
     _usable_cpus,
     best_of_grid,
-    write_history,
 )
 
 
@@ -72,7 +71,8 @@ class ExperimentConfig:
             if getattr(self.train_config, name) != getattr(default, name):
                 raise ValueError(f"train_config.{name} is set per round; "
                                  f"give it as {owner}")
-        # report.histories is keyed by value (0.0 == -0.0) and files by label
+        # run_experiment gathers a round's results by value (0.0 == -0.0), and
+        # each result's history file is named by its %g label
         grid = tuple(self.train_config.lambda_grid)
         for i, lam in enumerate(grid):
             for earlier in grid[:i]:
@@ -82,10 +82,23 @@ class ExperimentConfig:
 
 
 @dataclass
+class Round:
+    """One (repeat, mode) round of an experiment."""
+
+    auc: float  # test AUC of the model chosen on validation
+    chosen_lambda: float  # None for mil, which ignores lambda
+    seconds: float  # training time, see run_experiment
+    roc: RocCurve  # of the chosen model on the test data
+    results: list  # [(lam, TrainResult)] of the mode's grid, in grid order
+
+
+@dataclass
 class ModeResult:
-    aucs: list
-    chosen_lambdas: list
-    seconds: list
+    rounds: list  # of Round, in repeat order
+
+    @property
+    def aucs(self):
+        return [rd.auc for rd in self.rounds]
 
     @property
     def mean(self):
@@ -93,9 +106,9 @@ class ModeResult:
 
     @property
     def stderr(self):
-        if len(self.aucs) < 2:
+        if len(self.rounds) < 2:
             return 0.0
-        return float(np.std(self.aucs, ddof=1) / math.sqrt(len(self.aucs)))
+        return float(np.std(self.aucs, ddof=1) / math.sqrt(len(self.rounds)))
 
 
 @dataclass
@@ -104,8 +117,6 @@ class EvaluationReport:
     n_repeats: int
     seed: int
     modes: dict  # mode -> ModeResult
-    roc_curves: dict = field(default_factory=dict)  # (mode, repeat) -> RocCurve
-    histories: dict = field(default_factory=dict)  # (mode, repeat, lam) -> history
 
     def to_dict(self, include_timing=True):
         out = {
@@ -116,15 +127,14 @@ class EvaluationReport:
         }
         for mode, res in sorted(self.modes.items()):
             entry = {
-                "aucs": [float(a) for a in res.aucs],
-                "chosen_lambdas": [
-                    None if l is None else float(l) for l in res.chosen_lambdas
-                ],
+                "aucs": [float(rd.auc) for rd in res.rounds],
+                "chosen_lambdas": [None if rd.chosen_lambda is None else float(rd.chosen_lambda)
+                                   for rd in res.rounds],
                 "mean_auc": res.mean,
                 "stderr_auc": res.stderr,
             }
             if include_timing:
-                entry["seconds"] = [float(s) for s in res.seconds]
+                entry["seconds"] = [float(rd.seconds) for rd in res.rounds]
             out["modes"][mode] = entry
         return out
 
@@ -226,11 +236,10 @@ def run_experiment(config):
         dataset_name="synthetic" if base_ds is None else base_ds.name,
         n_repeats=config.n_repeats,
         seed=config.seed,
-        modes={m: ModeResult(aucs=[], chosen_lambdas=[], seconds=[])
-               for m in config.modes},
+        modes={m: ModeResult(rounds=[]) for m in config.modes},
     )
 
-    rounds = []  # (repeat, mode, test data, lams, indices of the tasks it uses)
+    plan = []  # (repeat, mode, test data, lams, indices of the tasks it uses)
     tasks = []  # _train_task arguments
     for r in range(config.n_repeats):
         seed_r = config.seed + r
@@ -256,64 +265,63 @@ def run_experiment(config):
                 if metric not in tasks[shared][4]:
                     tasks[shared][4].append(metric)
                 used.append(shared)
-            rounds.append((r, mode, test_data, lams, used))
+            plan.append((r, mode, test_data, lams, used))
 
     # the costliest tasks first, so that none of them starts last; ties in plan order
     order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][3]))
     done = dict(zip(order, _map_tasks([tasks[i] for i in order])))
     # a task's seconds are split equally between the rounds it serves
-    users = collections.Counter(t for *_, used in rounds for t in used)
-    for r, mode, test_data, lams, used in rounds:
+    users = collections.Counter(t for *_, used in plan for t in used)
+    for r, mode, test_data, lams, used in plan:
         found = {}
         for t in used:
             found.update(done[t][0][VAL_METRIC[mode]])
         results = [(lam, found[lam]) for lam in lams]
         best = best_of_grid(results)
-        for lam, res in results:
-            report.histories[(mode, r, lam)] = res.history
         a_scores = score_batch(best.best_params, test_data.anomalies)
         n_scores = score_batch(best.best_params, test_data.normals)
-        auc = empirical_auc(a_scores, n_scores)
-        report.modes[mode].aucs.append(auc)
-        # mil ignores lambda entirely; don't report a fake choice
-        report.modes[mode].chosen_lambdas.append(
-            None if mode == "mil" else next(float(lam) for lam, res in results if res is best))
-        report.modes[mode].seconds.append(sum(done[t][1] / users[t] for t in used))
-        report.roc_curves[(mode, r)] = roc_curve(a_scores, n_scores)
+        report.modes[mode].rounds.append(Round(
+            auc=empirical_auc(a_scores, n_scores),
+            # mil ignores lambda entirely; don't report a fake choice
+            chosen_lambda=None if mode == "mil" else best.chosen_lambda,
+            seconds=sum(done[t][1] / users[t] for t in used),
+            roc=roc_curve(a_scores, n_scores),
+            results=results,
+        ))
 
     return report
 
 
-def emit_report(report, out_dir):
-    """Write summary.json plus per-mode AUC, ROC, and history CSVs."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+def _write_csv(path, header, rows):
+    """Write one report CSV.  A float is written by repr, so it reads back
+    exactly, None as an empty cell, and an integer as is."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else "" if v is None else v
+                          for v in row] for row in rows)
 
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w") as fh:
+
+def emit_report(report, out_dir):
+    """Write summary.json and, per mode, its AUC CSV and each round's ROC CSV
+    and history CSVs; returns the paths written."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = [os.path.join(out_dir, "summary.json")]
+    with open(written[0], "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(path)
+
+    def write(name, header, rows):
+        written.append(os.path.join(out_dir, name))
+        _write_csv(written[-1], header, rows)
 
     for mode, res in sorted(report.modes.items()):
-        path = os.path.join(out_dir, f"auc_{mode}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["repeat", "test_auc", "chosen_lambda"])
-            for r, (auc, lam) in enumerate(zip(res.aucs, res.chosen_lambdas)):
-                writer.writerow([r, repr(float(auc)),
-                                 "" if lam is None else repr(float(lam))])
-        written.append(path)
-
-    for (mode, r), curve in sorted(report.roc_curves.items()):
-        path = os.path.join(out_dir, f"roc_{mode}_{r}.csv")
-        curve.to_csv(path)
-        written.append(path)
-
-    for (mode, r, lam), history in sorted(
-            report.histories.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
-        path = os.path.join(out_dir, f"history_{mode}_{r}_{_history_label(lam)}.csv")
-        write_history(path, history, mode)
-        written.append(path)
-
+        write(f"auc_{mode}.csv", ["repeat", "test_auc", "chosen_lambda"],
+              [(r, rd.auc, rd.chosen_lambda) for r, rd in enumerate(res.rounds)])
+        for r, rd in enumerate(res.rounds):
+            write(f"roc_{mode}_{r}.csv", ["threshold", "fpr", "tpr"],
+                  zip(rd.roc.thresholds.tolist(), rd.roc.fpr.tolist(), rd.roc.tpr.tolist()))
+            for lam, result in rd.results:
+                write(f"history_{mode}_{r}_{_history_label(lam)}.csv",
+                      ["epoch", "train_objective", VAL_METRIC[mode]], result.history)
     return written

@@ -10,7 +10,6 @@ The set-level variant replaces each weakly labeled group of scores by
 its maximum before pair counting: a group "fires" if any member does.
 """
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -99,13 +98,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["threshold", "fpr", "tpr"])
-            for h, f, t in zip(self.thresholds, self.fpr, self.tpr):
-                writer.writerow([repr(float(h)), repr(float(f)), repr(float(t))])
 
 
 def roc_curve(anomaly_scores, normal_scores):

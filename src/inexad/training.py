@@ -42,7 +42,6 @@ the same single-threaded numpy and BLAS calls either way, so the
 results do not change.
 """
 
-import csv
 import functools
 import math
 import numbers
@@ -592,18 +591,3 @@ def grid_search(train_data, val_data, config):
 def best_of_grid(results):
     """The TrainResult with the highest validation metric; the first in grid order wins ties."""
     return max(results, key=lambda item: item[1].best_val_metric)[1]
-
-
-def write_history(path, history, mode):
-    """CSV dump of a training history: epoch, train objective, validation metric.
-
-    The metric column is VAL_METRIC[mode]: val_set_auc for proposed and
-    mil, val_auc for ae and sae.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_objective", VAL_METRIC[mode]])
-        for epoch, obj, metric in history:
-            writer.writerow([epoch, repr(float(obj)), repr(float(metric))])

@@ -1,5 +1,6 @@
 """Tests for the experiment harness, report emission, and the CLI front end."""
 
+import csv
 import json
 import multiprocessing
 import os
@@ -18,10 +19,12 @@ from inexad.harness import (
     EvaluationReport,
     ExperimentConfig,
     ModeResult,
+    Round,
     emit_report,
     run_experiment,
 )
 from inexad.data import gen_synthetic, materialize
+from inexad.metrics import roc_curve
 from inexad.training import (
     DEFAULT_LAMBDA_GRID,
     VAL_METRIC,
@@ -107,7 +110,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("grid, values", [
         ((1234567.0, 1234568.0), "1234567.0 and 1234568.0"),  # both print as 1.23457e+06
         ((0.0, 1.0, 1.0), "1.0 and 1.0"),
-        ((0.0, -0.0, 1.0), "0.0 and -0.0"),  # distinct labels, one key in report.histories
+        ((0.0, -0.0, 1.0), "0.0 and -0.0"),  # distinct labels, one value to run_experiment
     ])
     def test_grid_values_sharing_a_history_file_rejected(self, grid, values):
         with pytest.raises(ValueError, match=values):
@@ -140,21 +143,21 @@ class TestRunExperiment:
                 float(np.std(res.aucs, ddof=1) / np.sqrt(len(res.aucs))))
 
     def test_mil_reports_no_lambda(self, report):
-        assert report.modes["mil"].chosen_lambdas == [None, None]
-        assert report.modes["proposed"].chosen_lambdas == [1.0, 1.0]
+        assert [rd.chosen_lambda for rd in report.modes["mil"].rounds] == [None, None]
+        assert [rd.chosen_lambda for rd in report.modes["proposed"].rounds] == [1.0, 1.0]
 
     def test_roc_curves_present(self, report):
         for mode in ("proposed", "mil"):
-            for r in range(2):
-                curve = report.roc_curves[(mode, r)]
-                assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
-                assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
+            for rd in report.modes[mode].rounds:
+                assert (rd.roc.fpr[0], rd.roc.tpr[0]) == (0.0, 0.0)
+                assert (rd.roc.fpr[-1], rd.roc.tpr[-1]) == (1.0, 1.0)
 
-    def test_histories_keyed_by_lambda(self, report):
-        assert ("proposed", 0, 1.0) in report.histories
-        assert ("mil", 1, 1.0) in report.histories
-        history = report.histories[("proposed", 0, 1.0)]
-        assert [row[0] for row in history] == [0, 1, 2, 3]
+    def test_rounds_hold_their_grid_results(self, report):
+        for mode in ("proposed", "mil"):
+            for rd in report.modes[mode].rounds:
+                # mil trains once, at a lambda its objective ignores
+                assert [lam for lam, _ in rd.results] == [1.0]
+                assert [row[0] for row in rd.results[0][1].history] == [0, 1, 2, 3]
 
     def test_deterministic(self, report):
         again = run_experiment(tiny_config())
@@ -162,7 +165,8 @@ class TestRunExperiment:
             == json.dumps(again.to_dict(include_timing=False), sort_keys=True)
 
     def test_stderr_single_repeat(self):
-        res = ModeResult(aucs=[0.9], chosen_lambdas=[1.0], seconds=[0.1])
+        res = ModeResult(rounds=[Round(auc=0.9, chosen_lambda=1.0, seconds=0.1,
+                                       roc=None, results=[])])
         assert res.stderr == 0.0
 
 
@@ -182,14 +186,17 @@ class TestParallelRounds:
         serial, pooled = reports
         assert json.dumps(serial.to_dict(include_timing=False), sort_keys=True) \
             == json.dumps(pooled.to_dict(include_timing=False), sort_keys=True)
-        assert len(serial.histories) == 2 * (3 + 1 + 1 + 3)
-        assert list(serial.histories.items()) == list(pooled.histories.items())
-        assert list(serial.roc_curves) == list(pooled.roc_curves)
-        for key, curve in serial.roc_curves.items():
-            other = pooled.roc_curves[key]
-            for name in ("thresholds", "fpr", "tpr"):
-                assert np.array_equal(getattr(curve, name), getattr(other, name))
-            assert curve.auc == other.auc
+        assert list(serial.modes) == list(pooled.modes)
+        histories = 0
+        for mode, res in serial.modes.items():
+            for ours, theirs in zip(res.rounds, pooled.modes[mode].rounds, strict=True):
+                assert [(lam, result.history) for lam, result in ours.results] \
+                    == [(lam, result.history) for lam, result in theirs.results]
+                histories += len(ours.results)
+                for name in ("thresholds", "fpr", "tpr"):
+                    assert np.array_equal(getattr(ours.roc, name), getattr(theirs.roc, name))
+                assert ours.roc.auc == theirs.roc.auc
+        assert histories == 2 * (3 + 1 + 1 + 3)
 
     @needs_fork
     def test_failed_round_reaches_the_cli(self, monkeypatch, tmp_path, capsys):
@@ -312,6 +319,95 @@ class TestEmitReport:
         assert all(str(out) in str(f) for f in files)
 
 
+def _result(lam, history):
+    return lam, TrainResult(best_params=None, best_val_metric=history[-1][2],
+                            history=history, stopped_epoch=history[-1][0], chosen_lambda=lam)
+
+
+@pytest.fixture
+def hand_emitted(tmp_path):
+    """A report of every mode built from hand-made rounds, no training, and its files."""
+    tied = roc_curve([0.9, 0.4], [0.1, 0.4])  # a tie at 0.4, and thresholds inf and -inf
+    report = EvaluationReport(dataset_name="hand", n_repeats=2, seed=3, modes={
+        "proposed": ModeResult(rounds=[
+            Round(auc=0.1 + 0.2, chosen_lambda=1e-3, seconds=0.5, roc=tied, results=[
+                _result(0.0, [(0, -0.5, 0.25), (1, -0.75, 0.5)]),
+                _result(1e-3, [(0, 1 / 3, 2 / 3), (1, 5e-324, -0.0)])]),
+            Round(auc=0.75, chosen_lambda=0.0, seconds=0.25, roc=roc_curve([0.3], [1 / 7]),
+                  results=[_result(0.0, [(0, 1e300, 0.125)]),
+                           _result(1e-3, [(0, 2.5, 0.0)])]),
+        ]),
+        "mil": ModeResult(rounds=[
+            Round(auc=2 / 3, chosen_lambda=None, seconds=0.125, roc=tied,
+                  results=[_result(1.0, [(0, -1e-300, 1.0)])]),
+        ]),
+        "ae": ModeResult(rounds=[
+            Round(auc=0.5, chosen_lambda=0.0, seconds=1.0, roc=tied,
+                  results=[_result(0.0, [(0, 0.1, 0.2)])]),
+        ]),
+        "sae": ModeResult(rounds=[
+            Round(auc=0.625, chosen_lambda=10.0, seconds=2.0, roc=tied,
+                  results=[_result(10.0, [(0, 0.3, 0.4)])]),
+        ]),
+    })
+    return report, tmp_path / "out", emit_report(report, tmp_path / "out")
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _exact(cells, values):
+    """Whether each cell reads back as exactly its value, sign of zero included."""
+    return [repr(float(c)) for c in cells] == [repr(float(v)) for v in values]
+
+
+class TestEmitReportWithoutTraining:
+    def test_directory_holds_exactly_the_returned_paths(self, hand_emitted):
+        _, out, files = hand_emitted
+        assert len(set(files)) == len(files)
+        assert sorted(files) == sorted(os.path.join(out, name) for name in os.listdir(out))
+        # summary, 4 AUC files, 5 ROC files and 7 histories
+        assert len(files) == 1 + 4 + 5 + 7
+
+    def test_every_float_reads_back_exactly(self, hand_emitted):
+        report, out, _ = hand_emitted
+        for mode, res in report.modes.items():
+            auc_rows = _rows(out / f"auc_{mode}.csv")[1:]
+            assert [int(row[0]) for row in auc_rows] == list(range(len(res.rounds)))
+            assert _exact([row[1] for row in auc_rows], res.aucs)
+            for r, rd in enumerate(res.rounds):
+                roc_rows = _rows(out / f"roc_{mode}_{r}.csv")[1:]
+                assert _exact([c for row in roc_rows for c in row],
+                              np.c_[rd.roc.thresholds, rd.roc.fpr, rd.roc.tpr].ravel())
+                for lam, result in rd.results:
+                    rows = _rows(out / f"history_{mode}_{r}_{lam:g}.csv")[1:]
+                    assert [int(row[0]) for row in rows] == [e for e, *_ in result.history]
+                    assert _exact([c for row in rows for c in row[1:]],
+                                  [v for _, *values in result.history for v in values])
+        # the tied curve runs from +inf down to -inf
+        thresholds = [row[0] for row in _rows(out / "roc_mil_0.csv")[1:]]
+        assert (thresholds[0], thresholds[-1]) == ("inf", "-inf")
+        assert _exact([row[2] for row in _rows(out / "auc_proposed.csv")[1:]], [1e-3, 0.0])
+
+    def test_mil_row_has_an_empty_lambda_cell(self, hand_emitted):
+        _, out, _ = hand_emitted
+        assert _rows(out / "auc_mil.csv") == [["repeat", "test_auc", "chosen_lambda"],
+                                              ["0", repr(2 / 3), ""]]
+
+    @pytest.mark.parametrize("mode, metric", [
+        ("proposed", "val_set_auc"), ("mil", "val_set_auc"),
+        ("ae", "val_auc"), ("sae", "val_auc"),
+    ])
+    def test_history_header_names_the_mode_metric(self, hand_emitted, mode, metric):
+        _, out, _ = hand_emitted
+        histories = sorted(out.glob(f"history_{mode}_*.csv"))
+        assert histories
+        for path in histories:
+            assert _rows(path)[0] == ["epoch", "train_objective", metric]
+
+
 class TestCliParse:
     def test_defaults(self):
         config = cli_parse(["--dataset", "synthetic", "--mode", "proposed",
@@ -399,7 +495,7 @@ class TestCliParse:
         assert "1234567.0 and 1234568.0" in capsys.readouterr().err
 
     def test_grid_values_that_compare_equal_are_usage_errors(self, capsys):
-        # "0" and "-0" label different files, but report.histories keys them as one
+        # "0" and "-0" label different files, but run_experiment takes them as one
         with pytest.raises(SystemExit) as exc:
             cli_parse(["--lambda-grid", "0,-0,1"])
         assert exc.value.code == 2
@@ -489,7 +585,8 @@ class TestSharedPlainRun:
         assert expected["ae"].stopped_epoch != expected["proposed"].stopped_epoch
         for mode, want in expected.items():
             (got,) = shared[VAL_METRIC[mode]].values()
-            assert report.histories[(mode, 0, 0.0)] == want.history
+            lam, reported = report.modes[mode].rounds[0].results[0]
+            assert lam == 0.0 and reported is got
             assert got.history == want.history
             assert (got.stopped_epoch, got.best_epoch, got.stop_reason) \
                 == (want.stopped_epoch, want.best_epoch, want.stop_reason)

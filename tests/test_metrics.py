@@ -266,13 +266,3 @@ class TestRocCurve:
     def test_empty_raises(self):
         with pytest.raises(EmptyScoresError):
             roc_curve([], [0.1])
-
-    def test_csv(self, tmp_path):
-        curve = roc_curve([0.9, 0.4], [0.1, 0.4])
-        path = tmp_path / "roc.csv"
-        curve.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "threshold,fpr,tpr"
-        first = lines[1].split(",")
-        assert float(first[1]) == 0.0  # curve starts at fpr = 0
-        assert len(lines) == 1 + len(curve.fpr)

@@ -4,6 +4,7 @@ CPUs and BLAS threads that its two settings give a probe."""
 import importlib.util
 import json
 import os
+import types
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,14 @@ class TestFirstDifferingFile:
         a, b = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b")
         (tmp_path / side / "history_ae_0_0.csv").write_text("epoch\n")
         assert same_bits._first_differing_file(a, b) == "history_ae_0_0.csv"
+
+
+class TestRecorded:
+    def test_the_wrapper_returns_each_value_and_keeps_it(self):
+        module = types.SimpleNamespace(double=lambda x: 2 * x)
+        values = same_bits._recorded(module, "double")
+        assert [module.double(1), module.double(3)] == [2, 6]
+        assert values == [2, 6]
 
 
 class TestSettings:

@@ -25,7 +25,6 @@ from inexad.training import (
     objective_grad,
     train,
     validation_metric,
-    write_history,
 )
 from . import reference
 from .conftest import (
@@ -962,19 +961,3 @@ class TestLambdaSelection:
         results = [(10.0, result(0.5)), (0.0, result(0.75)),
                    (1.0, result(0.75)), (2.0, result(0.25))]
         assert best_of_grid(results) is results[1][1]
-
-
-class TestHistoryCsv:
-    @pytest.mark.parametrize("mode, metric", [
-        ("proposed", "val_set_auc"), ("mil", "val_set_auc"),
-        ("ae", "val_auc"), ("sae", "val_auc"),
-    ])
-    def test_round_trip(self, tmp_path, mode, metric):
-        history = [(0, -0.5, 0.25), (1, -0.75, 0.5)]
-        path = tmp_path / "history.csv"
-        write_history(path, history, mode)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == f"epoch,train_objective,{metric}"
-        parsed = [tuple(float(c) for c in line.split(","))
-                  for line in lines[1:]]
-        assert parsed == [(0.0, -0.5, 0.25), (1.0, -0.75, 0.5)]

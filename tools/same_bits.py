@@ -29,7 +29,11 @@ Each CLI probe also runs on this tree under each of two settings:
   not exist, this run is reported as skipped;
 - blas-default: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
   GOTO_NUM_THREADS are removed, so BLAS runs its default thread count
-  (and, with more than one thread, no evaluation overlaps).
+  (and, with more than one thread, no evaluation overlaps).  Pool
+  workers set their own BLAS to one thread, so cli-4-mode, whose
+  `workers` is above 1 on 2 or more CPUs, then varies only the
+  thread count of the parent's test scoring; training at the default
+  thread count is covered by cli-csv-32, which trains in-process.
 
 Each run is compared with this tree's plain run: the function hashes,
 or the CLI output directories file by file, as `diff -r` would, after
@@ -38,15 +42,17 @@ JSON verdict.  Its `first_difference` names the first probe, the run
 that differs (`setting`: `against`, `one-cpu` or `blas-default`) and
 the function or file.  For every run it records the OpenBLAS kernel set
 (`blas_core`, read by that side's inexad.blas), the number of usable
-CPUs (`cpus`), the BLAS thread count (`blas_threads`) and, for cli-csv-32,
-whether its training overlapped its evaluation (`overlapped`).
-Equal bits are expected only within one kernel set, and a setting
-proves nothing when its run saw the same CPUs, threads and overlap as
-the plain one.  Both trees need the package's current API: CI compares
-only with HEAD and its first parent.  Exit code: 0 when every run is
-equal, 1 when one differs or fails, 2 on a usage error such as an
-unknown <rev>.  The tool itself uses the standard library only; the
-probes import numpy and the package.
+CPUs (`cpus`) and the probe process's BLAS thread count
+(`blas_threads`); for each CLI run also the number of pool workers
+run_experiment trained in (`workers`, 1 when it trained in-process)
+and, for cli-csv-32, whether its training overlapped its evaluation
+(`overlapped`).  Equal bits are expected only within one kernel set,
+and a setting proves nothing when its run saw the same CPUs, threads,
+workers and overlap as the plain one.  Both trees need the package's
+current API: CI compares only with HEAD and its first parent.  Exit
+code: 0 when every run is equal, 1 when one differs or fails, 2 on a
+usage error such as an unknown <rev>.  The tool itself uses the
+standard library only; the probes import numpy and the package.
 """
 
 import argparse
@@ -123,8 +129,21 @@ def _write_wide_csv(path):
                                   + [str(label)]) + "\n")
 
 
+def _recorded(module, name):
+    """Wrap module.name so that each value it returns is also appended to the
+    returned list."""
+    original, values = getattr(module, name), []
+
+    def wrapper(*args):
+        values.append(original(*args))
+        return values[-1]
+
+    setattr(module, name, wrapper)
+    return values
+
+
 def _run_cli(name):
-    from inexad import training
+    from inexad import harness, training
     from inexad.cli import main
 
     # relative paths: summary.json records the CSV's path as given
@@ -132,18 +151,16 @@ def _run_cli(name):
     if name == "cli-csv-32":
         _write_wide_csv("wide.csv")
         argv += ["--csv", "wide.csv"]
-    # record the kernel's overlap decisions
-    decide, overlapped = training._overlap_pays, []
-
-    def recorded(work):
-        overlapped.append(decide(work))
-        return overlapped[-1]
-
-    training._overlap_pays = recorded
+    # the pool size run_experiment chose, and the kernel's overlap decisions
+    workers = _recorded(harness, "_worker_count")
+    overlapped = _recorded(training, "_overlap_pays")
     code = main(argv)
     if code:
         raise RuntimeError(f"inexad exited with {code}")
-    return {"overlapped": any(overlapped)} if name == "cli-csv-32" else {}
+    result = {"workers": max(workers)}
+    if name == "cli-csv-32":
+        result["overlapped"] = any(overlapped)
+    return result
 
 
 def _run_probe(name, out_dir):

@@ -357,7 +357,7 @@ class TrainData:
 
     The sets are stored once: set_rows stacks every set's members in set
     order, and set k is the next lengths[k] of its rows.  set_rows and
-    normals are 2-d and of one width; set_rows may have no rows.
+    normals are 2-d and of one width; normals need a row, set_rows none.
     """
 
     set_rows: np.ndarray  # (sum of lengths, D)
@@ -377,6 +377,8 @@ class TrainData:
         if self.set_rows.shape[1] != self.normals.shape[1]:
             raise ShapeError(f"set rows have {self.set_rows.shape[1]} features but "
                              f"normals have {self.normals.shape[1]}")
+        if not len(self.normals):
+            raise DataError("normals must have at least one row")
         empty = np.flatnonzero(self.lengths < 1)
         if empty.size:
             raise DataError(f"set {empty[0]} is empty")

@@ -71,14 +71,14 @@ class ExperimentConfig:
             if getattr(self.train_config, name) != getattr(default, name):
                 raise ValueError(f"train_config.{name} is set per round; "
                                  f"give it as {owner}")
-        # run_experiment gathers a round's results by value (0.0 == -0.0), and
-        # each result's history file is named by its %g label
+        # run_experiment gathers a round's results by value and names each history
+        # file by its %g label; TrainConfig rejects -0, so equal values print alike
         grid = tuple(self.train_config.lambda_grid)
         for i, lam in enumerate(grid):
             for earlier in grid[:i]:
-                if earlier == lam or _history_label(earlier) == _history_label(lam):
+                if _history_label(earlier) == _history_label(lam):
                     raise ValueError(f"lambda grid values {earlier!r} and {lam!r} would "
-                                     "share one history: they are equal or print alike")
+                                     "share one history: they print alike")
 
 
 @dataclass
@@ -222,9 +222,9 @@ def run_experiment(config):
 
     The parent draws the splits and scores the test data; the training
     runs in a pool of worker processes (see _map_tasks), one task per
-    objective group.  Per repeat, the plain objective (ae, and proposed
-    and sae at lambda 0) is trained once, with one validation track per
-    metric; each other group of lambda values, and mil, is its own task.
+    objective group, keyed (repeat, mode, lambdas).  The plain objective
+    (ae, and proposed and sae at lambda 0) has mode None, so each repeat
+    trains it once, with one validation track per metric.
     """
     base_ds = None
     if config.csv_path is not None:
@@ -239,8 +239,8 @@ def run_experiment(config):
         modes={m: ModeResult(rounds=[]) for m in config.modes},
     )
 
-    plan = []  # (repeat, mode, test data, lams, indices of the tasks it uses)
-    tasks = []  # _train_task arguments
+    plan = []  # (repeat, mode, test data, lams, keys of the tasks it uses)
+    tasks = {}  # (repeat, mode or None when plain, lams) -> _train_task arguments
     for r in range(config.n_repeats):
         seed_r = config.seed + r
         rng = np.random.default_rng(seed_r)
@@ -249,27 +249,21 @@ def run_experiment(config):
         else:
             ds, split = base_ds, make_splits(base_ds, rng)
         train_data, val_data, test_data = materialize(ds, split)
-        shared = None  # this repeat's plain task
         for mode in config.modes:
             lams = _lambdas_for(mode, tc.lambda_grid)
             cfg, metric, used = replace(tc, mode=mode, rng_seed=seed_r), VAL_METRIC[mode], []
             for group in _lambda_groups(mode, lams):
-                if not _is_plain(mode, lams[group[0]]):
-                    used.append(len(tasks))
-                    tasks.append((train_data, val_data, cfg,
-                                  [float(lams[i]) for i in group], [metric]))
-                    continue
-                if shared is None:
-                    shared = len(tasks)
-                    tasks.append((train_data, val_data, cfg, [0.0], []))
-                if metric not in tasks[shared][4]:
-                    tasks[shared][4].append(metric)
-                used.append(shared)
+                group_lams = [float(lams[i]) for i in group]
+                key = (r, None if _is_plain(mode, group_lams[0]) else mode, tuple(group_lams))
+                task = tasks.setdefault(key, (train_data, val_data, cfg, group_lams, []))
+                if metric not in task[4]:
+                    task[4].append(metric)
+                used.append(key)
             plan.append((r, mode, test_data, lams, used))
 
     # the costliest tasks first, so that none of them starts last; ties in plan order
-    order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][3]))
-    done = dict(zip(order, _map_tasks([tasks[i] for i in order])))
+    order = sorted(tasks, key=lambda key: -len(key[2]))
+    done = dict(zip(order, _map_tasks([tasks[key] for key in order])))
     # a task's seconds are split equally between the rounds it serves
     users = collections.Counter(t for *_, used in plan for t in used)
     for r, mode, test_data, lams, used in plan:

@@ -3,9 +3,10 @@
 Everything here operates on plain float64 numpy arrays.  Layers are
 affine maps with ReLU (or tanh) on hidden layers.  forward_pass and
 backward_pass are the package's only layer loops, on one model's 2-d
-weights or a stack's (L, out, in) weights; mlp_forward and
+weights or a stack's (L, out, in) weights.  mlp_forward and
 mlp_backward adapt them to a chain with a linear last layer on an
-(n, D) batch, rejecting a lone 1-d vector with ShapeError.  A model's
+(n, D) batch, rejecting a lone 1-d vector with ShapeError; backward_pass
+consumes its tape, so mlp_backward runs it on a copy.  A model's
 parameters are one flat vector holding, per layer, the weight in
 row-major order and then the bias.  layer_views is the one place that
 knows this layout.
@@ -99,35 +100,29 @@ def forward_pass(layers, x, activation, hidden, outs=None):
     return result
 
 
-def backward_pass(layers, tape, g, activation, hidden, grads, spare=None):
+def backward_pass(layers, tape, g, activation, hidden, grads, spare):
     """Backpropagate g, the loss gradient at the last output, through a
     forward_pass whose input and outputs are tape[0] and tape[1:].
 
     Writes each layer's weight and bias gradients, summed over the rows,
-    into grads[i].  Without spare it changes no tape entry and returns
-    the input's gradient.  With spare, a flat buffer of one layer
-    output's size, it consumes the tape instead (a hidden output becomes
-    its activation's derivative and the gradient through it goes to
-    spare; a linear output becomes the gradient through it) and returns
-    None, skipping the input's gradient, which has no buffer.
+    into grads[i], and returns the gradient at layer 0's output.  It
+    consumes the tape: a hidden output becomes its activation's
+    derivative and the gradient through it goes to spare, a flat buffer
+    of at least that output's size; a linear output becomes the gradient
+    through it.  tape[0], tape[-1] and g are left alone.
     """
     for i in range(len(layers) - 1, -1, -1):
         h = tape[i]
         dweight, dbias = grads[i]
         np.matmul(g.mT, h, out=dweight)
         np.sum(g, axis=-2, out=dbias)
-        if spare is None:
-            g = np.matmul(g, layers[i].weight)
-            if i > 0 and hidden[i - 1]:
-                g *= _activation_grad(h, activation)
-        elif i == 0:
-            return None
-        elif hidden[i - 1]:
+        if i == 0:
+            return g
+        if hidden[i - 1]:
             g = np.matmul(g, layers[i].weight, out=spare[:h.size].reshape(h.shape))
             g *= _activation_grad(h, activation, out=h)
         else:
             g = np.matmul(g, layers[i].weight, out=h)
-    return g
 
 
 def squared_error(x, recon, out=None):
@@ -146,19 +141,20 @@ def check_batch(x, width):
     return x
 
 
-def mlp_forward(layers, x, activation="relu", cache=True):
+def mlp_forward(layers, x, activation="relu"):
     """forward_pass of a chain with a linear last layer on an (n, D) batch.
 
-    Returns (output, tape): with cache=True the tape is [x, output of
-    layer 0, ..., output], which mlp_backward reads, else None.
+    Returns (output, tape), the tape [x, output of layer 0, ..., output]
+    that mlp_backward reads.
     """
     x = check_batch(x, layers[0].weight.shape[1])
     outs = forward_pass(layers, x, activation, [True] * (len(layers) - 1) + [False])
-    return outs[-1], [x] + outs if cache else None
+    return outs[-1], [x] + outs
 
 
 def mlp_backward(layers, tape, output_grad, activation="relu"):
-    """backward_pass through the tape of an mlp_forward pass.
+    """backward_pass through the tape of an mlp_forward pass, run on a copy
+    of its hidden outputs, so the caller's tape is unchanged.
 
     output_grad is dLoss/dOutput, shaped like the (n, out) output.
     Returns ([(dweight, dbias) per layer], input_grad), all new arrays.
@@ -169,8 +165,11 @@ def mlp_backward(layers, tape, output_grad, activation="relu"):
         raise ShapeError(f"output_grad shape {g.shape} does not match the output "
                          f"{tape[-1].shape}")
     grads = [Layer(np.empty(weight.shape), np.empty(bias.shape)) for weight, bias in layers]
-    hidden = [True] * (len(layers) - 1) + [False]
-    return grads, backward_pass(layers, tape, g, activation, hidden, grads)
+    hidden_outs = [h.copy() for h in tape[1:-1]]
+    spare = np.empty(max((h.size for h in hidden_outs), default=0))
+    g = backward_pass(layers, [tape[0]] + hidden_outs + [tape[-1]], g, activation,
+                      [True] * len(hidden_outs) + [False], grads, spare)
+    return grads, np.matmul(g, layers[0].weight)
 
 
 def init_params(layer_dims, rng_seed):

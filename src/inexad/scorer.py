@@ -9,9 +9,10 @@ AutoencoderStack holds several models of one architecture and runs them
 together on shared input rows, which is how training advances the
 members of a lambda grid in lockstep; training.objective_grad runs it
 on a one-model stack.  score_batch scores one model through
-network.mlp_forward.  Every pass here is network.forward_pass or
-backward_pass, and every score network.squared_error, so a one-model
-stack and score_batch give the same bits.
+network.mlp_forward, keeping each half's output and dropping its tape
+at once.  Every pass here is network.forward_pass or backward_pass,
+and every score network.squared_error, so a one-model stack and
+score_batch give the same bits.
 """
 
 import functools
@@ -112,12 +113,10 @@ def reconstruct(params, X):
 
 def score_batch(params, X):
     """Scores for a batch of instances; order preserving.  Forward only:
-    no tape is kept, and the reconstruction becomes the error."""
+    each half's tape is dropped at once, and the reconstruction becomes the error."""
     X = check_batch(X, params.input_dim)
-    code, _ = mlp_forward(params.encoder, X, activation=params.activation,
-                          cache=False)
-    recon, _ = mlp_forward(params.decoder, code, activation=params.activation,
-                           cache=False)
+    code = mlp_forward(params.encoder, X, activation=params.activation)[0]
+    recon = mlp_forward(params.decoder, code, activation=params.activation)[0]
     return squared_error(X, recon)
 
 

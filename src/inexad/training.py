@@ -111,8 +111,9 @@ class TrainConfig:
             for lam in values:
                 if not _is_number(lam):
                     raise ValueError(f"{name} takes numbers, got {lam!r}")
-                if not (math.isfinite(lam) and lam >= 0):
-                    raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+                # a set sign bit (-0) would print apart from the 0 it trains as
+                if not (math.isfinite(lam) and math.copysign(1, lam) > 0):
+                    raise ValueError(f"lambda must be finite and nonnegative, not -0, got {lam}")
         for name in ("learning_rate", "adam_eps"):
             value = getattr(self, name)
             if not (_is_number(value) and math.isfinite(value) and value > 0):
@@ -212,8 +213,6 @@ def mode_objective(mode, params, data, lam):
     """Exact objective of one mode over a TrainData's sets and normals."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if data.normals.shape[0] == 0:
-        raise ValueError("normals must be nonempty")
     a_n = score_batch(params, data.normals)
     if _is_plain(mode, lam):
         return float(_objective(mode, lam, a_n, None, None))
@@ -241,8 +240,6 @@ def objective_grad(params, batch, lam, mode="proposed"):
         raise ValueError(f"unknown mode {mode!r}")
     normals = check_batch(batch.normals, params.input_dim)  # TrainData gives set_rows this width
     j = normals.shape[0]
-    if j == 0:
-        raise ValueError("normal batch must be nonempty")
     if _is_plain(mode, lam):
         X, lengths = normals, None
     elif not len(batch.lengths):
@@ -405,12 +402,10 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     tracks = tracks or (VAL_METRIC[mode],)
     plain = _is_plain(mode, lams[0])
     normals, lengths = train_data.normals, train_data.lengths
-    if normals.shape[0] == 0:
-        raise ValueError("training data must contain at least one normal instance")
     if not plain and not len(lengths):
         raise ValueError(f"mode {mode!r} requires training sets")
-    if not len(val_data.lengths) or val_data.normals.shape[0] == 0:
-        raise ValueError("validation data needs at least one set and one normal")
+    if not len(val_data.lengths):
+        raise ValueError("validation data needs at least one set")
     if val_data.normals.shape[1] != normals.shape[1]:
         raise ShapeError(f"validation data has {val_data.normals.shape[1]} features but "
                          f"training data has {normals.shape[1]}")

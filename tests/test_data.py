@@ -488,6 +488,11 @@ class TestTrainData:
         data = TrainData(set_rows=np.zeros((rows, 2)), lengths=lengths, normals=np.zeros((1, 2)))
         assert data.lengths.dtype == np.intp and data.lengths.tolist() == list(map(int, lengths))
 
+    def test_normals_need_a_row(self):
+        # the one check: no objective, training or validation asks again
+        with pytest.raises(DataError, match="normals must have at least one row"):
+            TrainData(set_rows=np.zeros((2, 2)), lengths=[2], normals=np.zeros((0, 2)))
+
     def test_set_rows_of_another_width_is_a_shape_error(self):
         with pytest.raises(ShapeError, match="set rows have 3 features but normals have 2"):
             TrainData(set_rows=np.ones((4, 3)), lengths=[2, 2], normals=np.ones((4, 2)))

@@ -110,7 +110,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("grid, values", [
         ((1234567.0, 1234568.0), "1234567.0 and 1234568.0"),  # both print as 1.23457e+06
         ((0.0, 1.0, 1.0), "1.0 and 1.0"),
-        ((0.0, -0.0, 1.0), "0.0 and -0.0"),  # distinct labels, one value to run_experiment
+        ((0, 0.0, 1.0), "0 and 0.0"),
     ])
     def test_grid_values_sharing_a_history_file_rejected(self, grid, values):
         with pytest.raises(ValueError, match=values):
@@ -494,12 +494,14 @@ class TestCliParse:
         assert exc.value.code == 2
         assert "1234567.0 and 1234568.0" in capsys.readouterr().err
 
-    def test_grid_values_that_compare_equal_are_usage_errors(self, capsys):
-        # "0" and "-0" label different files, but run_experiment takes them as one
+    @pytest.mark.parametrize("argv", [["--lambda", "-0"], ["--lambda-grid=-0,1"],
+                                      ["--lambda-grid", "0,-0,1"]])
+    def test_negative_zero_lambda_is_a_usage_error(self, argv, capsys):
+        # -0 would train as 0 but name its history file "-0"
         with pytest.raises(SystemExit) as exc:
-            cli_parse(["--lambda-grid", "0,-0,1"])
+            cli_parse(argv)
         assert exc.value.code == 2
-        assert "0.0 and -0.0" in capsys.readouterr().err
+        assert "not -0, got -0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out", ["taken", os.path.join("taken", "run")])
     def test_out_blocked_by_a_file_fails_before_training(self, tmp_path, out, capsys):

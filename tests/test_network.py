@@ -260,19 +260,6 @@ class TestMlpForward:
                     want = act(want)
                 assert tape[i + 1].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("shape", [(0, 3), (1, 3), (7, 3)])
-    def test_tape_free_equals_taped_bitwise(self, activation, shape):
-        layers = init_layers([3, 6, 2, 6, 3], 17)
-        x = np.random.default_rng(17).normal(size=shape)
-        before = x.copy()
-        out, cache = mlp_forward(layers, x, activation, cache=False)
-        assert cache is None
-        taped = mlp_forward(layers, x, activation)[0]
-        assert out.shape == taped.shape == (len(x), 3)
-        assert out.tobytes() == taped.tobytes()
-        # the in-place activations write only into the layer outputs
-        np.testing.assert_array_equal(x, before)
 
 
 class TestMlpBackward:
@@ -345,6 +332,28 @@ class TestMlpBackward:
             assert h.tobytes() == want.tobytes()
         assert g.tobytes() == g_before.tobytes()
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dims", [
+        pytest.param([3, 6, 2, 6, 3], id="consecutive-hidden"),  # the spare buffer is reused
+        pytest.param([3, 2], id="one-layer"),
+    ])
+    def test_one_backward_path_matches_the_reference_bitwise(self, dims, activation):
+        layers = init_layers(dims, 20)
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(9, dims[0]))
+        g = rng.normal(size=(9, dims[-1]))
+        _, tape = mlp_forward(layers, x, activation)
+        tape_before, g_before = [h.tobytes() for h in tape], g.tobytes()
+        grads, input_grad = mlp_backward(layers, tape, g, activation)
+        assert [h.tobytes() for h in tape] == tape_before
+        assert g.tobytes() == g_before
+        want_grads, want_input = reference.layers_backward(
+            layers, reference.layers_forward(layers, x, activation), g, activation)
+        for (dw, db), (want_w, want_b) in zip(grads, want_grads, strict=True):
+            assert dw.tobytes() == want_w.tobytes()
+            assert db.tobytes() == want_b.tobytes()
+        assert input_grad.tobytes() == want_input.tobytes()
+
 
 STACK_DIMS = [3, 7, 2, 7, 3]
 STACK_HIDDEN = [True, False, True, False]
@@ -386,22 +395,23 @@ class TestForwardPass:
 
 class TestBackwardPass:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_spare_gives_the_allocating_bits_and_keeps_the_input(self, activation):
+    def test_keeps_the_input_and_returns_the_gradient_at_layer_0s_output(self, activation):
         theta, layers = stacked(3, 42)
         rng = np.random.default_rng(42)
         X = rng.normal(size=(8, 3))
         X_before = X.copy()
         g = rng.normal(size=(3, 8, 3))
-        grads = []
-        for spare in (None, np.empty(3 * 8 * 7)):
-            outs = forward_pass(layers, X, activation, STACK_HIDDEN)
-            grad = np.empty_like(theta)
-            input_grad = backward_pass(layers, [X] + outs, g.copy(), activation,
-                                       STACK_HIDDEN, layer_views(grad, STACK_DIMS), spare)
-            assert (input_grad is None) == (spare is not None)
-            grads.append(grad)
-        assert grads[0].tobytes() == grads[1].tobytes()
+        outs = forward_pass(layers, X, activation, STACK_HIDDEN)
+        g0 = backward_pass(layers, [X] + outs, g, activation, STACK_HIDDEN,
+                           layer_views(np.empty_like(theta), STACK_DIMS), np.empty(3 * 8 * 7))
         np.testing.assert_array_equal(X, X_before)
+        for m in range(3):
+            model = layer_views(theta[m], STACK_DIMS)
+            enc = reference.layers_forward(model[:2], X, activation)
+            dec = reference.layers_forward(model[2:], enc[-1], activation)
+            _, g_code = reference.layers_backward(model[2:], dec, g[m], activation)
+            _, want_input = reference.layers_backward(model[:2], enc, g_code, activation)
+            assert np.matmul(g0[m], model[0].weight).tobytes() == want_input.tobytes()
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_each_model_matches_the_2d_copy(self, activation):
@@ -412,7 +422,7 @@ class TestBackwardPass:
         grad = np.empty_like(theta)
         outs = forward_pass(layers, X, activation, STACK_HIDDEN)
         backward_pass(layers, [X] + outs, g, activation, STACK_HIDDEN,
-                      layer_views(grad, STACK_DIMS))
+                      layer_views(grad, STACK_DIMS), np.empty(2 * 6 * 7))
         for m in range(2):
             model = layer_views(theta[m], STACK_DIMS)
             enc = reference.layers_forward(model[:2], X, activation)
@@ -448,9 +458,8 @@ class TestBatchesOnly:
 
     def test_mlp_forward(self):
         layers = init_layers([3, 4, 2], 19)
-        for cache in (True, False):
-            with pytest.raises(ShapeError, match="1-d"):
-                mlp_forward(layers, np.zeros(3), cache=cache)
+        with pytest.raises(ShapeError, match="1-d"):
+            mlp_forward(layers, np.zeros(3))
 
     def test_mlp_backward(self):
         layers = init_layers([3, 4, 2], 19)

@@ -1,6 +1,7 @@
 """Unit tests for the reconstruction-error scorer and its gradients."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ class TestScoreBatch:
         perm = rng.permutation(6)
         np.testing.assert_array_equal(score_batch(params, X)[perm],
                                       score_batch(params, X[perm]))
+
+    def test_peak_memory_holds_no_tape(self):
+        # at most the decoder's hidden output, the code and the reconstruction
+        # are alive at once (146 doubles a row); a kept encoder tape adds 128
+        X = np.random.default_rng(25).normal(size=(20_000, 2))
+        params = ae_init(2, 25)
+        tracemalloc.start()
+        try:
+            score_batch(params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 8 * len(X)
 
     def test_dimension_mismatch(self):
         for shape in ((2, 5), (5, 0), (0, 5)):

@@ -14,7 +14,7 @@ import pytest
 from inexad.network import ShapeError, sigmoid_stable
 from inexad.scorer import ae_from_vector, ae_init, score_batch
 from inexad import blas, training
-from inexad.data import TrainData, gen_synthetic, materialize
+from inexad.data import DataError, TrainData, gen_synthetic, materialize
 from inexad.training import (
     TrainConfig,
     TrainResult,
@@ -83,6 +83,13 @@ class TestConfig:
     def test_non_finite_grid_value(self):
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(lambda_grid=(0.0, math.nan))
+
+    @pytest.mark.parametrize("kw", [dict(lam=-0.0), dict(lambda_grid=(-0.0, 1.0)),
+                                    dict(lambda_grid=(1.0, np.float64(-0.0)))])
+    def test_negative_zero_lambda_rejected(self, kw):
+        # -0 trains as 0 but would name its history file "-0"
+        with pytest.raises(ValueError, match="not -0, got -0.0"):
+            TrainConfig(**kw)
 
     def test_negative_max_epochs(self):
         with pytest.raises(ValueError, match="max_epochs"):
@@ -166,8 +173,9 @@ class TestObjectiveValue:
             expected, rel=1e-12)
 
     def test_empty_normals_raises(self):
-        with pytest.raises(ValueError, match="normals"):
-            mode_objective("proposed", zero_ae(), weak_data([], np.zeros((0, 2))), 1.0)
+        # TrainData owns the rule, so no objective ever sees zero normals
+        with pytest.raises(DataError, match="normals must have at least one row"):
+            weak_data([], np.zeros((0, 2)))
 
 
 class TestModeObjective:
@@ -552,11 +560,9 @@ class TestTrain:
         assert after >= before
 
     def test_empty_training_normals_raise(self):
-        rng = np.random.default_rng(55)
-        _, val_data = tiny_problem(rng)
-        bad = weak_data([np.ones((2, 2))], np.zeros((0, 2)))
-        with pytest.raises(ValueError, match="normal"):
-            train(bad, val_data, quick_config())
+        # the TrainData that train would take cannot be built
+        with pytest.raises(DataError, match="normals must have at least one row"):
+            weak_data([np.ones((2, 2))], np.zeros((0, 2)))
 
     def test_modes_requiring_sets_raise_without_them(self):
         rng = np.random.default_rng(56)

@@ -13,7 +13,9 @@ tree's src/:
 - hashes: one sha256 per function of score_batch, objective_grad
   (λ 0 and 1) and mode_objective (λ 0 and 1) over 4 modes × relu/tanh ×
   D ∈ {2, 32} × widths 128/16 and 7/3, the sets and normals reaching
-  the two objective functions as a data.TrainData;
+  the two objective functions as a data.TrainData, and of
+  network.mlp_backward (layer gradients and input gradient) through
+  the encoder and decoder halves of the same models;
 - cli-4-mode: `--mode proposed --mode ae --mode mil --mode sae
   --repeats 2 --seed 5 --epochs 300 --patience 20` on the synthetic
   data, trained by up to one worker process per usable CPU;
@@ -86,11 +88,12 @@ def _probe_hashes():
     import numpy as np
 
     from inexad.data import TrainData
+    from inexad.network import mlp_backward, mlp_forward
     from inexad.scorer import ae_init, score_batch
     from inexad.training import MODES, mode_objective, objective_grad
 
     digests = {name: hashlib.sha256() for name in
-               ("score_batch", "objective_grad", "mode_objective")}
+               ("score_batch", "objective_grad", "mode_objective", "mlp_backward")}
     for activation in ("relu", "tanh"):
         for dim in (2, 32):
             for hidden, code in ((128, 16), (7, 3)):
@@ -113,6 +116,13 @@ def _probe_hashes():
                             objective_grad(params, data, lam, mode=mode).tobytes())
                         value = mode_objective(mode, params, data, lam)
                         digests["mode_objective"].update(np.float64(value).tobytes())
+                x = normals
+                for half in (params.encoder, params.decoder):
+                    x, tape = mlp_forward(half, x, activation=activation)
+                    grads, input_grad = mlp_backward(half, tape, rng.normal(size=x.shape),
+                                                     activation=activation)
+                    for part in [g for layer in grads for g in layer] + [input_grad]:
+                        digests["mlp_backward"].update(part.tobytes())
     return {name: d.hexdigest() for name, d in digests.items()}
 
 

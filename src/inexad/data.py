@@ -110,6 +110,8 @@ def _read_csv(reader, path, label_column):
     if first is None:
         raise DataError(f"{path}: no data rows")
     width = len(first)
+    if width < 2:
+        raise DataError(f"{path} has no feature column: its rows hold one cell")
 
     header = None
     if isinstance(label_column, str):

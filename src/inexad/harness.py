@@ -27,7 +27,6 @@ from .training import (
     VAL_METRIC,
     TrainConfig,
     _is_number,
-    _is_plain,
     _lambda_groups,
     _train_members,
     _usable_cpus,
@@ -51,6 +50,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (_is_number(value, numbers.Integral) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            setattr(self, name, int(value))  # json.dump takes no numpy integer
         if self.csv_path is None and self.label_col != "label":
             raise ValueError(f"label_col {self.label_col!r} needs csv_path: the "
                              "synthetic data has no label column")
@@ -73,7 +73,7 @@ class ExperimentConfig:
                                  f"give it as {owner}")
         # run_experiment gathers a round's results by value and names each history
         # file by its %g label; TrainConfig rejects -0, so equal values print alike
-        grid = tuple(self.train_config.lambda_grid)
+        grid = self.train_config.lambda_grid
         for i, lam in enumerate(grid):
             for earlier in grid[:i]:
                 if _history_label(earlier) == _history_label(lam):
@@ -128,8 +128,7 @@ class EvaluationReport:
         for mode, res in sorted(self.modes.items()):
             entry = {
                 "aucs": [float(rd.auc) for rd in res.rounds],
-                "chosen_lambdas": [None if rd.chosen_lambda is None else float(rd.chosen_lambda)
-                                   for rd in res.rounds],
+                "chosen_lambdas": [rd.chosen_lambda for rd in res.rounds],
                 "mean_auc": res.mean,
                 "stderr_auc": res.stderr,
             }
@@ -156,21 +155,19 @@ def _lambdas_for(mode, grid):
 def _train_task(train_data, val_data, cfg, lams, tracks, overlap=None):
     """Train one objective group of one repeat in a worker process.
 
-    Returns ({track: {lam: TrainResult}}, seconds).  Per track, only the
+    Returns ({track: [TrainResult per lam]}, seconds).  Per track, only the
     group's best_of_grid winner keeps its parameters: a mode's winner over
     its whole grid is always one of these.  overlap goes to the training
     kernel: False in pool workers, which keep every CPU busy already.
     """
     t0 = time.perf_counter()
-    out = {}
     trained = _train_members(train_data, val_data, cfg, lams, tracks, overlap=overlap)
-    for track, results in zip(tracks, trained):
+    for results in trained:
         best = best_of_grid(list(zip(lams, results)))
         for res in results:
             if res is not best:
                 res.best_params = None
-        out[track] = dict(zip(lams, results))
-    return out, time.perf_counter() - t0
+    return dict(zip(tracks, trained)), time.perf_counter() - t0
 
 
 def _worker_count(n_tasks):
@@ -180,25 +177,14 @@ def _worker_count(n_tasks):
     return min(n_tasks, _usable_cpus())
 
 
-def _one_blas_thread():
-    """Pool worker initializer: BLAS on one thread in this worker only.
-
-    The workers already fill the CPUs, and BLAS threads on top of them
-    slowed a 4-mode run several-fold.  The caller's process keeps its
-    own setting; with no known setter, nothing changes.
-    """
-    from . import blas  # imported here: ctypes is not needed at import time
-
-    blas.set_num_threads(1)
-
-
 def _map_tasks(tasks):
     """_train_task over tuples of its arguments, results in task order.
 
     Tasks are seeded on their own, so the results do not depend on how
     many workers run them.  Workers are forked, so they inherit the
-    imported package instead of importing it again, and each runs its
-    BLAS on one thread (see _one_blas_thread).
+    imported package instead of importing it again.  Each worker runs
+    its BLAS on one thread, and the caller keeps its own setting: BLAS
+    threads on top of full workers slowed a 4-mode run several-fold.
     """
     workers = _worker_count(len(tasks))
     if workers <= 1:
@@ -207,8 +193,10 @@ def _map_tasks(tasks):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    from . import blas
+
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_one_blas_thread)
+                               initializer=blas.set_num_threads, initargs=(1,))
     try:
         # the workers fill the CPUs, so no training overlaps its evaluation
         return list(pool.map(_train_task, *zip(*tasks), itertools.repeat(False)))
@@ -252,10 +240,9 @@ def run_experiment(config):
         for mode in config.modes:
             lams = _lambdas_for(mode, tc.lambda_grid)
             cfg, metric, used = replace(tc, mode=mode, rng_seed=seed_r), VAL_METRIC[mode], []
-            for group in _lambda_groups(mode, lams):
-                group_lams = [float(lams[i]) for i in group]
-                key = (r, None if _is_plain(mode, group_lams[0]) else mode, tuple(group_lams))
-                task = tasks.setdefault(key, (train_data, val_data, cfg, group_lams, []))
+            for plain, group in _lambda_groups(mode, lams):
+                key = (r, None if plain else mode, tuple(lams[i] for i in group))
+                task = tasks.setdefault(key, (train_data, val_data, cfg, key[2], []))
                 if metric not in task[4]:
                     task[4].append(metric)
                 used.append(key)
@@ -267,9 +254,7 @@ def run_experiment(config):
     # a task's seconds are split equally between the rounds it serves
     users = collections.Counter(t for *_, used in plan for t in used)
     for r, mode, test_data, lams, used in plan:
-        found = {}
-        for t in used:
-            found.update(done[t][0][VAL_METRIC[mode]])
+        found = dict(pair for t in used for pair in zip(t[2], done[t][0][VAL_METRIC[mode]]))
         results = [(lam, found[lam]) for lam in lams]
         best = best_of_grid(results)
         a_scores = score_batch(best.best_params, test_data.anomalies)

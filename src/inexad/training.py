@@ -107,21 +107,23 @@ class TrainConfig:
             raise ValueError(f"lambda_grid takes a sequence of numbers, got {self.lambda_grid!r}")
         if not len(self.lambda_grid):
             raise ValueError("lambda_grid must be nonempty")
-        for name, values in (("lam", [self.lam]), ("lambda_grid", self.lambda_grid)):
-            for lam in values:
-                if not _is_number(lam):
-                    raise ValueError(f"{name} takes numbers, got {lam!r}")
-                # a set sign bit (-0) would print apart from the 0 it trains as
-                if not (math.isfinite(lam) and math.copysign(1, lam) > 0):
-                    raise ValueError(f"lambda must be finite and nonnegative, not -0, got {lam}")
+        # stored as floats, which %g file names, ==, json.dump and Adam's in-place steps need
+        self.lam = _float("lam", self.lam)
+        self.lambda_grid = tuple(_float("lambda_grid", lam) for lam in self.lambda_grid)
+        for lam in (self.lam, *self.lambda_grid):
+            # a set sign bit (-0) would print apart from the 0 it trains as
+            if not (math.isfinite(lam) and math.copysign(1, lam) > 0):
+                raise ValueError(f"lambda must be finite and nonnegative, not -0, got {lam}")
         for name in ("learning_rate", "adam_eps"):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
+            value = _float(name, getattr(self, name))
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+            setattr(self, name, value)
         for name in ("adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not (_is_number(value) and 0 <= value < 1):
+            value = _float(name, getattr(self, name))
+            if not 0 <= value < 1:
                 raise ValueError(f"{name} must be a number in [0, 1), got {value!r}")
+            setattr(self, name, value)
         for name, low in (("batch_sets", 1), ("batch_normals", 1), ("max_epochs", 0),
                           ("rng_seed", 0), ("hidden_dim", 1), ("code_dim", 1)):
             value = getattr(self, name)
@@ -135,6 +137,16 @@ class TrainConfig:
 def _is_number(value, kind=numbers.Real):
     """Whether value is a number of the given kind other than a bool."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _float(name, value):
+    """value as a float; a ValueError naming the setting unless a float can hold it."""
+    if not _is_number(value):
+        raise ValueError(f"{name} takes numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {value!r}") from None
 
 
 @dataclass
@@ -160,9 +172,9 @@ def _is_plain(mode, lam):
     return mode == "ae" or (mode in ("proposed", "sae") and lam == 0)
 
 
-def _set_starts(kind, lengths):
-    """Where each set starts in the stacked set rows, if the mode or metric takes set maxima."""
-    return segment_starts(lengths) if kind in ("proposed", "mil", "val_set_auc") else None
+def _set_starts(metric, lengths):
+    """Where each set starts in the stacked set rows, if the VAL_METRIC value takes set maxima."""
+    return segment_starts(lengths) if metric == "val_set_auc" else None
 
 
 def _objective(mode, lams, a_n, set_scores, lengths, take=np.empty, grad=None):
@@ -185,7 +197,7 @@ def _objective(mode, lams, a_n, set_scores, lengths, take=np.empty, grad=None):
         if grad is not None:
             grad[:] = 1.0 / j
         return first
-    starts = _set_starts(mode, lengths)
+    starts = _set_starts(VAL_METRIC[mode], lengths)
     ref = set_scores if starts is None else segment_max(set_scores, starts)
     shape = ref.shape + (j,)
     s, scratch = carve(take(2 * math.prod(shape)), shape, shape)
@@ -339,7 +351,7 @@ def validation_metric(mode, params, data):
     if not len(data.lengths):
         raise ValueError("validation needs at least one weakly labeled set")
     return _metric(score_batch(params, data.normals), score_batch(params, data.set_rows),
-                   _set_starts(mode, data.lengths))
+                   _set_starts(VAL_METRIC[mode], data.lengths))
 
 
 def _usable_cpus():
@@ -559,25 +571,24 @@ def train(train_data, val_data, config):
 
 
 def _lambda_groups(mode, lams):
-    """Indices into lams, in the groups the training kernel trains together.
+    """(plain, indices into lams) of each group the training kernel trains together.
 
-    Members must score the same rows, so the plain values and the others
-    form separate groups, each split into chunks of at most _MAX_MEMBERS.
+    Members must score the same rows, so plain values and the others form
+    separate groups, plain first, each split into chunks of at most _MAX_MEMBERS.
     """
     groups = []
     for plain in (True, False):
         group = [i for i, lam in enumerate(lams) if _is_plain(mode, lam) == plain]
-        groups += [group[s:s + _MAX_MEMBERS] for s in range(0, len(group), _MAX_MEMBERS)]
+        groups += [(plain, group[s:s + _MAX_MEMBERS]) for s in range(0, len(group), _MAX_MEMBERS)]
     return groups
 
 
 def grid_search(train_data, val_data, config):
     """Train once per lambda_grid value; returns [(lam, TrainResult), ...] in grid order."""
-    grid = list(config.lambda_grid)
+    grid = config.lambda_grid
     results = [None] * len(grid)
-    for group in _lambda_groups(config.mode, grid):
-        trained = _train_members(train_data, val_data, config,
-                                 [float(grid[i]) for i in group])[0]
+    for _, group in _lambda_groups(config.mode, grid):
+        trained = _train_members(train_data, val_data, config, [grid[i] for i in group])[0]
         for i, result in zip(group, trained):
             results[i] = result
     return list(zip(grid, results))

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -117,6 +118,18 @@ class TestLoadCsv:
         path = write(tmp_path, "1,2,0\n3,1\n")
         with pytest.raises(DataError, match="expected 3 cells"):
             load_csv(path, label_column=2)
+
+    @pytest.mark.parametrize("text, column", [
+        ("label\n0\n1\n0\n1\n0\n", "label"),
+        ("0\n1\n", 0),
+        # raised before any data row is read, so before this bad label
+        ("label\nmaybe\n", "label"),
+    ])
+    def test_no_feature_column(self, tmp_path, text, column):
+        # a label column alone would load as an n x 0 X
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))} has no feature column"):
+            load_csv(path, label_column=column)
 
     def test_header_only_comes_before_label_errors(self, tmp_path):
         path = write(tmp_path, "a,b,label\n\n")

@@ -9,6 +9,7 @@ import sys
 import textwrap
 import time
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,27 @@ class TestRunExperiment:
         assert json.dumps(report.to_dict(include_timing=False), sort_keys=True) \
             == json.dumps(again.to_dict(include_timing=False), sort_keys=True)
 
+    def test_fraction_grid_value_is_reported(self, tmp_path):
+        # history file names format lambda with %g, which Fraction lacks before Python 3.12
+        report = run_experiment(tiny_config(modes=("proposed",), n_repeats=1,
+                                            lambda_grid=(Fraction(1, 2),)))
+        written = emit_report(report, str(tmp_path))
+        assert str(tmp_path / "history_proposed_0_0.5.csv") in written
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["modes"]["proposed"]["chosen_lambdas"] == [0.5]
+
+    def test_numpy_integer_seed_and_repeats(self, tmp_path):
+        # json.dump writes no numpy integer
+        def summary(name, **kw):
+            emit_report(run_experiment(tiny_config(**kw)), str(tmp_path / name))
+            out = json.loads((tmp_path / name / "summary.json").read_text())
+            for entry in out["modes"].values():
+                del entry["seconds"]
+            return out
+
+        assert summary("numpy", seed=np.int64(3), n_repeats=np.int64(2)) \
+            == summary("int", seed=3, n_repeats=2)
+
     def test_stderr_single_repeat(self):
         res = ModeResult(rounds=[Round(auc=0.9, chosen_lambda=1.0, seconds=0.1,
                                        roc=None, results=[])])
@@ -245,11 +267,11 @@ class TestParallelRounds:
         tasks = [(None, None, TrainConfig(), [1.0], ["val_auc"])] * 3
         monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
         pooled = harness._map_tasks(tasks)
-        assert [out["val_auc"][1.0].history for out, _ in pooled] == [[False]] * 3
+        assert [out["val_auc"][0].history for out, _ in pooled] == [[False]] * 3
         # one worker: the caller's process, where the kernel decides
         monkeypatch.setattr(harness, "_worker_count", lambda n: 1)
         serial = harness._map_tasks(tasks)
-        assert [out["val_auc"][1.0].history for out, _ in serial] == [[None]] * 3
+        assert [out["val_auc"][0].history for out, _ in serial] == [[None]] * 3
 
     @needs_fork
     def test_pool_workers_run_blas_on_one_thread(self):
@@ -555,6 +577,15 @@ class TestMain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_csv_without_features_exit_one(self, tmp_path, capsys):
+        # named as the fault, not as a lack of eligible anomalies in an n x 0 X
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n0\n1\n0\n1\n0\n")
+        code = main(["--dataset", "csv", "--csv", str(path), "--repeats", "1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert f"{path} has no feature column" in capsys.readouterr().err
+
 
 class TestSharedPlainRun:
     """ae, and proposed and sae at lambda 0, share one training run per repeat."""
@@ -569,7 +600,7 @@ class TestSharedPlainRun:
 
         def spy(*args):
             out = task(*args)
-            if args[3] == [0.0]:
+            if args[3] == (0.0,):
                 shared.update(out[0])
             return out
 
@@ -586,7 +617,7 @@ class TestSharedPlainRun:
         }
         assert expected["ae"].stopped_epoch != expected["proposed"].stopped_epoch
         for mode, want in expected.items():
-            (got,) = shared[VAL_METRIC[mode]].values()
+            (got,) = shared[VAL_METRIC[mode]]
             lam, reported = report.modes[mode].rounds[0].results[0]
             assert lam == 0.0 and reported is got
             assert got.history == want.history

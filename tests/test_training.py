@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +138,43 @@ class TestConfig:
         (name,) = kw
         with pytest.raises(ValueError, match=name):
             TrainConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [dict(lam=10**400), dict(lambda_grid=(1.0, 10**400)),
+                                    dict(learning_rate=10**400), dict(adam_eps=10**400)])
+    def test_setting_too_large_for_a_float(self, kw):
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"{name} is too large for a float"):
+            TrainConfig(**kw)
+
+    def test_real_settings_are_stored_as_floats(self):
+        config = TrainConfig(lam=Fraction(1, 2), lambda_grid=np.array([0, 1.5]),
+                             learning_rate=np.float32(0.5), adam_eps=1, adam_beta1=Fraction(9, 10),
+                             adam_beta2=0)
+        assert (config.lam, config.lambda_grid) == (0.5, (0.0, 1.5))
+        assert (config.learning_rate, config.adam_eps, config.adam_beta1, config.adam_beta2) \
+            == (0.5, 1.0, 0.9, 0.0)
+        reals = (config.lam, *config.lambda_grid, config.learning_rate, config.adam_eps,
+                 config.adam_beta1, config.adam_beta2)
+        assert all(type(v) is float for v in reals)
+
+    def test_array_grid_compares_equal(self):
+        # == compares the stored tuples; kept arrays would make it ambiguous
+        assert TrainConfig(lambda_grid=np.array([1.0, 2.0])) == TrainConfig(lambda_grid=(1.0, 2.0))
+
+    def test_fraction_adam_settings_train(self):
+        # Adam's in-place steps on float64 arrays take no Fraction
+        train_data, val_data = tiny_problem(np.random.default_rng(3))
+        config = quick_config(max_epochs=2)
+        want = train(train_data, val_data, config)
+        got = train(train_data, val_data, replace(
+            config, learning_rate=Fraction(1, 1000), adam_beta1=Fraction(9, 10),
+            adam_beta2=Fraction(999, 1000), adam_eps=Fraction(1, 10**8)))
+        assert got.history == want.history
+
+    def test_integer_lambda_is_reported_as_a_float(self):
+        train_data, val_data = tiny_problem(np.random.default_rng(3))
+        res = train(train_data, val_data, quick_config(lam=1, max_epochs=1))
+        assert type(res.chosen_lambda) is float and res.chosen_lambda == 1.0
 
 
 class TestObjectiveValue:

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error, 130 interrupted.
 """
 
 import argparse
@@ -94,6 +94,9 @@ def main(argv=None):
     except Exception as exc:  # surface runtime failures as exit code 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # the shell's code for SIGINT; the pool is gone by now
+        print("interrupted", file=sys.stderr)
+        return 130
     for mode, res in sorted(report.modes.items()):
         print(f"{mode}: mean test AUC {res.mean:.3f} "
               f"(stderr {res.stderr:.3f}, {len(res.aucs)} repeats)")

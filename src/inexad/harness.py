@@ -14,6 +14,9 @@ import json
 import math
 import numbers
 import os
+import pickle
+import select
+import signal
 import time
 from dataclasses import dataclass, field, replace
 
@@ -153,7 +156,7 @@ def _lambdas_for(mode, grid):
 
 
 def _train_task(train_data, val_data, cfg, lams, tracks, overlap=None):
-    """Train one objective group of one repeat in a worker process.
+    """Train one objective group of one repeat.
 
     Returns ({track: [TrainResult per lam]}, seconds).  Per track, only the
     group's best_of_grid winner keeps its parameters: a mode's winner over
@@ -177,32 +180,135 @@ def _worker_count(n_tasks):
     return min(n_tasks, _usable_cpus())
 
 
+_INDEX_BYTES = 4  # a task index on a worker's task pipe; one write, so atomic
+
+
+def _serve(tasks, task_in, result_out):
+    """Body of a forked pool worker: for each task index read from task_in,
+    until the parent closes it, write one pickled (index, ok, result or
+    exception) to result_out."""
+    # the parent ends its workers, so an interrupt sent to the whole process
+    # group must not end one first and read as a lost worker
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    from . import blas
+
+    blas.set_num_threads(1)
+    with open(result_out, "wb") as out:
+        while index := os.read(task_in, _INDEX_BYTES):
+            i = int.from_bytes(index, "little")
+            try:  # the workers fill the CPUs, so no training overlaps its evaluation
+                message = (i, True, _train_task(*tasks[i], False))
+            except Exception as exc:
+                message = (i, False, exc)
+            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+            out.flush()
+
+
+def _fork_worker(tasks, senders, readers):
+    """Fork one pool worker running _serve; append the parent's ends of its
+    task and result pipes to senders and readers, and return its pid."""
+    task_in, sender = os.pipe()
+    senders.append(sender)
+    reader, result_out = os.pipe()
+    readers.append(open(reader, "rb"))
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # the parent's ends of every pipe so far: a task pipe's writer held
+                # open here, a sibling's or its own, would hide EOF from its reader
+                for fd in senders:
+                    os.close(fd)
+                for r in readers:
+                    r.close()
+                _serve(tasks, task_in, result_out)
+                code = 0
+            finally:
+                os._exit(code)  # never return into the caller's stack
+    finally:
+        os.close(task_in)
+        os.close(result_out)
+    return pid
+
+
 def _map_tasks(tasks):
     """_train_task over tuples of its arguments, results in task order.
 
     Tasks are seeded on their own, so the results do not depend on how
-    many workers run them.  Workers are forked, so they inherit the
-    imported package instead of importing it again.  Each worker runs
-    its BLAS on one thread, and the caller keeps its own setting: BLAS
-    threads on top of full workers slowed a 4-mode run several-fold.
+    many workers run them.  With one worker they run in the calling
+    process.  Otherwise each worker is forked after the task table is
+    built, so it inherits the table and the imported package, and only
+    task indices and results cross a pipe.  The parent hands the next
+    index to whichever worker answered, and starts no thread for the
+    pool.  Each worker runs its BLAS on one thread, and the caller keeps
+    its own setting: BLAS threads on top of full workers slowed a 4-mode
+    run several-fold.  A worker leaves when the parent closes its task
+    pipe.  The first failed task, a worker that ends without its result
+    (a RuntimeError saying how it ended) or an interrupt kills every
+    worker at once instead.  No worker outlives the call.
     """
     workers = _worker_count(len(tasks))
     if workers <= 1:
         return list(itertools.starmap(_train_task, tasks))
-    # imported here: at module level they add about 20 ms to `import inexad`
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    results = [None] * len(tasks)
+    queue = iter(range(len(tasks)))
+    pids, senders, readers = [], [], []  # per worker; None once reaped or closed
+    in_flight, poller = {}, select.poll()  # result fd -> (worker, task index)
 
-    from . import blas
+    def hand_out(k):
+        """Send worker k its next task, or close its task pipe if none is left."""
+        i = next(queue, None)
+        if i is None:
+            os.close(senders[k])
+            senders[k] = None
+        else:
+            os.write(senders[k], i.to_bytes(_INDEX_BYTES, "little"))
+            in_flight[readers[k].fileno()] = k, i
+            poller.register(readers[k], select.POLLIN)
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=blas.set_num_threads, initargs=(1,))
     try:
-        # the workers fill the CPUs, so no training overlaps its evaluation
-        return list(pool.map(_train_task, *zip(*tasks), itertools.repeat(False)))
+        # an interrupt while forking waits until every worker's pid is known
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(workers):
+                pids.append(_fork_worker(tasks, senders, readers))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for k in range(workers):
+            hand_out(k)
+        while in_flight:
+            for fd, _ in poller.poll():
+                k, i = in_flight.pop(fd)
+                poller.unregister(fd)
+                try:
+                    index, ok, value = pickle.load(readers[k])
+                except (EOFError, pickle.UnpicklingError):
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
+                    pids[k] = None
+                    how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                           else f"exited with code {code}")
+                    raise RuntimeError(f"a pool worker {how} while training task {i}") from None
+                if not ok:
+                    raise value
+                results[index] = value
+                hand_out(k)
+    except BaseException:
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        # after a failed task, do not start the tasks still queued
-        pool.shutdown(cancel_futures=True)
+        for fd in senders:
+            if fd is not None:
+                os.close(fd)
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            if pid is not None:
+                os.waitpid(pid, 0)
+    return results
 
 
 def run_experiment(config):

@@ -348,6 +348,8 @@ def validation_metric(mode, params, data):
     AUC; ae and sae score every set member as an individual anomaly and
     use the plain AUC, matching how those baselines are tuned.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if not len(data.lengths):
         raise ValueError("validation needs at least one weakly labeled set")
     return _metric(score_batch(params, data.normals), score_batch(params, data.set_rows),

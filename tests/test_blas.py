@@ -46,7 +46,7 @@ class TestWithoutProcMaps:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="pool workers are forked")
     def test_pool_workers_start(self, no_proc_maps, monkeypatch):
-        # each worker's initializer asks to set the count, which is unknown there
+        # each worker asks to set the count, which is unknown there
         monkeypatch.setattr(harness, "_train_task", _report_threads)
         monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
         assert harness._map_tasks([(None,)] * 4) == [None] * 4

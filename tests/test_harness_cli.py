@@ -2,8 +2,8 @@
 
 import csv
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -196,6 +196,12 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="rounds run in forked worker processes")
 
 
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestParallelRounds:
     @needs_fork
     def test_worker_count_does_not_change_results(self, monkeypatch):
@@ -232,7 +238,131 @@ class TestParallelRounds:
                      "--epochs", "2", "--out", str(tmp_path / "run")])
         assert code == 1
         assert "error: boom" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    @needs_fork
+    def test_lost_worker_reaches_the_cli(self, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+
+        def killed(*args):
+            if os.getpid() == parent:
+                raise AssertionError("the task ran in the parent")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(harness, "_train_task", killed)
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
+        code = main(["--mode", "ae", "--mode", "mil", "--repeats", "2",
+                     "--epochs", "2", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "error: a pool worker was killed by SIGKILL while training task" \
+            in capsys.readouterr().err
+        assert_no_children()
+
+    @needs_fork
+    @pytest.mark.parametrize("leave, how", [
+        (lambda: os._exit(3), "exited with code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGTERM), "was killed by SIGTERM"),
+    ], ids=["exit", "signal"])
+    def test_lost_worker_is_named(self, monkeypatch, leave, how):
+        parent = os.getpid()
+
+        def task(i, overlap):
+            if i == 2 and os.getpid() != parent:
+                leave()
+            return i
+
+        monkeypatch.setattr(harness, "_train_task", task)
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
+        with pytest.raises(RuntimeError, match=f"a pool worker {how} while training task 2"):
+            harness._map_tasks([(i,) for i in range(5)])
+        assert_no_children()
+
+    @needs_fork
+    def test_pool_of_three_over_seven_tasks(self, monkeypatch):
+        monkeypatch.setattr(harness, "_train_task", lambda i, overlap: (i, os.getpid()))
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 3)
+        out = harness._map_tasks([(i,) for i in range(7)])
+        assert [i for i, _ in out] == list(range(7))
+        assert os.getpid() not in {pid for _, pid in out}
+        assert_no_children()
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_idle_worker_leaves_before_its_siblings(self, monkeypatch, tmp_path):
+        # worker 0 answers first, with no task left for it, so its task pipe
+        # closes; its siblings, forked after it, must not hold that pipe open
+        first = tmp_path / "first"
+
+        def task(i):
+            if i == 0:
+                first.write_text(str(os.getpid()))
+                return True
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                try:
+                    with open(f"/proc/{int(first.read_text())}/stat") as fh:
+                        if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                            return True  # exited, and not yet reaped
+                except (FileNotFoundError, ValueError):  # not written yet
+                    pass
+                time.sleep(0.01)
+            return False
+
+        monkeypatch.setattr(harness, "_train_task", lambda i, overlap: task(i))
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 3)
+        assert harness._map_tasks([(i,) for i in range(3)]) == [True] * 3
+        assert_no_children()
+
+    @needs_fork
+    def test_parent_imports_no_process_pool(self, tmp_path):
+        code = textwrap.dedent("""
+            import sys
+            from inexad import cli, harness
+
+            harness._worker_count = lambda n: 2  # the pool even on one CPU
+            argv = ["--repeats", "1", "--epochs", "2", "--lambda-grid", "0,1", "--out", "run"]
+            for mode in ("proposed", "ae", "mil", "sae"):
+                argv += ["--mode", mode]
+            assert cli.main(argv) == 0
+            print([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env, cwd=tmp_path, timeout=120)
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    @needs_fork
+    def test_interrupt_ends_the_pool(self, tmp_path):
+        # Ctrl-C in a terminal sends SIGINT to the whole foreground process group
+        code = textwrap.dedent("""
+            import sys, time
+            from inexad import cli, harness
+
+            def task(*args):
+                print("training", flush=True)
+                time.sleep(60)
+
+            harness._train_task = task  # forked workers inherit the patch
+            harness._worker_count = lambda n: 2
+            sys.exit(cli.main(["--mode", "proposed", "--mode", "sae", "--repeats", "4",
+                               "--out", "run"]))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
+        with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+                              start_new_session=True) as proc:
+            assert [proc.stdout.readline() for _ in range(2)] == ["training\n"] * 2
+            sent = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            try:
+                out, err = proc.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise
+        assert time.monotonic() - sent < 10  # the workers' tasks were not waited for
+        assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+        with pytest.raises(ProcessLookupError):  # no process is left in the group
+            os.killpg(proc.pid, 0)
 
     def test_costliest_tasks_start_first(self, monkeypatch):
         config = tiny_config(modes=("proposed", "ae", "mil", "sae"),

@@ -974,6 +974,12 @@ class TestValidationMetric:
         assert validation_metric("ae", params, val_data) == empirical_auc(
             np.concatenate(per_set), n_scores)
 
+    def test_unknown_mode(self):
+        rng = np.random.default_rng(57)
+        _, val_data = tiny_problem(rng)
+        with pytest.raises(ValueError, match="unknown mode 'nope'"):
+            validation_metric("nope", small_ae(rng, dim=2), val_data)
+
 
 class TestLambdaSelection:
     def test_single_grid_value_equals_train(self):

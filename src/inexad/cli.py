@@ -11,6 +11,11 @@ from .harness import ExperimentConfig, emit_report, run_experiment
 from .training import DEFAULT_LAMBDA_GRID, MODES, TrainConfig
 
 
+def number_list(text):
+    """A --lambda-grid value: comma-separated numbers."""
+    return tuple(map(float, text.split(",")))
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="inexad",
@@ -25,10 +30,12 @@ def _build_parser():
                         help="label column name (only with --dataset csv; default: label)")
     parser.add_argument("--mode", action="append", choices=list(MODES),
                         help="mode to run; repeatable (default: proposed)")
-    parser.add_argument("--lambda", dest="fixed_lambda", type=float,
-                        help="fixed ranking weight (skips grid search)")
-    parser.add_argument("--lambda-grid", metavar="V1,V2,...",
-                        help="comma-separated grid for lambda selection")
+    lam = parser.add_mutually_exclusive_group()
+    lam.add_argument("--lambda", dest="fixed_lambda", type=float,
+                     help="fixed ranking weight (skips grid search)")
+    lam.add_argument("--lambda-grid", metavar="V1,V2,...", type=number_list,
+                     default=DEFAULT_LAMBDA_GRID,
+                     help="comma-separated grid for lambda selection")
     parser.add_argument("--repeats", type=int, default=10,
                         help="number of repeated random splits (default: 10)")
     parser.add_argument("--seed", type=int, default=0,
@@ -49,8 +56,6 @@ def cli_parse(argv):
         parser.print_help()
         raise SystemExit(2)
     args = parser.parse_args(argv)
-    if args.fixed_lambda is not None and args.lambda_grid is not None:
-        parser.error("--lambda and --lambda-grid are mutually exclusive")
     if args.dataset == "csv" and not args.csv:
         parser.error("--dataset csv requires --csv PATH")
     for flag, value in (("--csv", args.csv), ("--label-col", args.label_col)):
@@ -62,15 +67,7 @@ def cli_parse(argv):
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         parser.error(f"--out: {existing} exists and is not a directory")
-    if args.fixed_lambda is not None:
-        grid = (args.fixed_lambda,)
-    elif args.lambda_grid is not None:
-        try:
-            grid = tuple(float(v) for v in args.lambda_grid.split(","))
-        except ValueError:
-            parser.error(f"cannot parse --lambda-grid {args.lambda_grid!r}")
-    else:
-        grid = DEFAULT_LAMBDA_GRID
+    grid = args.lambda_grid if args.fixed_lambda is None else (args.fixed_lambda,)
     try:
         return ExperimentConfig(
             csv_path=args.csv,

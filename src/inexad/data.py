@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .network import ShapeError
+from .network import ShapeError, check_path, integer, sequence
 
 
 class DataError(ValueError):
@@ -73,8 +73,9 @@ def _parse_label(raw, row_num):
 def load_csv(path, label_column="label"):
     """Read a numeric CSV with one label column into a Dataset named str(path).
 
-    label_column may be a header name or a 0-based column index; a
-    number that is not integral is a DataError.  A header row is
+    path is a str, bytes or os.PathLike, else a DataError: a number would
+    be read, and closed, as a file descriptor.  label_column is a header
+    name or a 0-based column index.  A header row is
     detected by attempting to parse the first row's attribute cells as
     numbers.  The file is read as UTF-8, with or without a byte-order
     mark; blank lines are skipped.
@@ -85,12 +86,12 @@ def load_csv(path, label_column="label"):
     row fails at once, but a non-finite cell is reported only after
     every row has parsed.
     """
-    if not isinstance(label_column, str) and _integral(label_column) is None:
-        raise DataError(f"label column {label_column!r} is neither a header name "
-                        "nor an integer index")
+    path = check_path("path", path, DataError)
+    if not isinstance(label_column, str):  # else a column index
+        label_column = integer("label_column", label_column, 0, DataError)
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = _csv.reader(fh)
@@ -114,13 +115,9 @@ def _read_csv(reader, path, label_column):
         raise DataError(f"{path} has no feature column: its rows hold one cell")
 
     header = None
-    if isinstance(label_column, str):
-        label_idx_guess = None
-    else:
-        label_idx_guess = int(label_column)
     try:
         for j, cell in enumerate(first):
-            if j != label_idx_guess:
+            if j != label_column:
                 float(cell)
     except ValueError:
         header = [c.strip() for c in first]
@@ -131,19 +128,19 @@ def _read_csv(reader, path, label_column):
     if isinstance(label_column, str):
         if header is None:
             raise DataError(
-                f"label column {label_column!r} requested by name but "
+                f"label_column {label_column!r} requested by name but "
                 f"{path} has no header row"
             )
         try:
             label_idx = header.index(label_column)
         except ValueError:
             raise DataError(
-                f"label column {label_column!r} not found in header {header}"
+                f"label_column {label_column!r} not found in header {header}"
             ) from None
     else:
-        label_idx = int(label_column)
+        label_idx = label_column
         if not 0 <= label_idx < width:
-            raise DataError(f"label column index {label_idx} out of range")
+            raise DataError(f"label_column index {label_idx} out of range")
 
     values, flags = array("d"), []
     non_finite = None  # (line, column, cell) of the first non-finite cell
@@ -155,10 +152,12 @@ def _read_csv(reader, path, label_column):
         try:
             feats = list(map(float, row))
         except ValueError:
-            k, cell = next((k, cell) for k, cell in enumerate(row)
-                           if not _is_number(cell))
-            raise DataError(f"row {line}, column {k + (k >= label_idx)}: "
-                            f"non-numeric cell {cell!r}") from None
+            for k, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"row {line}, column {k + (k >= label_idx)}: "
+                                    f"non-numeric cell {cell!r}") from None
         # a non-finite sum flags a non-finite cell (or, rarely, overflow)
         if non_finite is None and not math.isfinite(sum(feats)):
             k = next((k for k, v in enumerate(feats) if not math.isfinite(v)), None)
@@ -177,14 +176,6 @@ def _read_csv(reader, path, label_column):
     X = np.frombuffer(values).reshape(len(flags), width - 1)
     return Dataset(X=X, is_anomaly=np.array(flags),
                    name=str(path), feature_names=feature_names)
-
-
-def _is_number(cell):
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
 
 
 def preprocess(ds):
@@ -210,34 +201,13 @@ def preprocess(ds):
                    name=ds.name, feature_names=list(ds.feature_names))
 
 
-def _integral(value):
-    """value as an int if it is an integral number other than a bool, else None."""
-    if isinstance(value, (bool, np.bool_)):
-        return None
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return whole if whole == value else None
-
-
-def _size(name, value, low):
-    """value as an int; DataError naming it unless it is an integer >= low."""
-    whole = _integral(value)
-    if whole is None or whole < low:
-        raise DataError(f"{name} must be an integer >= {low}, got {value!r}")
-    return whole
-
-
 def _anomaly_pool(pool, is_anomaly):
-    """pool as an np.intp array; DataError at its first entry that is not a
-    distinct anomaly's row index."""
+    """pool as an np.intp array; DataError unless it is a sequence, naming its
+    first entry that is not a distinct anomaly's row index."""
     seen = {}  # the checked indices, in pool order
-    for k, entry in enumerate(pool):
-        idx = _integral(entry)
-        if idx is None:
-            problem = "is not an integer"
-        elif not 0 <= idx < len(is_anomaly):
+    for k, entry in enumerate(sequence("set_anomaly_pool", pool, DataError)):
+        idx = integer(f"set_anomaly_pool[{k}]", entry, 0, DataError)
+        if idx >= len(is_anomaly):
             problem = f"is out of range for {len(is_anomaly)} rows"
         elif not is_anomaly[idx]:
             problem = "is not an anomaly"
@@ -246,7 +216,7 @@ def _anomaly_pool(pool, is_anomaly):
         else:
             seen[idx] = None
             continue
-        raise DataError(f"set_anomaly_pool[{k}] = {entry} {problem}")
+        raise DataError(f"set_anomaly_pool[{k}] = {idx} {problem}")
     return np.fromiter(seen, dtype=np.intp, count=len(seen))
 
 
@@ -262,15 +232,13 @@ def make_splits(ds, rng, n_train_sets=10, n_val_sets=5, set_size=5,
     not an anomaly, or a repeat.  The sizes must be integers, at least 1
     (n_train_sets at least 0); DataError names the first that is not.
     """
-    n_train_sets = _size("n_train_sets", n_train_sets, 0)
-    n_val_sets = _size("n_val_sets", n_val_sets, 1)
-    set_size = _size("set_size", set_size, 1)
+    n_train_sets = integer("n_train_sets", n_train_sets, 0, DataError)
+    n_val_sets = integer("n_val_sets", n_val_sets, 1, DataError)
+    set_size = integer("set_size", set_size, 1, DataError)
     normal_idx = np.flatnonzero(~ds.is_anomaly)
     anomaly_idx = np.flatnonzero(ds.is_anomaly)
-    if set_anomaly_pool is None:
-        eligible = anomaly_idx
-    else:
-        eligible = _anomaly_pool(set_anomaly_pool, ds.is_anomaly)
+    eligible = (anomaly_idx if set_anomaly_pool is None
+                else _anomaly_pool(set_anomaly_pool, ds.is_anomaly))
 
     n_sets = n_train_sets + n_val_sets
     if eligible.size < n_sets or anomaly_idx.size < n_sets + 1:

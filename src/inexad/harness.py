@@ -12,7 +12,6 @@ import csv
 import itertools
 import json
 import math
-import numbers
 import os
 import pickle
 import select
@@ -24,12 +23,12 @@ import numpy as np
 
 from .data import gen_synthetic, load_csv, make_splits, materialize, preprocess
 from .metrics import RocCurve, empirical_auc, roc_curve
+from .network import check_path, choice, integer, sequence
 from .scorer import score_batch
 from .training import (
     MODES,
     VAL_METRIC,
     TrainConfig,
-    _is_number,
     _lambda_groups,
     _train_members,
     _usable_cpus,
@@ -49,24 +48,25 @@ class ExperimentConfig:
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        for name, low in (("n_repeats", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (_is_number(value, numbers.Integral) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-            setattr(self, name, int(value))  # json.dump takes no numpy integer
+        self.n_repeats = integer("n_repeats", self.n_repeats, 1)  # json.dump takes no np.int64
+        self.seed = integer("seed", self.seed, 0)
+        if self.csv_path is not None:
+            self.csv_path = check_path("csv_path", self.csv_path)
+        self.out_dir = check_path("out_dir", self.out_dir)
+        if not isinstance(self.label_col, str):  # else a column index
+            self.label_col = integer("label_col", self.label_col, 0)
         if self.csv_path is None and self.label_col != "label":
             raise ValueError(f"label_col {self.label_col!r} needs csv_path: the "
                              "synthetic data has no label column")
-        if isinstance(self.modes, str):
-            raise ValueError(f"modes takes a sequence of mode names, got the string "
-                             f"{self.modes!r}")
+        self.modes = sequence("modes", self.modes)
         if not self.modes:
             raise ValueError("modes must name at least one mode")
         for i, m in enumerate(self.modes):
-            if m not in MODES:
-                raise ValueError(f"unknown mode {m!r}")
+            choice(f"modes[{i}]", m, MODES)
             if m in self.modes[:i]:
-                raise ValueError(f"mode {m!r} is given more than once")
+                raise ValueError(f"modes: mode {m!r} is given more than once")
+        if not isinstance(self.train_config, TrainConfig):
+            raise ValueError(f"train_config takes a TrainConfig, got {self.train_config!r}")
         # each round sets these itself, so another value would be ignored
         default = TrainConfig()
         for name, owner in (("lam", "train_config.lambda_grid=(lam,)"),
@@ -80,8 +80,8 @@ class ExperimentConfig:
         for i, lam in enumerate(grid):
             for earlier in grid[:i]:
                 if _history_label(earlier) == _history_label(lam):
-                    raise ValueError(f"lambda grid values {earlier!r} and {lam!r} would "
-                                     "share one history: they print alike")
+                    raise ValueError(f"train_config.lambda_grid values {earlier!r} and {lam!r} "
+                                     "would share one history: they print alike")
 
 
 @dataclass
@@ -155,8 +155,8 @@ def _lambdas_for(mode, grid):
     return grid
 
 
-def _train_task(train_data, val_data, cfg, lams, tracks, overlap=None):
-    """Train one objective group of one repeat.
+def _train_task(train_data, val_data, cfg, lams, plain, tracks, overlap=None):
+    """Train one objective group of one repeat: plain as _lambda_groups flagged it.
 
     Returns ({track: [TrainResult per lam]}, seconds).  Per track, only the
     group's best_of_grid winner keeps its parameters: a mode's winner over
@@ -164,7 +164,7 @@ def _train_task(train_data, val_data, cfg, lams, tracks, overlap=None):
     kernel: False in pool workers, which keep every CPU busy already.
     """
     t0 = time.perf_counter()
-    trained = _train_members(train_data, val_data, cfg, lams, tracks, overlap=overlap)
+    trained = _train_members(train_data, val_data, cfg, lams, plain, tracks, overlap=overlap)
     for results in trained:
         best = best_of_grid(list(zip(lams, results)))
         for res in results:
@@ -348,9 +348,9 @@ def run_experiment(config):
             cfg, metric, used = replace(tc, mode=mode, rng_seed=seed_r), VAL_METRIC[mode], []
             for plain, group in _lambda_groups(mode, lams):
                 key = (r, None if plain else mode, tuple(lams[i] for i in group))
-                task = tasks.setdefault(key, (train_data, val_data, cfg, key[2], []))
-                if metric not in task[4]:
-                    task[4].append(metric)
+                task = tasks.setdefault(key, (train_data, val_data, cfg, key[2], plain, []))
+                if metric not in task[5]:
+                    task[5].append(metric)
                 used.append(key)
             plan.append((r, mode, test_data, lams, used))
 

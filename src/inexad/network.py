@@ -9,9 +9,14 @@ mlp_backward adapt them to a chain with a linear last layer on an
 consumes its tape, so mlp_backward runs it on a copy.  A model's
 parameters are one flat vector holding, per layer, the weight in
 row-major order and then the bias.  layer_views is the one place that
-knows this layout.
+knows this layout.  integer, real, choice, sequence and check_path
+are the one rule per kind of setting given from outside: a value one
+rejects raises a ValueError that names the setting.
 """
 
+import numbers
+import os
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -139,6 +144,51 @@ def check_batch(x, width):
     if x.shape[1] != width:
         raise ShapeError(f"batch has {x.shape[1]} features but the first layer expects {width}")
     return x
+
+
+def integer(name, value, low, error=ValueError):
+    """value as an int; error naming the setting unless it is a real number, not
+    a bool, of integral value and at least low."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if (whole := int(value)) == value and whole >= low:
+                return whole
+        except (ValueError, OverflowError):  # NaN, +-inf
+            pass
+    raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def real(name, value):
+    """value as a float; ValueError naming the setting unless it is a real number,
+    not a bool, that a float can hold."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} takes numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {value!r}") from None
+
+
+def choice(name, value, options):
+    """ValueError naming the setting unless value is one of the str options."""
+    if not isinstance(value, str) or value not in options:
+        raise ValueError(f"unknown {name} {value!r}, expected one of {options}")
+
+
+def sequence(name, value, error=ValueError):
+    """value's entries as a tuple; error naming the setting unless it is a
+    1-d array or a sequence other than a str or bytes."""
+    if (isinstance(value, np.ndarray) and value.ndim == 1
+            or isinstance(value, Sequence) and not isinstance(value, (str, bytes))):
+        return tuple(value)
+    raise error(f"{name} takes a sequence, got {value!r}")
+
+
+def check_path(name, value, error=ValueError):
+    """value as a str; error naming the setting unless it is a str, bytes or os.PathLike."""
+    if not isinstance(value, (str, bytes, os.PathLike)):
+        raise error(f"{name} takes a file path, got {value!r}")
+    return os.fsdecode(value)
 
 
 def mlp_forward(layers, x, activation="relu"):

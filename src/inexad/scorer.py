@@ -17,7 +17,6 @@ score_batch give the same bits.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +27,13 @@ from .network import (
     ShapeError,
     backward_pass,
     check_batch,
+    choice,
     forward_pass,
     init_params,
+    integer,
     layer_views,
     mlp_forward,
+    sequence,
     squared_error,
 )
 
@@ -56,20 +58,12 @@ class AutoencoderParams:
     decoder: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}, expected one of "
-                f"{ACTIVATIONS}"
-            )
-        dims = list(self.dims) if np.ndim(self.dims) == 1 else []
-        if (len(dims) < 3 or len(dims) % 2 == 0 or dims[0] != dims[-1]
-                or not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
-                           and d >= 1 for d in dims)):
-            raise ShapeError(
-                "dims must be an odd number (at least 3) of positive integers "
-                f"that starts and ends at the input width, got {self.dims!r}"
-            )
-        self.dims = [int(d) for d in dims]
+        choice("activation", self.activation, ACTIVATIONS)
+        self.dims = [integer(f"dims[{i}]", d, 1, ShapeError)
+                     for i, d in enumerate(sequence("dims", self.dims, ShapeError))]
+        if len(self.dims) < 3 or len(self.dims) % 2 == 0 or self.dims[0] != self.dims[-1]:
+            raise ShapeError("dims must be an odd number (at least 3) of widths that "
+                             f"starts and ends at the input width, got {self.dims}")
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.ndim != 1:
             raise ShapeError(f"theta must be 1-d, got {self.theta.ndim}-d")

@@ -44,14 +44,22 @@ results do not change.
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import empirical_auc, segment_max, segment_starts
-from .network import ACTIVATIONS, ShapeError, _sigmoid_into, check_batch
+from .network import (
+    ACTIVATIONS,
+    ShapeError,
+    _sigmoid_into,
+    check_batch,
+    choice,
+    integer,
+    real,
+    sequence,
+)
 from .scorer import (
     DEFAULT_CODE,
     DEFAULT_HIDDEN,
@@ -98,55 +106,34 @@ class TrainConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}, "
-                             f"expected one of {ACTIVATIONS}")
-        if isinstance(self.lambda_grid, (str, bytes)) or not hasattr(self.lambda_grid, "__len__"):
-            raise ValueError(f"lambda_grid takes a sequence of numbers, got {self.lambda_grid!r}")
-        if not len(self.lambda_grid):
-            raise ValueError("lambda_grid must be nonempty")
+        choice("mode", self.mode, MODES)
+        choice("activation", self.activation, ACTIVATIONS)
         # stored as floats, which %g file names, ==, json.dump and Adam's in-place steps need
-        self.lam = _float("lam", self.lam)
-        self.lambda_grid = tuple(_float("lambda_grid", lam) for lam in self.lambda_grid)
-        for lam in (self.lam, *self.lambda_grid):
+        self.lam = real("lam", self.lam)
+        self.lambda_grid = tuple(real("lambda_grid", lam)
+                                 for lam in sequence("lambda_grid", self.lambda_grid))
+        if not self.lambda_grid:
+            raise ValueError("lambda_grid must be nonempty")
+        for name, lam in (("lam", self.lam), *(("lambda_grid", v) for v in self.lambda_grid)):
             # a set sign bit (-0) would print apart from the 0 it trains as
             if not (math.isfinite(lam) and math.copysign(1, lam) > 0):
-                raise ValueError(f"lambda must be finite and nonnegative, not -0, got {lam}")
+                raise ValueError(f"{name}: lambda must be finite and nonnegative, "
+                                 f"not -0, got {lam}")
         for name in ("learning_rate", "adam_eps"):
-            value = _float(name, getattr(self, name))
+            value = real(name, getattr(self, name))
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
             setattr(self, name, value)
         for name in ("adam_beta1", "adam_beta2"):
-            value = _float(name, getattr(self, name))
+            value = real(name, getattr(self, name))
             if not 0 <= value < 1:
                 raise ValueError(f"{name} must be a number in [0, 1), got {value!r}")
             setattr(self, name, value)
         for name, low in (("batch_sets", 1), ("batch_normals", 1), ("max_epochs", 0),
                           ("rng_seed", 0), ("hidden_dim", 1), ("code_dim", 1)):
-            value = getattr(self, name)
-            if not (_is_number(value, numbers.Integral) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.patience is not None and not (
-                _is_number(self.patience, numbers.Integral) and self.patience >= 1):
-            raise ValueError(f"patience must be an integer >= 1 or None, got {self.patience!r}")
-
-
-def _is_number(value, kind=numbers.Real):
-    """Whether value is a number of the given kind other than a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _float(name, value):
-    """value as a float; a ValueError naming the setting unless a float can hold it."""
-    if not _is_number(value):
-        raise ValueError(f"{name} takes numbers, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float, got {value!r}") from None
+            setattr(self, name, integer(name, getattr(self, name), low))
+        if self.patience is not None:
+            self.patience = integer("patience", self.patience, 1)
 
 
 @dataclass
@@ -223,8 +210,7 @@ def _objective(mode, lams, a_n, set_scores, lengths, take=np.empty, grad=None):
 
 def mode_objective(mode, params, data, lam):
     """Exact objective of one mode over a TrainData's sets and normals."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    choice("mode", mode, MODES)
     a_n = score_batch(params, data.normals)
     if _is_plain(mode, lam):
         return float(_objective(mode, lam, a_n, None, None))
@@ -248,8 +234,7 @@ def _first_argmax(scores, maxima, starts, lengths):
 def objective_grad(params, batch, lam, mode="proposed"):
     """Exact gradient of the objective over a TrainData batch, laid out like
     params.theta: a training step's _step_grad on a one-model stack."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    choice("mode", mode, MODES)
     normals = check_batch(batch.normals, params.input_dim)  # TrainData gives set_rows this width
     j = normals.shape[0]
     if _is_plain(mode, lam):
@@ -348,8 +333,7 @@ def validation_metric(mode, params, data):
     AUC; ae and sae score every set member as an individual anomaly and
     use the plain AUC, matching how those baselines are tuned.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    choice("mode", mode, MODES)
     if not len(data.lengths):
         raise ValueError("validation needs at least one weakly labeled set")
     return _metric(score_batch(params, data.normals), score_batch(params, data.set_rows),
@@ -387,11 +371,12 @@ def _overlap_pays(work):
     return blas.num_threads() == 1
 
 
-def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None):
+def _train_members(train_data, val_data, config, lams, plain, tracks=None, overlap=None):
     """Train one model per value in lams, in lockstep.
 
     Every setting but lam comes from config.  All members score the same
-    rows, so either every lam makes the objective plain or none does.
+    rows, so either every lam makes the objective plain or none does, as
+    plain says (_lambda_groups decides it for a grid).
     tracks names the validation metrics (VAL_METRIC values) to stop on,
     by default config.mode's.  Each member keeps, per track, its own
     TrainResult, which each epoch's evaluation, from epoch 0's of the
@@ -414,7 +399,6 @@ def _train_members(train_data, val_data, config, lams, tracks=None, overlap=None
     """
     mode = config.mode
     tracks = tracks or (VAL_METRIC[mode],)
-    plain = _is_plain(mode, lams[0])
     normals, lengths = train_data.normals, train_data.lengths
     if not plain and not len(lengths):
         raise ValueError(f"mode {mode!r} requires training sets")
@@ -569,7 +553,8 @@ def train(train_data, val_data, config):
     The recorded train objective is the exact full-data value, not the
     minibatch estimate.  This is the training kernel with one member.
     """
-    return _train_members(train_data, val_data, config, [config.lam])[0][0]
+    return _train_members(train_data, val_data, config, [config.lam],
+                          _is_plain(config.mode, config.lam))[0][0]
 
 
 def _lambda_groups(mode, lams):
@@ -589,8 +574,8 @@ def grid_search(train_data, val_data, config):
     """Train once per lambda_grid value; returns [(lam, TrainResult), ...] in grid order."""
     grid = config.lambda_grid
     results = [None] * len(grid)
-    for _, group in _lambda_groups(config.mode, grid):
-        trained = _train_members(train_data, val_data, config, [grid[i] for i in group])[0]
+    for plain, group in _lambda_groups(config.mode, grid):
+        trained = _train_members(train_data, val_data, config, [grid[i] for i in group], plain)[0]
         for i, result in zip(group, trained):
             results[i] = result
     return list(zip(grid, results))

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import os
 import re
 import tracemalloc
 from dataclasses import fields
@@ -92,6 +93,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="unknown label"):
             load_csv(path, label_column=2)
 
+    def test_descriptor_is_not_a_path(self):
+        # open() would read the number as a file descriptor, and close it
+        read_end, write_end = os.pipe()
+        try:
+            with pytest.raises(DataError, match=f"^path takes a file path, got {read_end}$"):
+                load_csv(read_end)
+            os.fstat(read_end)  # still open
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             load_csv(tmp_path / "nope.csv", label_column=0)
@@ -105,7 +117,7 @@ class TestLoadCsv:
     def test_non_integral_label_column_rejected(self, tmp_path, column):
         # column 1 holds valid labels, so reading it as column 1 would succeed
         path = write(tmp_path, "1,0,1\n3,1,0\n")
-        with pytest.raises(DataError, match="is neither a header name nor an integer index"):
+        with pytest.raises(DataError, match="label_column must be an integer >= 0"):
             load_csv(path, label_column=column)
 
     def test_integral_label_column_of_any_number_type(self, tmp_path):
@@ -336,11 +348,11 @@ class TestMakeSplits:
 
     @pytest.mark.parametrize("bad, message", [
         (440, r"set_anomaly_pool\[15\] = 440 is out of range for 440 rows"),
-        (-1, r"set_anomaly_pool\[15\] = -1 is out of range"),
+        (-1, r"set_anomaly_pool\[15\] must be an integer >= 0, got -1$"),
         (7, r"set_anomaly_pool\[15\] = 7 is not an anomaly"),
         (402, r"set_anomaly_pool\[15\] = 402 repeats an earlier entry"),
-        (400.9, r"set_anomaly_pool\[15\] = 400.9 is not an integer"),
-        (True, r"set_anomaly_pool\[15\] = True is not an integer"),
+        (400.9, r"set_anomaly_pool\[15\] must be an integer >= 0, got 400.9$"),
+        (True, r"set_anomaly_pool\[15\] must be an integer >= 0, got True$"),
     ], ids=["past-the-end", "negative", "normal-row", "repeat", "fraction", "bool"])
     def test_bad_anomaly_pool_rejected(self, bad, message):
         rng = np.random.default_rng(69)
@@ -353,7 +365,8 @@ class TestMakeSplits:
     def test_fractional_pool_array_rejected_at_its_first_entry(self):
         rng = np.random.default_rng(69)
         ds = toy_dataset(rng, n_normals=400, n_anoms=40)
-        with pytest.raises(DataError, match=r"set_anomaly_pool\[0\] = 400.9 is not an integer"):
+        with pytest.raises(DataError, match=r"set_anomaly_pool\[0\] must be an integer >= 0, "
+                                             r"got np.float64\(400.9\)$"):
             make_splits(ds, rng, set_anomaly_pool=np.arange(400, 415) + 0.9)
 
     def test_integral_float_pool_plants_the_same_rows(self):
@@ -363,18 +376,6 @@ class TestMakeSplits:
         got = make_splits(ds, np.random.default_rng(3), set_anomaly_pool=pool.astype(float))
         for f in fields(SplitSpec):
             np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
-
-    @pytest.mark.parametrize("kw", [
-        dict(set_size=0), dict(set_size=-1), dict(set_size=True), dict(set_size=2.5),
-        dict(n_train_sets=2.5), dict(n_train_sets=-1), dict(n_train_sets=False),
-        dict(n_val_sets=0), dict(n_val_sets=True), dict(n_val_sets="5"),
-    ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
-    def test_bad_size_rejected(self, kw):
-        rng = np.random.default_rng(70)
-        ds = toy_dataset(rng, n_normals=400, n_anoms=40)
-        (name, value), = kw.items()
-        with pytest.raises(DataError, match=f"^{name} must be an integer >= .*got {value!r}$"):
-            make_splits(ds, rng, **kw)
 
     def test_integral_float_sizes_build_the_same_split(self):
         ds = toy_dataset(np.random.default_rng(70), n_normals=400, n_anoms=40)

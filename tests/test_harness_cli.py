@@ -63,7 +63,7 @@ class TestExperimentConfig:
 
     def test_bare_string_modes(self):
         # a string is a sequence too, of one-letter "modes"
-        with pytest.raises(ValueError, match="modes takes a sequence of mode names"):
+        with pytest.raises(ValueError, match="modes takes a sequence, got 'proposed'"):
             ExperimentConfig(modes="proposed")
 
     def test_no_modes(self):
@@ -386,7 +386,7 @@ class TestParallelRounds:
 
     @needs_fork
     def test_pool_workers_do_not_overlap_evaluation(self, monkeypatch):
-        def spy(train_data, val_data, cfg, lams, tracks, overlap=None):
+        def spy(train_data, val_data, cfg, lams, plain, tracks, overlap=None):
             # the overlap setting the kernel was given, returned as the history
             return [[TrainResult(best_params=None, best_val_metric=0.0, history=[overlap],
                                  stopped_epoch=0, chosen_lambda=lam) for lam in lams]
@@ -394,7 +394,7 @@ class TestParallelRounds:
 
         # forked workers inherit the patched kernel
         monkeypatch.setattr(harness, "_train_members", spy)
-        tasks = [(None, None, TrainConfig(), [1.0], ["val_auc"])] * 3
+        tasks = [(None, None, TrainConfig(), [1.0], False, ["val_auc"])] * 3
         monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
         pooled = harness._map_tasks(tasks)
         assert [out["val_auc"][0].history for out, _ in pooled] == [[False]] * 3

@@ -368,7 +368,7 @@ MALFORMED = [
     pytest.param([3, 0, 3], 3, id="zero-width"),
     pytest.param([3, -4, 3], param_count([3, 4, 3]), id="negative-width"),
     pytest.param([3, 4, 2], param_count([3, 4, 2]), id="ends-differ"),
-    pytest.param([3.0, 4.0, 3.0], param_count([3, 4, 3]), id="float-widths"),
+    pytest.param([3, 4.5, 3], param_count([3, 4, 3]), id="fractional-width"),
     pytest.param(3, 0, id="0-d"),
     pytest.param([3, 4, 3], param_count([3, 4, 3]) - 1, id="theta-too-short"),
     pytest.param([3, 4, 3], param_count([3, 4, 3]) + 1, id="theta-too-long"),

@@ -107,56 +107,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="grid"):
             TrainConfig(lambda_grid=())
 
-    @pytest.mark.parametrize("kw", [
-        dict(learning_rate=math.nan),
-        dict(learning_rate=math.inf),
-        dict(adam_beta1=1.0),
-        dict(adam_beta2=1.5),
-        dict(adam_eps=-1.0),
-        dict(hidden_dim=0),
-        dict(code_dim=0),
-        dict(max_epochs=2.5),
-        dict(batch_sets=2.5),
-        dict(rng_seed=1.5),
-        dict(lambda_grid="1"),
-        dict(lambda_grid=(0.0, "1")),
-        dict(lambda_grid=(0.0, None)),
-        dict(lambda_grid=5),
-        dict(lambda_grid=b"1"),
-        dict(lambda_grid=(True,)),
-        dict(lam=True),
-        dict(learning_rate=True),
-        dict(learning_rate="0.1"),
-        dict(adam_beta1=False),
-        dict(adam_beta1="0.9"),
-        dict(max_epochs=True),
-        dict(patience=True),
-        dict(batch_sets=True),
-    ])
-    def test_bad_setting_rejected_when_built(self, kw):
-        # each of these used to fail only once training ran, or not at all
-        (name,) = kw
-        with pytest.raises(ValueError, match=name):
-            TrainConfig(**kw)
-
-    @pytest.mark.parametrize("kw", [dict(lam=10**400), dict(lambda_grid=(1.0, 10**400)),
-                                    dict(learning_rate=10**400), dict(adam_eps=10**400)])
-    def test_setting_too_large_for_a_float(self, kw):
-        (name,) = kw
-        with pytest.raises(ValueError, match=f"{name} is too large for a float"):
-            TrainConfig(**kw)
-
-    def test_real_settings_are_stored_as_floats(self):
-        config = TrainConfig(lam=Fraction(1, 2), lambda_grid=np.array([0, 1.5]),
-                             learning_rate=np.float32(0.5), adam_eps=1, adam_beta1=Fraction(9, 10),
-                             adam_beta2=0)
-        assert (config.lam, config.lambda_grid) == (0.5, (0.0, 1.5))
-        assert (config.learning_rate, config.adam_eps, config.adam_beta1, config.adam_beta2) \
-            == (0.5, 1.0, 0.9, 0.0)
-        reals = (config.lam, *config.lambda_grid, config.learning_rate, config.adam_eps,
-                 config.adam_beta1, config.adam_beta2)
-        assert all(type(v) is float for v in reals)
-
     def test_array_grid_compares_equal(self):
         # == compares the stored tuples; kept arrays would make it ambiguous
         assert TrainConfig(lambda_grid=np.array([1.0, 2.0])) == TrainConfig(lambda_grid=(1.0, 2.0))
@@ -762,9 +712,9 @@ class TestGridMatchesAllocatingReference(ForcedOverlap):
         groups = []
         kernel = training._train_members
 
-        def spy(train_data, val_data, config, lams, **kwargs):
+        def spy(train_data, val_data, config, lams, plain, **kwargs):
             groups.append(list(lams))
-            return kernel(train_data, val_data, config, lams, **kwargs)
+            return kernel(train_data, val_data, config, lams, plain, **kwargs)
 
         monkeypatch.setattr(training, "_train_members", spy)
         results = grid_search(train_data, val_data, config)
@@ -791,7 +741,7 @@ class TestTwoTracks:
         train_data, val_data = ragged_problem(np.random.default_rng(seed), shift=shift)
         config = quick_config(mode="ae", max_epochs=60, patience=3, batch_sets=3,
                               batch_normals=11, hidden_dim=128, code_dim=16)
-        runs = training._train_members(train_data, val_data, config, [0.0],
+        runs = training._train_members(train_data, val_data, config, [0.0], True,
                                        tracks=("val_auc", "val_set_auc"), overlap=overlap)
         # one track keeps going after the other has stopped
         assert tuple(run.stopped_epoch for (run,) in runs) == stops
@@ -840,7 +790,7 @@ class TestOverlappedEvaluation:
         before = threading.active_count()
         with pytest.raises(RuntimeError) as caught:
             training._train_members(train_data, val_data, quick_config(max_epochs=8),
-                                    [1.0], overlap=True)
+                                    [1.0], False, overlap=True)
         assert caught.value is error
         assert threading.active_count() == before
         assert len(threads) == 4 and threading.main_thread() not in threads
@@ -850,7 +800,7 @@ class TestOverlappedEvaluation:
         train_data, val_data = tiny_problem(rng)
         before = threading.active_count()
         (result,), = training._train_members(train_data, val_data, quick_config(),
-                                             [1.0], overlap=True)
+                                             [1.0], False, overlap=True)
         assert threading.active_count() == before
         assert result.history == train(train_data, val_data, quick_config()).history
 
@@ -861,11 +811,12 @@ class TestOverlappedEvaluation:
         config = quick_config(max_epochs=30, patience=3, batch_sets=3, batch_normals=11,
                               hidden_dim=128, code_dim=16)
         lams = [1e-2, 0.5, 3.0, 30.0]
-        inline = training._train_members(train_data, val_data, config, lams, overlap=False)
+        inline = training._train_members(train_data, val_data, config, lams, False,
+                                         overlap=False)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            overlapped = training._train_members(train_data, val_data, config, lams,
+            overlapped = training._train_members(train_data, val_data, config, lams, False,
                                                  overlap=True)
         finally:
             sys.setswitchinterval(interval)
@@ -948,7 +899,7 @@ class TestStopReason:
         train_data, val_data = tiny_problem(rng)
         config = quick_config(max_epochs=6)
         (huge, finite), = training._train_members(train_data, val_data, config,
-                                                  [1e170, 1.0], overlap=overlap)
+                                                  [1e170, 1.0], False, overlap=overlap)
         init = ae_init(2, config.rng_seed, hidden=8, code=2)
         assert [epoch for epoch, _, _ in huge.history] == [0]
         assert (huge.stopped_epoch, huge.best_epoch, huge.stop_reason) == (0, 0, "non-finite")

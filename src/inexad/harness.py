@@ -161,7 +161,7 @@ def _train_task(train_data, val_data, cfg, lams, plain, tracks, overlap=None):
     Returns ({track: [TrainResult per lam]}, seconds).  Per track, only the
     group's best_of_grid winner keeps its parameters: a mode's winner over
     its whole grid is always one of these.  overlap goes to the training
-    kernel: False in pool workers, which keep every CPU busy already.
+    kernel: False in the pool's children, which keep every CPU busy already.
     """
     t0 = time.perf_counter()
     trained = _train_members(train_data, val_data, cfg, lams, plain, tracks, overlap=overlap)
@@ -175,139 +175,104 @@ def _train_task(train_data, val_data, cfg, lams, plain, tracks, overlap=None):
 
 def _worker_count(n_tasks):
     """One worker per usable CPU, at most one per task; 1 where fork is unavailable."""
-    if not hasattr(os, "fork"):
-        return 1
-    return min(n_tasks, _usable_cpus())
-
-
-_INDEX_BYTES = 4  # a task index on a worker's task pipe; one write, so atomic
-
-
-def _serve(tasks, task_in, result_out):
-    """Body of a forked pool worker: for each task index read from task_in,
-    until the parent closes it, write one pickled (index, ok, result or
-    exception) to result_out."""
-    # the parent ends its workers, so an interrupt sent to the whole process
-    # group must not end one first and read as a lost worker
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    from . import blas
-
-    blas.set_num_threads(1)
-    with open(result_out, "wb") as out:
-        while index := os.read(task_in, _INDEX_BYTES):
-            i = int.from_bytes(index, "little")
-            try:  # the workers fill the CPUs, so no training overlaps its evaluation
-                message = (i, True, _train_task(*tasks[i], False))
-            except Exception as exc:
-                message = (i, False, exc)
-            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
-            out.flush()
-
-
-def _fork_worker(tasks, senders, readers):
-    """Fork one pool worker running _serve; append the parent's ends of its
-    task and result pipes to senders and readers, and return its pid."""
-    task_in, sender = os.pipe()
-    senders.append(sender)
-    reader, result_out = os.pipe()
-    readers.append(open(reader, "rb"))
-    try:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                # the parent's ends of every pipe so far: a task pipe's writer held
-                # open here, a sibling's or its own, would hide EOF from its reader
-                for fd in senders:
-                    os.close(fd)
-                for r in readers:
-                    r.close()
-                _serve(tasks, task_in, result_out)
-                code = 0
-            finally:
-                os._exit(code)  # never return into the caller's stack
-    finally:
-        os.close(task_in)
-        os.close(result_out)
-    return pid
+    return min(n_tasks, _usable_cpus()) if hasattr(os, "fork") else 1
 
 
 def _map_tasks(tasks):
     """_train_task over tuples of its arguments, results in task order.
 
     Tasks are seeded on their own, so the results do not depend on how
-    many workers run them.  With one worker they run in the calling
-    process.  Otherwise each worker is forked after the task table is
-    built, so it inherits the table and the imported package, and only
-    task indices and results cross a pipe.  The parent hands the next
-    index to whichever worker answered, and starts no thread for the
-    pool.  Each worker runs its BLAS on one thread, and the caller keeps
-    its own setting: BLAS threads on top of full workers slowed a 4-mode
-    run several-fold.  A worker leaves when the parent closes its task
-    pipe.  The first failed task, a worker that ends without its result
-    (a RuntimeError saying how it ended) or an interrupt kills every
-    worker at once instead.  No worker outlives the call.
+    many run at once.  With one worker they run in the calling process.
+    Otherwise each task runs in a child forked for it, in task order and
+    at most one per worker at a time.  The child inherits the task table
+    and the imported package, writes one pickled (ok, result or
+    exception) to a pipe of its own and exits; the parent reaps it once
+    it has read that, and starts no thread.  The children inherit one
+    BLAS thread, which the parent sets for the call: BLAS threads on top
+    of full workers slowed a 4-mode run several-fold, and a child that
+    set it itself would first restart the BLAS threads its fork stopped.
+    The first failed task, a child that ends without its result (a
+    RuntimeError saying how it ended) or an interrupt kills every running
+    child at once.  No child outlives the call.
     """
     workers = _worker_count(len(tasks))
     if workers <= 1:
         return list(itertools.starmap(_train_task, tasks))
-    results = [None] * len(tasks)
-    queue = iter(range(len(tasks)))
-    pids, senders, readers = [], [], []  # per worker; None once reaped or closed
-    in_flight, poller = {}, select.poll()  # result fd -> (worker, task index)
+    from . import blas  # imported here: ctypes is not needed at import time
 
-    def hand_out(k):
-        """Send worker k its next task, or close its task pipe if none is left."""
-        i = next(queue, None)
-        if i is None:
-            os.close(senders[k])
-            senders[k] = None
-        else:
-            os.write(senders[k], i.to_bytes(_INDEX_BYTES, "little"))
-            in_flight[readers[k].fileno()] = k, i
-            poller.register(readers[k], select.POLLIN)
+    threads = blas.num_threads()
+    results, queue = [None] * len(tasks), iter(range(len(tasks)))
+    running, poller = {}, select.poll()  # result fd -> (task index, pid, reader)
 
-    try:
-        # an interrupt while forking waits until every worker's pid is known
+    def start(i):
+        """Fork the child of task i and record it in running."""
+        # an interrupt waits until the child is recorded
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for _ in range(workers):
-                pids.append(_fork_worker(tasks, senders, readers))
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        # the parent ends its children, so an interrupt sent to the whole
+                        # process group must not end one first and read as a lost child
+                        signal.signal(signal.SIGINT, signal.SIG_IGN)
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        try:  # the children fill the CPUs, so no training overlaps its evaluation
+                            message = True, _train_task(*tasks[i], False)
+                        except Exception as exc:
+                            message = False, exc
+                        with open(writer, "wb") as out:
+                            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+                        os._exit(0)
+                    finally:  # never return into the caller's stack
+                        os._exit(1)
+            except BaseException:
+                os.close(reader)
+                raise
+            finally:  # before the next fork: a later child holding it would hide EOF
+                os.close(writer)
+            running[reader] = i, pid, open(reader, "rb")
+            poller.register(reader, select.POLLIN)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for k in range(workers):
-            hand_out(k)
-        while in_flight:
+
+    try:
+        blas.set_num_threads(1)
+        for i in itertools.islice(queue, workers):
+            start(i)
+        while running:
             for fd, _ in poller.poll():
-                k, i = in_flight.pop(fd)
-                poller.unregister(fd)
+                i, pid, reader = running[fd]
+                with reader:
+                    try:
+                        ok, value = pickle.load(reader)
+                    except (EOFError, pickle.UnpicklingError):
+                        ok = None
+                # an interrupt waits until the reaped child is out of running
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 try:
-                    index, ok, value = pickle.load(readers[k])
-                except (EOFError, pickle.UnpicklingError):
-                    code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
-                    pids[k] = None
+                    status = os.waitpid(pid, 0)[1]
+                    del running[fd]
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                poller.unregister(fd)
+                if ok is None:
+                    code = os.waitstatus_to_exitcode(status)
                     how = (f"was killed by {signal.Signals(-code).name}" if code < 0
                            else f"exited with code {code}")
-                    raise RuntimeError(f"a pool worker {how} while training task {i}") from None
+                    raise RuntimeError(f"a pool worker {how} while training task {i}")
                 if not ok:
                     raise value
-                results[index] = value
-                hand_out(k)
-    except BaseException:
-        for pid in pids:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for fd in senders:
-            if fd is not None:
-                os.close(fd)
-        for reader in readers:
+                results[i] = value
+                for j in itertools.islice(queue, 1):
+                    start(j)
+    finally:  # only a failure or an interrupt leaves children running
+        for _, pid, reader in running.values():
+            os.kill(pid, signal.SIGKILL)
             reader.close()
-        for pid in pids:
-            if pid is not None:
-                os.waitpid(pid, 0)
+            os.waitpid(pid, 0)
+        blas.set_num_threads(threads)  # threads is None only where no setter is found
     return results
 
 
@@ -315,7 +280,7 @@ def run_experiment(config):
     """Run every (repeat, mode) round and aggregate test AUCs.
 
     The parent draws the splits and scores the test data; the training
-    runs in a pool of worker processes (see _map_tasks), one task per
+    runs in a child process per task (see _map_tasks), one task per
     objective group, keyed (repeat, mode, lambdas).  The plain objective
     (ae, and proposed and sae at lambda 0) has mode None, so each repeat
     trains it once, with one validation track per metric.

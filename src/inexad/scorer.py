@@ -84,6 +84,10 @@ def ae_init(input_dim, rng_seed, hidden=DEFAULT_HIDDEN, code=DEFAULT_CODE,
             activation="relu"):
     """Fresh autoencoder D -> hidden -> code -> hidden -> D: the encoder drawn
     from rng_seed, the decoder from rng_seed + 1."""
+    input_dim = integer("input_dim", input_dim, 1, ShapeError)
+    hidden = integer("hidden", hidden, 1, ShapeError)
+    code = integer("code", code, 1, ShapeError)
+    rng_seed = integer("rng_seed", rng_seed, 0)
     theta = np.concatenate([init_params([input_dim, hidden, code], rng_seed),
                             init_params([code, hidden, input_dim], rng_seed + 1)])
     return AutoencoderParams([input_dim, hidden, code, hidden, input_dim], theta,

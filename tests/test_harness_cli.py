@@ -1,6 +1,7 @@
 """Tests for the experiment harness, report emission, and the CLI front end."""
 
 import csv
+import errno
 import json
 import os
 import signal
@@ -202,6 +203,23 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def group_processes(group):
+    """'pid state command line' of each process in the process group, from /proc;
+    a command line is cut to its first 80 characters, blanks squeezed."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state, _, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+            if int(pgrp) == group:
+                with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                    command = fh.read().replace(b"\0", b" ").decode(errors="replace")
+                found.append(f"{pid} {state} {' '.join(command.split())[:80]}")
+        except OSError:  # it left while being read
+            pass
+    return found
+
+
 class TestParallelRounds:
     @needs_fork
     def test_worker_count_does_not_change_results(self, monkeypatch):
@@ -289,8 +307,8 @@ class TestParallelRounds:
     @needs_fork
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
     def test_idle_worker_leaves_before_its_siblings(self, monkeypatch, tmp_path):
-        # worker 0 answers first, with no task left for it, so its task pipe
-        # closes; its siblings, forked after it, must not hold that pipe open
+        # task 0's child finishes first, with no task left for its worker; it
+        # must leave while its siblings, forked after it, still run
         first = tmp_path / "first"
 
         def task(i):
@@ -300,11 +318,16 @@ class TestParallelRounds:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 try:
-                    with open(f"/proc/{int(first.read_text())}/stat") as fh:
-                        if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
-                            return True  # exited, and not yet reaped
+                    pid = int(first.read_text())
                 except (FileNotFoundError, ValueError):  # not written yet
-                    pass
+                    pid = None
+                if pid is not None:
+                    try:
+                        with open(f"/proc/{pid}/stat") as fh:
+                            if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                                return True  # exited, and not yet reaped
+                    except FileNotFoundError:
+                        return True  # exited and reaped
                 time.sleep(0.01)
             return False
 
@@ -312,6 +335,44 @@ class TestParallelRounds:
         monkeypatch.setattr(harness, "_worker_count", lambda n: 3)
         assert harness._map_tasks([(i,) for i in range(3)]) == [True] * 3
         assert_no_children()
+
+    @needs_fork
+    def test_lost_child_is_seen_while_a_sibling_runs(self, monkeypatch):
+        # the sibling, forked after the lost child, must not hold its result pipe open
+        def task(i):
+            if i == 0:
+                os._exit(3)
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "_train_task", lambda i, overlap: task(i))
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="a pool worker exited with code 3 while "
+                                               "training task 0"):
+            harness._map_tasks([(i,) for i in range(2)])
+        assert time.monotonic() - began < 10
+        assert_no_children()
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="reads /proc")
+    def test_failed_fork_leaves_no_child_and_no_descriptor(self, monkeypatch):
+        fork, forks = os.fork, []
+
+        def failing_fork():
+            forks.append(None)
+            if len(forks) == 3:
+                raise OSError(errno.EAGAIN, "no process left")
+            return fork()
+
+        monkeypatch.setattr(harness, "_train_task", lambda i, overlap: i)
+        monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="no process left"):
+            harness._map_tasks([(i,) for i in range(4)])
+        assert len(forks) == 3
+        assert_no_children()
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     @needs_fork
     def test_parent_imports_no_process_pool(self, tmp_path):
@@ -335,11 +396,13 @@ class TestParallelRounds:
     def test_interrupt_ends_the_pool(self, tmp_path):
         # Ctrl-C in a terminal sends SIGINT to the whole foreground process group
         code = textwrap.dedent("""
-            import sys, time
+            import os, sys, time
             from inexad import cli, harness
 
             def task(*args):
-                print("training", flush=True)
+                # one write, so that two children's lines cannot interleave, as
+                # print's two writes can when PYTHONUNBUFFERED is set
+                os.write(1, b"training\\n")
                 time.sleep(60)
 
             harness._train_task = task  # forked workers inherit the patch
@@ -357,8 +420,10 @@ class TestParallelRounds:
             try:
                 out, err = proc.communicate(timeout=30)
             except subprocess.TimeoutExpired:
+                left = group_processes(proc.pid)
                 os.killpg(proc.pid, signal.SIGKILL)
-                raise
+                pytest.fail("the run outlived SIGINT by 30 s; its process group held "
+                            "(pid state command): " + "; ".join(left))
         assert time.monotonic() - sent < 10  # the workers' tasks were not waited for
         assert (proc.returncode, out, err) == (130, "", "interrupted\n")
         with pytest.raises(ProcessLookupError):  # no process is left in the group

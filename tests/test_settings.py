@@ -3,14 +3,14 @@ stored as the documented type or rejected by a ValueError that names the
 setting.
 
 The settings are those of TrainConfig, ExperimentConfig, make_splits (its
-pool too), load_csv, AutoencoderParams and cli_parse.  Each is tried with
-every value in HOSTILE and with random numbers, strings and bytes.  The
-rules below are the documented ones, spelled apart from the package's
-checks: an integer setting takes a real number, not a bool, of integral
-value (5, np.int64(5), 5.0, Fraction(10, 2)) and stores an int; a real
-setting takes a real number, not a bool, that a float can hold, and
-stores a float.  A constructor that returns no stored value (make_splits,
-load_csv) must give exactly what it gives for the int.
+pool too), load_csv, AutoencoderParams, ae_init and cli_parse.  Each is
+tried with every value in HOSTILE and with random numbers, strings and
+bytes.  The rules below are the documented ones, spelled apart from the
+package's checks: an integer setting takes a real number, not a bool, of
+integral value (5, np.int64(5), 5.0, Fraction(10, 2)) and stores an int;
+a real setting takes a real number, not a bool, that a float can hold,
+and stores a float.  A constructor that returns no stored value
+(make_splits, load_csv) must give exactly what it gives for the int.
 """
 
 import contextlib
@@ -21,17 +21,19 @@ import os
 from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from inexad import scorer
 from inexad.cli import cli_parse
 from inexad.data import DataError, Dataset, load_csv, make_splits
 from inexad.harness import ExperimentConfig
 from inexad.network import ShapeError, param_count
-from inexad.scorer import AutoencoderParams
+from inexad.scorer import AutoencoderParams, ae_init
 from inexad.training import ACTIVATIONS, MODES, TrainConfig
 
 # Every setting is tried with each of these; the integral ones include the
@@ -323,6 +325,43 @@ SETTINGS.update({
     "model-activation": (
         lambda v: AutoencoderParams([1, 1, 1], np.zeros(4), activation=v).activation,
         lambda v: as_choice("activation", v, ACTIVATIONS)),
+})
+
+
+# --- ae_init: a width above 100 is checked, but its layers, which could fill
+# the memory, are not drawn: init_params is stopped and the widths kept ---
+
+class _Widths(Exception):
+    """The layer widths init_params was given, raised in its place."""
+
+
+def _stop(layer_dims, rng_seed):
+    raise _Widths(layer_dims)
+
+
+def _ae_width(name, index):
+    """ae_init's width setting name, as the model's dims[index] keeps it."""
+    def build(value):
+        kw = {"input_dim": 2, "rng_seed": 0, "hidden": 2, "code": 1, name: value}
+        if not (_number(value) and value > 100):
+            return ae_init(**kw).dims[index]
+        with mock.patch.object(scorer, "init_params", _stop):
+            try:
+                ae_init(**kw)
+            except _Widths as stopped:
+                return stopped.args[0][index]
+    return build
+
+
+def _ae_theta(seed):
+    return ae_init(2, seed, hidden=1, code=1).theta.tolist()
+
+
+SETTINGS.update({
+    **{f"ae_init-{name}": (_ae_width(name, index),
+                           lambda v, name=name: as_integer(name, v, 1, ShapeError))
+       for index, name in enumerate(("input_dim", "hidden", "code"))},
+    "ae_init-rng_seed": (_ae_theta, lambda v: _ae_theta(as_integer("rng_seed", v, 0))),
 })
 
 

@@ -31,8 +31,8 @@ Each CLI probe also runs on this tree under each of two settings:
   not exist, this run is reported as skipped;
 - blas-default: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
   GOTO_NUM_THREADS are removed, so BLAS runs its default thread count
-  (and, with more than one thread, no evaluation overlaps).  Pool
-  workers set their own BLAS to one thread, so cli-4-mode, whose
+  (and, with more than one thread, no evaluation overlaps).  The
+  pool's children set their own BLAS to one thread, so cli-4-mode, whose
   `workers` is above 1 on 2 or more CPUs, then varies only the
   thread count of the parent's test scoring; training at the default
   thread count is covered by cli-csv-32, which trains in-process.
@@ -45,8 +45,8 @@ that differs (`setting`: `against`, `one-cpu` or `blas-default`) and
 the function or file.  For every run it records the OpenBLAS kernel set
 (`blas_core`, read by that side's inexad.blas), the number of usable
 CPUs (`cpus`) and the probe process's BLAS thread count
-(`blas_threads`); for each CLI run also the number of pool workers
-run_experiment trained in (`workers`, 1 when it trained in-process)
+(`blas_threads`); for each CLI run also the number of tasks
+run_experiment trained at once (`workers`, 1 when it trained in-process)
 and, for cli-csv-32, whether its training overlapped its evaluation
 (`overlapped`).  Equal bits are expected only within one kernel set,
 and a setting proves nothing when its run saw the same CPUs, threads,

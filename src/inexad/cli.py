@@ -95,6 +95,13 @@ def main(argv=None):
         print("interrupted", file=sys.stderr)
         return 130
     for mode, res in sorted(report.modes.items()):
+        # such a run's reported model is the best it reached before the overflow
+        for r, rd in enumerate(res.rounds):
+            for lam, result in rd.results:
+                if result.stop_reason == "non-finite":
+                    print(f"warning: {mode} repeat {r} lambda {lam:g} stopped at epoch "
+                          f"{result.stopped_epoch}: its Adam state became non-finite",
+                          file=sys.stderr)
         print(f"{mode}: mean test AUC {res.mean:.3f} "
               f"(stderr {res.stderr:.3f}, {len(res.aucs)} repeats)")
     print(f"wrote {len(files)} files to {config.out_dir}")

@@ -92,7 +92,7 @@ class Round:
     chosen_lambda: float  # None for mil, which ignores lambda
     seconds: float  # training time, see run_experiment
     roc: RocCurve  # of the chosen model on the test data
-    results: list  # [(lam, TrainResult)] of the mode's grid, in grid order
+    results: list  # [(lam, TrainResult)] of the mode's grid, in grid order; best_params None
 
 
 @dataclass
@@ -155,22 +155,27 @@ def _lambdas_for(mode, grid):
     return grid
 
 
-def _train_task(train_data, val_data, cfg, lams, plain, tracks, overlap=None):
-    """Train one objective group of one repeat: plain as _lambda_groups flagged it.
+def _train_task(train_data, val_data, cfg, lams, plain, tracks, test_data, overlap=None):
+    """Train one objective group of one repeat (plain as _lambda_groups
+    flagged it), then score test_data with each track's best_of_grid winner.
 
-    Returns ({track: [TrainResult per lam]}, seconds).  Per track, only the
-    group's best_of_grid winner keeps its parameters: a mode's winner over
-    its whole grid is always one of these.  overlap goes to the training
-    kernel: False in the pool's children, which keep every CPU busy already.
+    Returns ({track: ([TrainResult per lam], (anomaly scores, normal
+    scores))}, seconds), where seconds counts the training only.  A mode's
+    winner over its whole grid is always the first maximum of its own
+    group, so the caller needs the scores but no model: every best_params
+    is None.  overlap goes to the training kernel: False in the pool's
+    children, which keep every CPU busy already.
     """
     t0 = time.perf_counter()
     trained = _train_members(train_data, val_data, cfg, lams, plain, tracks, overlap=overlap)
-    for results in trained:
-        best = best_of_grid(list(zip(lams, results)))
+    seconds, out = time.perf_counter() - t0, {}
+    for track, results in zip(tracks, trained):
+        best = best_of_grid(list(zip(lams, results))).best_params
+        out[track] = results, (score_batch(best, test_data.anomalies),
+                               score_batch(best, test_data.normals))
         for res in results:
-            if res is not best:
-                res.best_params = None
-    return dict(zip(tracks, trained)), time.perf_counter() - t0
+            res.best_params = None
+    return out, seconds
 
 
 def _worker_count(n_tasks):
@@ -279,11 +284,13 @@ def _map_tasks(tasks):
 def run_experiment(config):
     """Run every (repeat, mode) round and aggregate test AUCs.
 
-    The parent draws the splits and scores the test data; the training
-    runs in a child process per task (see _map_tasks), one task per
-    objective group, keyed (repeat, mode, lambdas).  The plain objective
-    (ae, and proposed and sae at lambda 0) has mode None, so each repeat
-    trains it once, with one validation track per metric.
+    The parent draws the splits; each task trains in a child process
+    (see _map_tasks) and scores the test data with its winners there, so
+    the parent computes only AUCs and ROC curves from the scores and
+    holds no model.  There is one task per objective group, keyed
+    (repeat, mode, lambdas).  The plain objective (ae, and proposed and
+    sae at lambda 0) has mode None, so each repeat trains it once, with
+    one validation track per metric.
     """
     base_ds = None
     if config.csv_path is not None:
@@ -298,7 +305,7 @@ def run_experiment(config):
         modes={m: ModeResult(rounds=[]) for m in config.modes},
     )
 
-    plan = []  # (repeat, mode, test data, lams, keys of the tasks it uses)
+    plan = []  # (repeat, mode, lams, keys of the tasks it uses)
     tasks = {}  # (repeat, mode or None when plain, lams) -> _train_task arguments
     for r in range(config.n_repeats):
         seed_r = config.seed + r
@@ -313,23 +320,26 @@ def run_experiment(config):
             cfg, metric, used = replace(tc, mode=mode, rng_seed=seed_r), VAL_METRIC[mode], []
             for plain, group in _lambda_groups(mode, lams):
                 key = (r, None if plain else mode, tuple(lams[i] for i in group))
-                task = tasks.setdefault(key, (train_data, val_data, cfg, key[2], plain, []))
+                task = tasks.setdefault(key, (train_data, val_data, cfg, key[2], plain, [],
+                                              test_data))
                 if metric not in task[5]:
                     task[5].append(metric)
                 used.append(key)
-            plan.append((r, mode, test_data, lams, used))
+            plan.append((r, mode, lams, used))
 
     # the costliest tasks first, so that none of them starts last; ties in plan order
     order = sorted(tasks, key=lambda key: -len(key[2]))
     done = dict(zip(order, _map_tasks([tasks[key] for key in order])))
     # a task's seconds are split equally between the rounds it serves
     users = collections.Counter(t for *_, used in plan for t in used)
-    for r, mode, test_data, lams, used in plan:
-        found = dict(pair for t in used for pair in zip(t[2], done[t][0][VAL_METRIC[mode]]))
-        results = [(lam, found[lam]) for lam in lams]
+    for r, mode, lams, used in plan:
+        found = {}  # lam -> (TrainResult, test scores of its task's winner)
+        for t in used:
+            results, scores = done[t][0][VAL_METRIC[mode]]
+            found.update((lam, (res, scores)) for lam, res in zip(t[2], results))
+        results = [(lam, found[lam][0]) for lam in lams]
         best = best_of_grid(results)
-        a_scores = score_batch(best.best_params, test_data.anomalies)
-        n_scores = score_batch(best.best_params, test_data.normals)
+        a_scores, n_scores = found[best.chosen_lambda][1]
         report.modes[mode].rounds.append(Round(
             auc=empirical_auc(a_scores, n_scores),
             # mil ignores lambda entirely; don't report a fake choice

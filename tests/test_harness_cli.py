@@ -11,6 +11,7 @@ import textwrap
 import time
 from dataclasses import fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from inexad.harness import (
 )
 from inexad.data import gen_synthetic, materialize
 from inexad.metrics import roc_curve
+from inexad.scorer import score_batch
 from inexad.training import (
     DEFAULT_LAMBDA_GRID,
     VAL_METRIC,
@@ -429,6 +431,33 @@ class TestParallelRounds:
         with pytest.raises(ProcessLookupError):  # no process is left in the group
             os.killpg(proc.pid, 0)
 
+    @needs_fork
+    def test_parent_scores_nothing(self, monkeypatch):
+        # a child's appends die with it, so the list holds the caller's calls only
+        scored, score = [], harness.score_batch
+
+        def recorder(*args):
+            scored.append(os.getpid())
+            return score(*args)
+
+        monkeypatch.setattr(harness, "score_batch", recorder)
+        config = tiny_config(lambda_grid=(0.0, 1.0))
+        reports = []
+        for workers in (2, 1):
+            monkeypatch.setattr(harness, "_worker_count", lambda n, w=workers: w)
+            reports.append(run_experiment(config))
+            assert set(scored) == (set() if workers == 2 else {os.getpid()})
+        pooled, serial = reports
+        assert list(pooled.modes) == list(serial.modes) == ["proposed", "mil"]
+        for mode, res in pooled.modes.items():
+            for ours, theirs in zip(res.rounds, serial.modes[mode].rounds, strict=True):
+                assert (ours.auc, ours.chosen_lambda) == (theirs.auc, theirs.chosen_lambda)
+                for name in ("thresholds", "fpr", "tpr"):
+                    assert np.array_equal(getattr(ours.roc, name), getattr(theirs.roc, name))
+                assert [(lam, result.history) for lam, result in ours.results] \
+                    == [(lam, result.history) for lam, result in theirs.results]
+                assert all(result.best_params is None for _, result in ours.results)
+
     def test_costliest_tasks_start_first(self, monkeypatch):
         config = tiny_config(modes=("proposed", "ae", "mil", "sae"),
                              lambda_grid=(0.0, 1.0, 10.0))
@@ -457,16 +486,18 @@ class TestParallelRounds:
                                  stopped_epoch=0, chosen_lambda=lam) for lam in lams]
                     for _ in tracks]
 
-        # forked workers inherit the patched kernel
+        # forked workers inherit the patched kernel and scorer
         monkeypatch.setattr(harness, "_train_members", spy)
-        tasks = [(None, None, TrainConfig(), [1.0], False, ["val_auc"])] * 3
+        monkeypatch.setattr(harness, "score_batch", lambda params, rows: rows)
+        test_data = SimpleNamespace(anomalies=None, normals=None)
+        tasks = [(None, None, TrainConfig(), [1.0], False, ["val_auc"], test_data)] * 3
         monkeypatch.setattr(harness, "_worker_count", lambda n: 2)
         pooled = harness._map_tasks(tasks)
-        assert [out["val_auc"][0].history for out, _ in pooled] == [[False]] * 3
+        assert [out["val_auc"][0][0].history for out, _ in pooled] == [[False]] * 3
         # one worker: the caller's process, where the kernel decides
         monkeypatch.setattr(harness, "_worker_count", lambda n: 1)
         serial = harness._map_tasks(tasks)
-        assert [out["val_auc"][0].history for out, _ in serial] == [[None]] * 3
+        assert [out["val_auc"][0][0].history for out, _ in serial] == [[None]] * 3
 
     @needs_fork
     def test_pool_workers_run_blas_on_one_thread(self):
@@ -766,6 +797,19 @@ class TestMain:
         assert sorted(p.name for p in out.glob("auc_*.csv")) == sorted(
             f"auc_{mode}.csv" for mode in modes)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_stop_is_named_on_stderr(self, tmp_path, capsys):
+        # lambda 1e170 overflows the Adam state in the first epoch's steps
+        argv = ["--mode", "proposed", "--repeats", "1", "--epochs", "20"]
+        assert main(argv + ["--lambda", "1e170", "--out", str(tmp_path / "overflow")]) == 0
+        out, err = capsys.readouterr()
+        assert "warning: proposed repeat 0 lambda 1e+170 stopped at epoch 0: " \
+               "its Adam state became non-finite\n" in err
+        assert out.startswith("proposed: mean test AUC ") and "warning" not in out
+        # a run that stays finite names nothing
+        assert main(argv + ["--lambda", "1", "--out", str(tmp_path / "finite")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_runtime_failure_exit_one(self, tmp_path, capsys):
         code = main(["--dataset", "csv", "--csv", str(tmp_path / "missing.csv"),
                      "--repeats", "1"])
@@ -803,7 +847,7 @@ class TestSharedPlainRun:
         monkeypatch.setattr(harness, "_train_task", spy)
         report = run_experiment(config)
         ds, split = gen_synthetic(np.random.default_rng(5))
-        train_data, val_data, _ = materialize(ds, split)
+        train_data, val_data, test_data = materialize(ds, split)
         tc = replace(config.train_config, rng_seed=5)
         expected = {
             "ae": train(train_data, val_data, replace(tc, mode="ae", lam=0.0)),
@@ -812,10 +856,14 @@ class TestSharedPlainRun:
         }
         assert expected["ae"].stopped_epoch != expected["proposed"].stopped_epoch
         for mode, want in expected.items():
-            (got,) = shared[VAL_METRIC[mode]]
+            (got,), (a_scores, n_scores) = shared[VAL_METRIC[mode]]
             lam, reported = report.modes[mode].rounds[0].results[0]
             assert lam == 0.0 and reported is got
             assert got.history == want.history
             assert (got.stopped_epoch, got.best_epoch, got.stop_reason) \
                 == (want.stopped_epoch, want.best_epoch, want.stop_reason)
-            np.testing.assert_array_equal(got.best_params.theta, want.best_params.theta)
+            # the task sends back its winner's test scores, not its parameters
+            np.testing.assert_array_equal(a_scores, score_batch(want.best_params,
+                                                                test_data.anomalies))
+            np.testing.assert_array_equal(n_scores, score_batch(want.best_params,
+                                                                test_data.normals))

@@ -23,19 +23,20 @@ tree's src/:
   --lambda 1 --repeats 1 --epochs 30`, a training that evaluates each
   epoch on a helper thread when a CPU is spare.
 
-Each CLI probe also runs on this tree under each of two settings:
+Each CLI probe also runs on this tree under the settings that can
+change its computation:
 
 - one-cpu: the subprocess is pinned to the lowest CPU the tool may
   run on, as `taskset -c 0` would pin it, so the run has one worker
   and never overlaps its evaluation.  Where os.sched_setaffinity does
   not exist, this run is reported as skipped;
-- blas-default: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-  GOTO_NUM_THREADS are removed, so BLAS runs its default thread count
-  (and, with more than one thread, no evaluation overlaps).  The
-  pool's children set their own BLAS to one thread, so cli-4-mode, whose
-  `workers` is above 1 on 2 or more CPUs, then varies only the
-  thread count of the parent's test scoring; training at the default
-  thread count is covered by cli-csv-32, which trains in-process.
+- blas-default, cli-csv-32 only: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+  and GOTO_NUM_THREADS are removed, so BLAS runs its default thread
+  count (and, with more than one thread, no evaluation overlaps).
+  cli-csv-32 trains and scores in-process.  cli-4-mode does not run
+  under it: on 2 or more CPUs its pool's children, which set their own
+  BLAS to one thread, do every matmul, so the setting would vary
+  nothing.
 
 Each run is compared with this tree's plain run: the function hashes,
 or the CLI output directories file by file, as `diff -r` would, after
@@ -73,7 +74,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBES = ("hashes", "cli-4-mode", "cli-csv-32")
-SETTINGS = ("one-cpu", "blas-default")
+SETTINGS = {"cli-4-mode": ("one-cpu",), "cli-csv-32": ("one-cpu", "blas-default")}
 CLI_ARGS = {
     "cli-4-mode": ["--mode", "proposed", "--mode", "ae", "--mode", "mil", "--mode", "sae",
                    "--repeats", "2", "--seed", "5", "--epochs", "300", "--patience", "20"],
@@ -205,8 +206,8 @@ def _extract(rev, dest):
 
 
 def _probe(tree, name, out_dir, setting=None):
-    """Run probe `name` on `tree` into out_dir, under setting (None or one of
-    SETTINGS); returns (result, error text or None)."""
+    """Run probe `name` on `tree` into out_dir, under setting (None,
+    "one-cpu" or "blas-default"); returns (result, error text or None)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"),
                SAME_BITS_SRC=str((tree / "src").resolve()))
     pin = (functools.partial(os.sched_setaffinity, 0, {min(os.sched_getaffinity(0))})
@@ -266,7 +267,7 @@ def _difference(name, work, side, results):
 
 def compare(rev, work):
     """Run every probe on the commit rev and on this tree, and each CLI probe
-    on this tree under each of SETTINGS; returns the verdict."""
+    on this tree under each of its SETTINGS; returns the verdict."""
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     base = work / "against"
     base.mkdir()
@@ -276,8 +277,7 @@ def compare(rev, work):
     for name in PROBES:
         started = time.perf_counter()
         runs = [("tree", ROOT, None), ("against", base, None)]
-        if name != "hashes":
-            runs += [(setting, ROOT, setting) for setting in SETTINGS]
+        runs += [(setting, ROOT, setting) for setting in SETTINGS.get(name, ())]
         entry, results = {"status": "equal", "runs": {}}, {}
         for side, tree, setting in runs:
             if setting == "one-cpu" and not hasattr(os, "sched_setaffinity"):

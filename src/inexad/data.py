@@ -269,13 +269,15 @@ def make_splits(ds, rng, n_train_sets=10, n_val_sets=5, set_size=5,
 
     train_sets, train_normals = build_sets(set_anoms[:n_train_sets], perm[:n_tr])
     val_sets, val_normals = build_sets(set_anoms[n_train_sets:], perm[n_tr:n_tr + n_va])
+    unplanted = ds.is_anomaly.copy()  # not np.setdiff1d, which imports numpy.ma
+    unplanted[set_anoms] = False
     return SplitSpec(
         train_normals=train_normals,
         val_normals=val_normals,
         test_normals=perm[n_tr + n_va:],
         train_sets=train_sets,
         val_sets=val_sets,
-        test_anomalies=np.setdiff1d(anomaly_idx, set_anoms),
+        test_anomalies=np.flatnonzero(unplanted),
     )
 
 

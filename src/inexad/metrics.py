@@ -22,6 +22,8 @@ class EmptyScoresError(ValueError):
 
 def _check_scores(name, scores):
     arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptyScoresError(f"{name} must be nonempty")
     if not np.all(np.isfinite(arr)):
@@ -108,7 +110,8 @@ def roc_curve(anomaly_scores, normal_scores):
     """
     a = _check_scores("anomaly_scores", anomaly_scores)
     n = _check_scores("normal_scores", normal_scores)
-    levels = np.unique(np.concatenate([a, n]))[::-1]
+    levels = np.sort(np.concatenate([a, n]))  # deduplicated here: np.unique imports numpy.ma
+    levels = levels[np.append(True, levels[1:] != levels[:-1])][::-1]
     sorted_a = np.sort(a)
     sorted_n = np.sort(n)
     # strict '>' at threshold h: count of scores above h

@@ -45,6 +45,8 @@ results do not change.
 import functools
 import math
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,11 +138,44 @@ class TrainConfig:
             self.patience = integer("patience", self.patience, 1)
 
 
+class History(Sequence):
+    """A run's (epoch, train objective, val metric) rows as flat doubles, 24 bytes a
+    row; a row becomes a tuple only when read.  Equal to any sequence of equal rows."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self):
+        self._values = array("d")
+
+    def append(self, row):
+        epoch, objective, metric = row
+        self._values.extend((epoch, objective, metric))
+
+    def __len__(self):
+        return len(self._values) // 3
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]  # a list's IndexError and negative indices
+        if isinstance(rows, range):
+            return [self[i] for i in rows]
+        return int(self._values[3 * rows]), *self._values[3 * rows + 1:3 * rows + 3]
+
+    def __iter__(self):
+        flat = iter(self._values)
+        for epoch, objective, metric in zip(flat, flat, flat):
+            yield int(epoch), objective, metric
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
 @dataclass
 class TrainResult:
+    """One run's best snapshot and validation metric, and its rows from epoch 0 on."""
+
     best_params: AutoencoderParams
     best_val_metric: float
-    history: list  # of (epoch, train_objective, val_metric)
+    history: Sequence  # of (epoch, train_objective, val_metric) rows; a History when trained
     stopped_epoch: int
     chosen_lambda: float = None
     best_epoch: int = 0
@@ -380,7 +415,7 @@ def _train_members(train_data, val_data, config, lams, plain, tracks=None, overl
     tracks names the validation metrics (VAL_METRIC values) to stop on,
     by default config.mode's.  Each member keeps, per track, its own
     TrainResult, which each epoch's evaluation, from epoch 0's of the
-    initialisation on, is booked in as it is decided (history, best
+    initialisation on, is booked in as it is decided (a History row, best
     metric, epoch and snapshot, early stopping, and a stop at the epoch
     before the steps that overflowed the member's Adam state); a member
     whose tracks have all stopped is swapped behind the active ones, and
@@ -436,7 +471,7 @@ def _train_members(train_data, val_data, config, lams, plain, tracks=None, overl
     # per track, one run per member (not per slot); stopped_epoch is None while it runs
     runs = [[TrainResult(best_params=ae_from_vector(init.theta.copy(), init.dims,
                                                     activation=config.activation),
-                         best_val_metric=-math.inf, history=[], stopped_epoch=None,
+                         best_val_metric=-math.inf, history=History(), stopped_epoch=None,
                          chosen_lambda=lam, stop_reason=None)
              for lam in lams] for _ in tracks]
 

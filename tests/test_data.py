@@ -9,6 +9,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inexad.data import (
     SYNTH_ANOM_TRAIN_MEAN,
@@ -391,6 +393,25 @@ class TestMakeSplits:
         for f in fields(SplitSpec):
             assert getattr(split, f.name).dtype == np.intp, f.name
         assert split.train_sets.shape == (0, 1) and split.val_sets.shape == (5, 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n_anoms=st.integers(5, 30), n_train_sets=st.integers(0, 3),
+           set_size=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_test_anomalies_match_setdiff1d(self, data, n_anoms, n_train_sets, set_size, seed):
+        rng = np.random.default_rng(seed)
+        flags = rng.permutation(np.arange(120 + n_anoms) >= 120)  # anomalies anywhere
+        ds = Dataset(X=rng.normal(size=(flags.size, 2)), is_anomaly=flags)
+        # at most 5 sets of 3 fit the 18-normal validation pool
+        n_val_sets = data.draw(st.integers(1, min(5, n_anoms - 1 - n_train_sets)))
+        anomalies = np.flatnonzero(flags).tolist()
+        pool = data.draw(st.none() | st.permutations(anomalies).flatmap(
+            lambda p: st.integers(n_train_sets + n_val_sets, len(p)).map(lambda k: p[:k])))
+        split = make_splits(ds, rng, n_train_sets=n_train_sets, n_val_sets=n_val_sets,
+                            set_size=set_size, set_anomaly_pool=pool)
+        planted = np.concatenate([split.train_sets[:, 0], split.val_sets[:, 0]])
+        want = np.setdiff1d(np.flatnonzero(flags), planted)
+        assert split.test_anomalies.dtype == want.dtype
+        assert split.test_anomalies.tolist() == want.tolist()
 
 
 def split_digest(split):

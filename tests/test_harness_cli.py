@@ -387,7 +387,9 @@ class TestParallelRounds:
             for mode in ("proposed", "ae", "mil", "sae"):
                 argv += ["--mode", mode]
             assert cli.main(argv) == 0
-            print([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+            # numpy.ma too: np.setdiff1d and 1-d np.unique import it, and the parent needs neither
+            print([m for m in ("multiprocessing", "concurrent.futures", "numpy.ma")
+                   if m in sys.modules])
         """)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -398,7 +400,10 @@ class TestParallelRounds:
     def test_interrupt_ends_the_pool(self, tmp_path):
         # Ctrl-C in a terminal sends SIGINT to the whole foreground process group
         code = textwrap.dedent("""
-            import os, sys, time
+            import os, signal, sys, time
+            # a process started with SIGINT ignored, as a background job of a
+            # non-interactive shell is, gets no KeyboardInterrupt; a terminal's run does
+            signal.signal(signal.SIGINT, signal.default_int_handler)
             from inexad import cli, harness
 
             def task(*args):

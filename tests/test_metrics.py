@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inexad.metrics import (
@@ -52,6 +52,18 @@ class TestEmpiricalAuc:
     @given(a=scores, n=scores)
     def test_range(self, a, n):
         assert 0.0 <= empirical_auc(a, n) <= 1.0
+
+
+@pytest.mark.parametrize("a, n, name", [
+    (0.5, [0.3], "anomaly_scores"),
+    ([0.5], 0.3, "normal_scores"),
+    ([0.5], [[0.3, 0.1]], "normal_scores"),
+    ([[0.5, 0.7]], [0.3], "anomaly_scores"),
+], ids=["scalar-anomaly", "scalar-normal", "2-d-normals", "2-d-anomalies"])
+def test_scores_must_be_1d(a, n, name):
+    for metric in (empirical_auc, roc_curve):
+        with pytest.raises(ValueError, match=f"^{name} must be 1-d, got shape "):
+            metric(a, n)
 
 
 class TestSegmentStarts:
@@ -224,6 +236,12 @@ def midrank_auc(anoms, norms):
     return total / (len(anoms) * len(norms))
 
 
+# few distinct values, so most draws tie, and any finite float (with -0.0 beside 0.0)
+tied_scores = st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 7.0]),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=12)
+
+
 def roc_points(curve):
     """The curve's (FPR, TPR) points, in threshold order."""
     return list(zip(curve.fpr, curve.tpr))
@@ -266,3 +284,17 @@ class TestRocCurve:
     def test_empty_raises(self):
         with pytest.raises(EmptyScoresError):
             roc_curve([], [0.1])
+
+    @settings(max_examples=200)
+    @given(a=tied_scores, n=tied_scores)
+    def test_matches_unique_levels(self, a, n):
+        # reference: np.unique's levels, counted as roc_curve counts them
+        levels = np.unique(np.concatenate([a, n]))[::-1]
+        a, n = np.array(a), np.array(n)
+        tpr = (a.size - np.searchsorted(np.sort(a), levels, side="right")) / a.size
+        fpr = (n.size - np.searchsorted(np.sort(n), levels, side="right")) / n.size
+        fpr, tpr = np.r_[0.0, fpr, 1.0], np.r_[0.0, tpr, 1.0]
+        curve = roc_curve(a, n)
+        assert curve.thresholds.tolist() == [np.inf, *levels.tolist(), -np.inf]
+        assert (curve.fpr.tobytes(), curve.tpr.tobytes()) == (fpr.tobytes(), tpr.tobytes())
+        assert curve.auc.hex() == float(np.trapezoid(tpr, fpr)).hex()

@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ from inexad.scorer import ae_from_vector, ae_init, score_batch
 from inexad import blas, training
 from inexad.data import DataError, TrainData, gen_synthetic, materialize
 from inexad.training import (
+    History,
     TrainConfig,
     TrainResult,
     best_of_grid,
@@ -962,3 +964,33 @@ class TestLambdaSelection:
         results = [(10.0, result(0.5)), (0.0, result(0.75)),
                    (1.0, result(0.75)), (2.0, result(0.25))]
         assert best_of_grid(results) is results[1][1]
+
+
+class TestHistory:
+    ROWS = [(0, 1.5, 0.25), (1, -0.0, 1.0), (2, math.inf, 0.5)]
+
+    def test_reads_as_a_list_of_its_rows(self):
+        history = History()
+        assert not history and history == [] and len(history) == 0
+        for row in self.ROWS:
+            history.append(row)
+        assert history and len(history) == 3
+        assert history == self.ROWS and self.ROWS == history and list(history) == self.ROWS
+        assert (history[-1], history[1:], history[::-2]) == (
+            self.ROWS[-1], self.ROWS[1:], self.ROWS[::-2])
+        assert [type(v) for v in history[0]] == [int, float, float]
+        assert math.copysign(1.0, history[1][1]) == -1.0  # the doubles' bits are kept
+        with pytest.raises(IndexError):
+            history[3]
+        assert history != self.ROWS[:2] and history != [list(row) for row in self.ROWS]
+        assert history != "abc" and history != 3
+        assert pickle.loads(pickle.dumps(history)) == history
+
+    def test_append_takes_three_values(self):
+        with pytest.raises(ValueError):
+            History().append((0, 1.0))
+
+    def test_training_books_a_history(self):
+        train_data, val_data = tiny_problem(np.random.default_rng(5))
+        result = train(train_data, val_data, quick_config(max_epochs=2))
+        assert type(result.history) is History and len(result.history) == 3
